@@ -173,11 +173,16 @@ class QueryContext {
       return prepared_;
     }
     prepared_.Prepare(area, side);
+    ++prepared_builds_;
     prepared_side_ = side;
     prepared_vertices_ = area.vertices();
     kernel_ready_ = false;  // The kernel snapshots prepared_'s arrays.
     return prepared_;
   }
+
+  /// Grid builds `Prepared` has run on this context (memo hits excluded):
+  /// the count that shows whether one query prepared its polygon once.
+  std::uint64_t prepared_builds() const { return prepared_builds_; }
 
   /// The context's batch containment kernel over `Prepared(area, ...)` —
   /// the query-specialised classifier selected at prepare time (see
@@ -236,6 +241,7 @@ class QueryContext {
   /// copy) and grid side; side -1 = nothing prepared yet.
   std::vector<Point> prepared_vertices_;
   int prepared_side_ = -1;
+  std::uint64_t prepared_builds_ = 0;
   /// Batch kernel bound to `prepared_`; valid only while `kernel_ready_`
   /// (invalidated whenever `prepared_` is rebuilt).
   PolygonKernel kernel_;

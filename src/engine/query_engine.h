@@ -1,9 +1,12 @@
 #ifndef VAQ_ENGINE_QUERY_ENGINE_H_
 #define VAQ_ENGINE_QUERY_ENGINE_H_
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -22,33 +25,37 @@
 namespace vaq {
 
 struct EngineOptions {
-  /// Worker thread count; 0 means `std::thread::hardware_concurrency()`.
+  /// Execution slot count — the most queries that run at once, and the
+  /// size of the worker pool; 0 means `std::thread::hardware_concurrency()`.
   int num_threads = 0;
   /// Bound of the MPMC work queue; `Submit` blocks (backpressure) when the
-  /// queue is full.
+  /// queue is full. Also the bound on queries waiting for a slot that a
+  /// `Run` under `shed_on_full` sheds at.
   std::size_t queue_capacity = 1024;
-  /// Admission control: when true, a `Submit` against a full queue throws
-  /// `EngineOverloadedError` instead of blocking — the engine sheds load
-  /// so a saturating client observes a typed overload signal rather than
-  /// unbounded latency. Off by default (blocking backpressure, the batch
-  /// benches' behaviour).
+  /// Admission control: when true, a `Submit` against a full queue — or a
+  /// `Run` that finds every slot busy and `queue_capacity` queries already
+  /// waiting for one — throws `EngineOverloadedError` instead of
+  /// blocking: the engine sheds load so a saturating client observes a
+  /// typed overload signal rather than unbounded latency. Off by default
+  /// (blocking backpressure, the batch benches' behaviour).
   bool shed_on_full = false;
 };
 
 /// Per-submission controls (deadline / cancellation); default = none.
 struct SubmitOptions {
   /// Abort the query once this many ms have elapsed *from submission*
-  /// (queue wait included — a queued query past its deadline fails fast
-  /// without running). 0 = no deadline.
+  /// (queue or slot wait included — a waiting query past its deadline
+  /// fails fast without running). 0 = no deadline.
   double deadline_ms = 0.0;
   /// External cancellation handle: the caller keeps a reference and may
   /// `Cancel()` it anytime; the query observes it at its next block
   /// boundary. Created internally when only a deadline is requested.
   std::shared_ptr<CancelToken> cancel;
   /// Planner hints of this submission (forced method, cache/scatter
-  /// opt-outs). The worker installs them on its `QueryContext` around the
-  /// task — like the cancel token — so a registered `PlannedAreaQuery`
-  /// picks them up through the hint-less `AreaQuery::Run` interface.
+  /// opt-outs). The engine installs them on the slot's `QueryContext`
+  /// around the query — like the cancel token — so a registered
+  /// `PlannedAreaQuery` picks them up through the hint-less
+  /// `AreaQuery::Run` interface.
   /// Ignored by the fixed-method query objects. Defaults = automatic.
   PlanHints hints{};
 };
@@ -99,25 +106,38 @@ struct EngineStats {
 /// statistics are testable against known distributions directly.
 double NearestRankPercentile(const std::vector<double>& sorted, double q);
 
-/// Executes area queries on a fixed pool of worker threads.
+/// Executes area queries in a fixed number of execution slots.
 ///
 /// The engine is the concurrency boundary of the library: query objects
 /// are stateless and the `PointDatabase` is immutable after construction,
 /// so the only mutable per-query state is the `QueryContext` scratch arena
-/// — and the engine owns exactly one per worker thread. A context is
-/// reused across every query its worker executes, so steady-state
-/// execution allocates only result vectors.
+/// — and the engine owns exactly one per slot. A query runs only while it
+/// holds a slot, so at most `num_threads()` queries execute at once, and
+/// a context is reused across every query its slot executes, so
+/// steady-state execution allocates only result vectors.
+///
+/// Two ways in, one execution path:
+///  - `Run` executes on the *calling* thread once a slot is free — no
+///    queue, no hand-off, no future. The server's connection threads use
+///    it.
+///  - `Submit`/`SubmitWith`/`RunBatch` enqueue onto a worker pool that
+///    takes a slot per task. The pool starts on the first enqueue, so an
+///    engine that only ever sees `Run` keeps no idle threads.
+/// Both record into the same per-slot stats shards, so `Stats()` is one
+/// window over all client queries whichever way they came in.
 ///
 /// Usage:
 ///   QueryEngine engine({.num_threads = 4});
 ///   const int voronoi = engine.RegisterMethod(&voronoi_query);
 ///   auto results = engine.RunBatch(polygons, voronoi);   // blocking
 ///   auto future  = engine.Submit(polygon, voronoi);      // async
+///   auto result  = engine.Run(polygon, voronoi);         // caller's thread
 ///
-/// Thread safety: `Submit`/`RunBatch`/`Stats` may be called from any
-/// thread. `RegisterMethod` must complete before queries that use the new
-/// method id are submitted. Do not call `RunBatch`/`Submit(...).wait()`
-/// from inside a worker (queries never enqueue queries).
+/// Thread safety: `Run`/`Submit`/`RunBatch`/`Stats` may be called from
+/// any thread. `RegisterMethod` must complete before queries that use the
+/// new method id are submitted. Do not call `Run`, `RunBatch` or
+/// `Submit(...).wait()` from inside a query of the same engine (queries
+/// never enqueue queries): it would wait for a slot it may itself hold.
 class QueryEngine {
  public:
   explicit QueryEngine(EngineOptions options = {});
@@ -141,6 +161,20 @@ class QueryEngine {
   std::future<QueryResult> Submit(Polygon area, int method = 0,
                                   SubmitOptions opts = {});
 
+  /// Runs one query on the calling thread and returns its result — the
+  /// synchronous twin of `Submit(...).get()` without the queue hop. Waits
+  /// while every slot is busy; under `EngineOptions::shed_on_full` it
+  /// throws `EngineOverloadedError` instead once `queue_capacity` queries
+  /// are already waiting for a slot. The deadline in `opts` runs from
+  /// entry, so slot wait counts against it: a caller whose deadline
+  /// passes while waiting gets `QueryAbortedError` (kDeadline) without
+  /// the query running.
+  /// Cancellation is checked once the slot is held, before the query
+  /// starts, and then at the query's block boundaries. Throws
+  /// `EngineStoppedError` after `Stop()`, including to callers still
+  /// waiting for a slot when it is called.
+  QueryResult Run(Polygon area, int method = 0, SubmitOptions opts = {});
+
   /// Enqueues one query against an ad-hoc query object that was never
   /// registered — the scatter path of `ShardedAreaQuery`, whose per-shard
   /// sub-queries are ephemeral objects bound to a pinned snapshot.
@@ -155,9 +189,11 @@ class QueryEngine {
                                       std::shared_ptr<CancelToken> cancel =
                                           nullptr);
 
-  /// Stops the engine: closes the work queue (queued tasks still run to
-  /// completion; to abort them too, cancel their tokens first) and joins
-  /// the workers. Idempotent; racing `Submit`s either enqueue before the
+  /// Stops the engine: releases `Run` callers still waiting for a slot
+  /// with `EngineStoppedError`, closes the work queue (queued tasks still
+  /// run to completion; to abort them too, cancel their tokens first),
+  /// joins the workers and waits for `Run` calls already executing to
+  /// return. Idempotent; racing `Submit`s either enqueue before the
   /// close or throw `EngineStoppedError` — no submission is silently
   /// dropped with a stranded future. The destructor calls it.
   void Stop();
@@ -173,31 +209,40 @@ class QueryEngine {
   EngineStats Stats() const;
   void ResetStats();
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  /// The execution slot count: the bound on concurrently running queries.
+  int num_threads() const { return static_cast<int>(states_.size()); }
 
-  /// True when called from one of *this* engine's worker threads. The
-  /// self-submission guard: a task that blocks on futures of its own
-  /// pool can deadlock it (workers waiting on work only those same
-  /// workers could pop), so composite queries check this and fall back
-  /// to inline execution (see `ShardedAreaQuery`).
+  /// True when called from inside a query this engine is executing, on a
+  /// pool worker or a `Run` caller. The self-submission guard: a query
+  /// that blocks on futures of its own engine can deadlock it (slot
+  /// holders waiting on work only those same slots could run), so
+  /// composite queries check this and fall back to inline execution (see
+  /// `ShardedAreaQuery`).
   bool OnWorkerThread() const;
 
  private:
-  struct Task {
+  /// One query as `Run` and the pool execute it.
+  struct Job {
     Polygon area;
-    const AreaQuery* query;
-    int method;  // Registered method id, or < 0 for an ad-hoc SubmitWith.
+    const AreaQuery* query = nullptr;
+    int method = -1;  // Registered method id, or < 0 for an ad-hoc SubmitWith.
     std::chrono::steady_clock::time_point submitted;
     /// Deadline/cancellation handle (null = none). Shared: the submitter
-    /// may hold it to cancel, the worker polls it during execution.
+    /// may hold it to cancel, the slot holder polls it during execution.
     std::shared_ptr<CancelToken> cancel;
-    /// Planner hints, installed on the worker context around the run.
+    /// Planner hints, installed on the slot's context around the run.
     PlanHints hints{};
+  };
+
+  struct Task {
+    Job job;
     std::promise<QueryResult> promise;
   };
 
-  /// Counters a worker accumulates locally; folded into EngineStats under
-  /// the worker's own mutex so `Stats()` never blocks the whole pool.
+  /// One execution slot: the scratch context of the query holding it and
+  /// the stats shard that query records into — folded into EngineStats
+  /// under the slot's own mutex so `Stats()` never blocks the whole
+  /// engine.
   ///
   /// Latency samples are decimated once they reach a cap (keep every
   /// other sample, double the recording stride), so an open-ended query
@@ -205,15 +250,40 @@ class QueryEngine {
   /// uniformly spread over the stats window.
   struct WorkerState {
     std::mutex mu;
-    QueryContext ctx;  // Touched only by the owning worker.
+    QueryContext ctx;  // Touched only by the slot's current holder.
     std::uint64_t completed = 0;
     std::uint64_t latency_stride = 1;  // Record every stride-th query.
     std::vector<double> latencies_ms;
     std::vector<MethodEngineStats> methods;
   };
 
-  void WorkerLoop(WorkerState* state);
+  /// Builds the job of a registered-method query: method lookup, entry
+  /// timestamp and the entry-relative deadline.
+  Job MakeJob(Polygon area, int method, SubmitOptions opts,
+              const char* site);
   std::future<QueryResult> Enqueue(Task task, const char* site);
+  void StartPool();
+  void WorkerLoop();
+
+  /// A thread waiting for a slot. Waiters are served in arrival order: a
+  /// released slot passes straight to the oldest one, so later arrivals
+  /// cannot barge past a caller whose deadline is burning down.
+  struct SlotWaiter {
+    std::condition_variable cv;
+    WorkerState* slot = nullptr;  // Set by the hand-off.
+  };
+
+  /// Takes a free slot, waiting in line while none is. `run_caller` marks
+  /// a `Run` caller, which sheds under `shed_on_full` and gives up on
+  /// `Stop()`; pool workers always wait, since they drain what was queued
+  /// before the stop. A deadline on the job bounds the wait either way.
+  WorkerState* AcquireSlot(const Job& job, bool run_caller);
+  void ReleaseSlot(WorkerState* slot);
+  /// Hands `slot` to the oldest waiter, or frees it. Requires `slots_mu_`.
+  void ReturnSlotLocked(WorkerState* slot);
+  /// The one execute-and-record path of `Run` and the pool: runs `job` in
+  /// a slot and records it in that slot's stats shard.
+  QueryResult RunInSlot(const Job& job, bool run_caller);
 
   EngineOptions options_;
 
@@ -222,7 +292,21 @@ class QueryEngine {
 
   BoundedQueue<Task> queue_;
   std::vector<std::unique_ptr<WorkerState>> states_;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  // Empty until the first enqueue.
+  std::atomic<bool> pool_started_{false};
+
+  /// Slot pool: the free slots (non-empty only while nobody waits), the
+  /// waiters not yet handed a slot in arrival order, and whether `Stop()`
+  /// has closed `Run` admission. `waiting_` also counts waiters handed a
+  /// slot that have not woken up yet — like a queued task its worker has
+  /// not popped — and is what `shed_on_full` compares with
+  /// `queue_capacity`.
+  std::mutex slots_mu_;
+  std::condition_variable slots_drained_;  // Stop() waits on it.
+  std::vector<WorkerState*> free_slots_;
+  std::list<SlotWaiter*> slot_waiters_;
+  std::size_t waiting_ = 0;
+  bool run_closed_ = false;
 
   std::mutex stop_mu_;
   bool stopped_ = false;

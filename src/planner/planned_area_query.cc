@@ -188,10 +188,10 @@ std::vector<PointId> PlannedAreaQuery::RunPlanned(
     }
   }
 
-  // Pre-warm the prepared structure sized for the *predicted* test count,
-  // so the execution's own `Prepared(area, ...)` calls memo-hit against a
-  // grid already matched to the plan.
-  ctx.Prepared(area, plan.expected_tests);
+  // No grid is pre-built from the plan's prediction: the method would
+  // rebuild it whenever its own count (traditional: the exact candidate
+  // count after its filter) asks for a finer one, and brute force needs
+  // none. Each method makes the query's one `Prepared` build itself.
   std::vector<PointId> ids = Execute(pinned, plan, area, ctx);
 
   ctx.stats.plan_method |= MethodBit(plan.method);
@@ -201,7 +201,7 @@ std::vector<PointId> PlannedAreaQuery::RunPlanned(
   // Degraded-partial answers (failed shard legs under `allow_partial`)
   // must not be cached: a later hit would replay the subset as the truth.
   if (caching && ctx.stats.degraded == 0) {
-    cache_.Insert(key, std::make_shared<const std::vector<PointId>>(ids));
+    cache_.Insert(key, ids);
   }
   return ids;
 }

@@ -25,15 +25,13 @@ namespace vaq {
 ///  2. Compute `PlanFeatures` (live size, the polygon's MBR/area shares
 ///     of the database bounds, the backend's IO configuration) and ask
 ///     the planner for a `QueryPlan` — method, sharded fanout call,
-///     prepared-kernel sizing, reason bits.
+///     predicted test count, reason bits.
 ///  3. Probe the result cache under (snapshot version, polygon bit-hash).
 ///     A hit returns the cached ids without executing anything: the COW
 ///     snapshot counter guarantees the pinned version saw no mutation
 ///     since the entry was stored, and the bit-hash keys on the exact
 ///     vertex bits, so the cached answer is bit-identical to a fresh run.
-///  4. On a miss, pre-warm `ctx.Prepared(area, plan.expected_tests)` so
-///     the prepared kernel sizes its raster grid against the *predicted*
-///     workload, execute the planned method against the pinned snapshot
+///  4. On a miss, execute the planned method against the pinned snapshot
 ///     (for sharded plans, scattering onto the engine only when the plan
 ///     says so), feed the measured `QueryStats` back into the planner's
 ///     EWMAs, and cache the result (unless it is degraded-partial — a

@@ -68,10 +68,11 @@ struct QueryPlan {
   /// Sharded fanout call: scatter surviving shards onto the engine
   /// (true) or run them inline (false). Meaningless for unsharded plans.
   bool scatter = false;
-  /// Prepared-kernel sizing hint: the predicted number of point-in-
-  /// polygon tests, fed to `QueryContext::Prepared(area, expected_tests)`
-  /// so the raster grid amortises against the *estimated* workload
-  /// instead of the polygon-complexity default.
+  /// The predicted number of point-in-polygon tests (the chosen method's
+  /// predicted candidates, clamped to the live size): the count a caller
+  /// that prepares the polygon *before* executing sizes its grid with
+  /// (`PreparedArea::SuggestGridSide`). Execution itself does not use it —
+  /// each method sizes its one build from its own count.
   std::size_t expected_tests = 0;
   /// The model's predictions for the chosen method (Observe inputs).
   double predicted_cost_ns = 0.0;

@@ -35,14 +35,17 @@ std::shared_ptr<const std::vector<PointId>> ResultCache::Lookup(
   return it->second->ids;
 }
 
-void ResultCache::Insert(const Key& key,
-                         std::shared_ptr<const std::vector<PointId>> ids) {
+void ResultCache::Insert(const Key& key, std::span<const PointId> ids) {
   if (capacity_ == 0) return;
+  const auto Copy = [ids] {
+    return std::make_shared<const std::vector<PointId>>(ids.begin(),
+                                                        ids.end());
+  };
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it != index_.end()) {
     ++admitted_;
-    it->second->ids = std::move(ids);
+    it->second->ids = Copy();
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
@@ -62,7 +65,7 @@ void ResultCache::Insert(const Key& key,
   }
   ++admitted_;
   seen_lru_.splice(seen_lru_.begin(), seen_lru_, seen->second);
-  lru_.push_front(Entry{key, std::move(ids)});
+  lru_.push_front(Entry{key, Copy()});
   index_.emplace(key, lru_.begin());
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().key);

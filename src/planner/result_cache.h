@@ -6,6 +6,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -61,12 +62,12 @@ class ResultCache {
   /// Returns the cached ids and refreshes LRU recency, or null on miss.
   std::shared_ptr<const std::vector<PointId>> Lookup(const Key& key);
 
-  /// Offers `ids` for caching under `key`. Admitted — stored, evicting
-  /// the least recently used entry beyond capacity — only when the
-  /// polygon hash was offered before (second-hit admission, above) or the
-  /// key is already resident (refresh). A declined offer records the hash
-  /// and drops the ids. A capacity of 0 disables the cache entirely.
-  void Insert(const Key& key, std::shared_ptr<const std::vector<PointId>> ids);
+  /// Offers `ids` for caching under `key`. Admitted — copied and stored,
+  /// evicting the least recently used entry beyond capacity — only when
+  /// the polygon hash was offered before (second-hit admission, above) or
+  /// the key is already resident (refresh). A declined offer records the
+  /// hash and copies nothing. A capacity of 0 disables the cache entirely.
+  void Insert(const Key& key, std::span<const PointId> ids);
 
   /// Cumulative counters (monotonic; for stats plumbing and tests).
   std::uint64_t hits() const;

@@ -84,8 +84,8 @@ QueryServer::QueryServer(DynamicPointDatabase* db, Options options)
           .num_threads = options.engine_threads,
           .queue_capacity = options.engine_queue_capacity,
           // Admission control IS the protocol's backpressure story: a
-          // full queue must surface as a typed kRetryLater, not as a
-          // connection thread blocked inside Submit.
+          // full slot wait must surface as a typed kRetryLater, not as a
+          // connection thread blocked inside Run.
           .shed_on_full = true,
       }) {
   method_ = engine_.RegisterMethod(db_->PlannedQuery());
@@ -131,7 +131,7 @@ void QueryServer::Stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
 
-  // Abort in-flight and queued queries: every request token is chained
+  // Abort in-flight and waiting queries: every request token is chained
   // under this one, so one cancel fans out to all of them. Their
   // handlers turn the aborts into typed kCancelled responses before the
   // sockets close — drain, not drop.
@@ -380,7 +380,7 @@ std::vector<std::uint8_t> QueryServer::HandleQuery(
 
   QueryResult result;
   try {
-    result = engine_.Submit(std::move(area), method_, opts).get();
+    result = engine_.Run(std::move(area), method_, std::move(opts));
   } catch (const EngineOverloadedError& e) {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.queries_shed;

@@ -20,13 +20,15 @@ namespace vaq {
 /// The network front door (ROADMAP item 1): a long-running TCP service
 /// that exposes one `DynamicPointDatabase` over the `VQRY` framed
 /// protocol (see `protocol.h`). Untrusted clients send WKT polygons and
-/// mutations; the server multiplexes them onto one shared `QueryEngine`
-/// pool and streams results back.
+/// mutations; the server runs them through one shared `QueryEngine` and
+/// streams results back.
 ///
-/// **Threading model.** One accept thread plus one thread per connection
-/// — connection threads do only parsing and IO; all query *work* funnels
-/// through the engine pool via `Submit`, so CPU parallelism is bounded by
-/// `Options::engine_threads` regardless of connection count, and engine
+/// **Threading model.** One accept thread plus one thread per connection.
+/// A connection thread parses, runs its query itself through
+/// `QueryEngine::Run` once it holds one of the engine's
+/// `Options::engine_threads` execution slots, and writes the response —
+/// no queue hop, no hand-off to a pool thread. CPU parallelism is still
+/// bounded by the slot count regardless of connection count, and engine
 /// statistics stay in units of client queries.
 ///
 /// **Planner routing.** The engine method the server registers is the
@@ -34,14 +36,15 @@ namespace vaq {
 /// planner's EWMAs, and hits the snapshot-keyed result cache. Per-request
 /// `PlanHints` ride in on `SubmitOptions::hints`.
 ///
-/// **Backpressure.** The engine runs with `shed_on_full`: when the work
-/// queue is full, `Submit` throws `EngineOverloadedError`, which the
-/// server maps to a typed `kRetryLater` response. An overloaded server
-/// answers *something* for every request — load shedding is visible,
-/// never a silent drop or unbounded queueing.
+/// **Backpressure.** The engine runs with `shed_on_full`: when every slot
+/// is busy and `engine_queue_capacity` requests already wait for one,
+/// `Run` throws `EngineOverloadedError`, which the server maps to a typed
+/// `kRetryLater` response. An overloaded server answers *something* for
+/// every request — load shedding is visible, never a silent drop or
+/// unbounded queueing.
 ///
-/// **Deadlines.** A request's `deadline_ms` becomes the submission-
-/// relative engine deadline (queue wait counts); expiry surfaces as a
+/// **Deadlines.** A request's `deadline_ms` becomes the entry-relative
+/// engine deadline (slot wait counts); expiry surfaces as a
 /// typed `kDeadline` response. Every request token is also chained under
 /// a server-wide shutdown token, so `Stop()` aborts in-flight queries
 /// promptly with `kCancelled` instead of waiting them out.
@@ -62,9 +65,10 @@ class QueryServer {
     std::uint16_t port = 0;
     /// Listen backlog.
     int backlog = 64;
-    /// Engine pool configuration. `engine_threads` 0 = hardware
-    /// concurrency. The queue bound is the admission-control knob: a
-    /// full queue sheds with `kRetryLater` instead of queueing further.
+    /// Engine configuration. `engine_threads` (the execution slot count)
+    /// 0 = hardware concurrency. The queue bound is the admission-control
+    /// knob: a request that finds every slot busy and this many requests
+    /// already waiting sheds with `kRetryLater` instead of waiting too.
     int engine_threads = 0;
     std::size_t engine_queue_capacity = 256;
     /// Vertex bound handed to the WKT parser per request.
@@ -139,7 +143,7 @@ class QueryServer {
   std::thread accept_thread_;
 
   /// Parent of every request token: `Stop()` cancels it once and every
-  /// queued/running query aborts at its next block boundary.
+  /// waiting/running query aborts at its next block boundary.
   CancelToken shutdown_;
 
   /// The drain lock (see class comment): request handlers shared,

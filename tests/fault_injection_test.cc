@@ -628,6 +628,197 @@ TEST(EngineCancelTest, KernelsPollTokenAtBlockBoundaries) {
 }
 
 // ---------------------------------------------------------------------------
+// Engine: synchronous Run on the caller's thread in one of the slots
+// ---------------------------------------------------------------------------
+
+/// Thrown by `ThrowingQuery`; deliberately not a `std::runtime_error`, so
+/// it cannot be mistaken for the engine's own typed errors.
+struct QueryBoom : std::exception {};
+
+class ThrowingQuery final : public AreaQuery {
+ public:
+  std::vector<PointId> Run(const Polygon&, QueryContext&) const override {
+    throw QueryBoom();
+  }
+  std::string_view Name() const override { return "boom"; }
+};
+
+/// Records the most queries it ever saw inside `Run` at once.
+class ConcurrencyProbeQuery final : public AreaQuery {
+ public:
+  std::vector<PointId> Run(const Polygon&, QueryContext&) const override {
+    const int now = running_.fetch_add(1) + 1;
+    int seen = max_.load();
+    while (now > seen && !max_.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    running_.fetch_sub(1);
+    return {};
+  }
+  std::string_view Name() const override { return "probe"; }
+  int max_concurrent() const { return max_.load(); }
+
+ private:
+  mutable std::atomic<int> running_{0};
+  mutable std::atomic<int> max_{0};
+};
+
+TEST(EngineDeadlineTest, RunSlotWaitCountsAgainstDeadline) {
+  const GateQuery gate;
+  const GateQuery waiting_gate;  // Separate started_ counter.
+  QueryEngine engine({.num_threads = 1});
+  const int holder = engine.RegisterMethod(&gate);
+  const int waiter = engine.RegisterMethod(&waiting_gate);
+  std::thread hold([&] { engine.Run(UnitTriangle(), holder); });
+  gate.WaitStarted(1);
+  // The only slot is held: the deadline burns down in the slot wait and
+  // the query must never start.
+  SubmitOptions opts;
+  opts.deadline_ms = 20.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    engine.Run(UnitTriangle(), waiter, opts);
+    FAIL() << "expected QueryAbortedError";
+  } catch (const QueryAbortedError& e) {
+    EXPECT_EQ(e.reason(), QueryAbortedError::Reason::kDeadline);
+  }
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(20));
+  EXPECT_EQ(waiting_gate.started(), 0);
+  gate.Release();
+  hold.join();
+}
+
+TEST(EngineShutdownTest, StopReleasesRunCallersWaitingForASlot) {
+  const GateQuery gate;
+  QueryEngine engine({.num_threads = 1});
+  const int method = engine.RegisterMethod(&gate);
+  std::atomic<bool> holder_ok{false};
+  std::thread hold([&] {
+    engine.Run(UnitTriangle(), method);
+    holder_ok.store(true);
+  });
+  gate.WaitStarted(1);
+  std::atomic<bool> waiter_stopped{false};
+  std::thread wait([&] {
+    try {
+      engine.Run(UnitTriangle(), method);
+    } catch (const EngineStoppedError&) {
+      waiter_stopped.store(true);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::atomic<bool> stop_returned{false};
+  std::thread stop([&] {
+    engine.Stop();
+    stop_returned.store(true);
+  });
+  // The waiter is released typed while the slot is still held...
+  wait.join();
+  EXPECT_TRUE(waiter_stopped.load());
+  EXPECT_EQ(gate.started(), 1) << "the released waiter must not run";
+  // ...but Stop() returns only once the executing Run has finished.
+  EXPECT_FALSE(stop_returned.load());
+  gate.Release();
+  stop.join();
+  hold.join();
+  EXPECT_TRUE(holder_ok.load());
+  EXPECT_THROW(engine.Run(UnitTriangle(), method), EngineStoppedError);
+}
+
+TEST(EngineOverloadTest, ThrowingRunGivesItsSlotBack) {
+  Rng rng(31);
+  const PointDatabase db(GenerateUniformPoints(300, kUnit, &rng));
+  const BruteForceAreaQuery brute(&db);
+  const ThrowingQuery boom;
+  // Zero waiters allowed: a leaked slot would surface as an immediate
+  // EngineOverloadedError, not a hang.
+  QueryEngine engine(
+      {.num_threads = 2, .queue_capacity = 0, .shed_on_full = true});
+  const int good = engine.RegisterMethod(&brute);
+  const int bad = engine.RegisterMethod(&boom);
+  for (int i = 0; i <= engine.num_threads(); ++i) {
+    EXPECT_THROW(engine.Run(UnitTriangle(), bad), QueryBoom);
+  }
+  for (int i = 0; i <= engine.num_threads(); ++i) {
+    EXPECT_NO_THROW(engine.Run(UnitTriangle(), good));
+  }
+  EXPECT_EQ(engine.Stats().queries_completed,
+            static_cast<std::uint64_t>(engine.num_threads() + 1));
+}
+
+TEST(EngineOverloadTest, RunShedsWhenSlotsBusyAndWaitersAtCapacity) {
+  const GateQuery gate;
+  QueryEngine engine(
+      {.num_threads = 1, .queue_capacity = 1, .shed_on_full = true});
+  const int method = engine.RegisterMethod(&gate);
+  std::thread hold([&] { engine.Run(UnitTriangle(), method); });
+  gate.WaitStarted(1);
+  std::thread wait([&] { engine.Run(UnitTriangle(), method); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // One slot busy, one caller waiting = capacity: the next is shed. The
+  // deadline only bounds a wrong wait; it must not be what ends the call.
+  SubmitOptions bounded;
+  bounded.deadline_ms = 5000.0;
+  try {
+    engine.Run(UnitTriangle(), method, bounded);
+    FAIL() << "expected EngineOverloadedError";
+  } catch (const EngineOverloadedError& e) {
+    EXPECT_EQ(e.capacity(), 1u);
+  }
+  gate.Release();
+  hold.join();
+  wait.join();
+  EXPECT_EQ(gate.started(), 2);
+}
+
+TEST(EngineOverloadTest, RunAndSubmitNeverExceedTheSlotCount) {
+  const ConcurrencyProbeQuery probe;
+  QueryEngine engine({.num_threads = 2});
+  const int method = engine.RegisterMethod(&probe);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 6; ++t) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < 20; ++i) engine.Run(UnitTriangle(), method);
+    });
+  }
+  // Pool traffic competes for the same slots.
+  const std::vector<Polygon> batch(40, UnitTriangle());
+  engine.RunBatch(batch, method);
+  for (std::thread& t : callers) t.join();
+  EXPECT_LE(probe.max_concurrent(), engine.num_threads());
+  EXPECT_GE(probe.max_concurrent(), 1);
+  EXPECT_EQ(engine.Stats().queries_completed, 6u * 20u + 40u);
+}
+
+TEST(EngineOverloadTest, RunAndSubmitRecordIntoOneStatsWindow) {
+  Rng rng(32);
+  const PointDatabase db(GenerateUniformPoints(2000, kUnit, &rng));
+  const BruteForceAreaQuery brute(&db);
+  QueryEngine engine({.num_threads = 2});
+  const int method = engine.RegisterMethod(&brute);
+  std::uint64_t results = 0;
+  for (int i = 0; i < 5; ++i) {
+    results += engine.Run(UnitTriangle(), method).ids.size();
+  }
+  for (int i = 0; i < 7; ++i) {
+    results += engine.Submit(UnitTriangle(), method).get().ids.size();
+  }
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.queries_completed, 12u);
+  ASSERT_EQ(stats.methods.size(), 1u);
+  EXPECT_EQ(stats.methods[0].name, "brute-force");
+  EXPECT_EQ(stats.methods[0].queries, 12u);
+  EXPECT_EQ(stats.methods[0].totals.results, results);
+  EXPECT_GT(stats.latency_p50_ms, 0.0);
+  EXPECT_LE(stats.latency_p50_ms, stats.latency_p99_ms);
+  engine.ResetStats();
+  EXPECT_EQ(engine.Stats().queries_completed, 0u);
+  engine.Run(UnitTriangle(), method);
+  EXPECT_EQ(engine.Stats().queries_completed, 1u);
+}
+
+// ---------------------------------------------------------------------------
 // VAQ_FAULT_SPEC environment plumbing
 // ---------------------------------------------------------------------------
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force_area_query.h"
+#include "core/dynamic_point_database.h"
 #include "core/point_database.h"
 #include "core/voronoi_area_query.h"
+#include "planner/planned_area_query.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
 #include "workload/rng.h"
@@ -122,6 +124,57 @@ TEST(QueryContextTest, PreparedMemoSurvivesDeathOfOriginalPolygon) {
     EXPECT_EQ(prep.Contains(p), alive.Contains(p)) << "point " << i;
   }
   EXPECT_EQ(&prep.polygon(), &alive);  // Rebound, not dangling.
+}
+
+TEST(QueryContextTest, PlannedQueryBuildsItsGridOnce) {
+  // One planned query prepares its polygon once. The planner predicts the
+  // candidate count before execution; a grid pre-built from that
+  // prediction was rebuilt whenever the method's own count asked for a
+  // finer one (traditional sizes from its exact post-filter count). The
+  // dynamic delta pass must memo-hit the base pass's grid; brute force
+  // builds none.
+  Rng rng(23);
+  DynamicPointDatabase db(GenerateUniformPoints(20000, kUnit, &rng));
+  for (int i = 0; i < 64; ++i) {
+    db.Insert({rng.Uniform(0, 1), rng.Uniform(0, 1)});  // Non-empty delta.
+  }
+  const PlannedAreaQuery& planned = *db.PlannedQuery();
+
+  QueryContext ctx;
+  QueryContext oracle_ctx;
+  PlanHints oracle;
+  oracle.force_method = DynamicMethod::kBruteForce;
+  oracle.use_cache = false;
+  Rng prng(5);
+  int finer_than_plan = 0;
+  for (const DynamicMethod method :
+       {DynamicMethod::kTraditional, DynamicMethod::kVoronoi,
+        DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
+    PlanHints hints;
+    hints.force_method = method;
+    hints.use_cache = false;
+    for (int i = 0; i < 24; ++i) {
+      PolygonSpec spec;
+      spec.query_size_fraction = 0.01 * (1 + i % 4);
+      const Polygon area = GenerateQueryPolygon(spec, kUnit, &prng);
+      const QueryPlan plan = planned.PlanFor(area, hints);
+      const std::uint64_t before = ctx.prepared_builds();
+      const std::vector<PointId> ids = planned.RunPlanned(area, ctx, hints);
+      const bool brute = method == DynamicMethod::kBruteForce;
+      EXPECT_EQ(ctx.prepared_builds() - before, brute ? 0u : 1u)
+          << "method " << static_cast<int>(method) << " query " << i;
+      if (method == DynamicMethod::kTraditional &&
+          PreparedArea::SuggestGridSide(area.size(), ctx.stats.candidates) >
+              PreparedArea::SuggestGridSide(area.size(),
+                                            plan.expected_tests)) {
+        ++finer_than_plan;
+      }
+      EXPECT_EQ(ids, planned.RunPlanned(area, oracle_ctx, oracle));
+    }
+  }
+  // The case that used to build twice: the measured count asks for a
+  // finer grid than the plan's prediction.
+  EXPECT_GT(finer_than_plan, 0);
 }
 
 }  // namespace

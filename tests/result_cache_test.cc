@@ -11,10 +11,7 @@
 namespace vaq {
 namespace {
 
-std::shared_ptr<const std::vector<PointId>> Ids(
-    std::initializer_list<PointId> ids) {
-  return std::make_shared<const std::vector<PointId>>(ids);
-}
+std::vector<PointId> Ids(std::initializer_list<PointId> ids) { return ids; }
 
 Polygon Square(double x0, double y0, double side) {
   return Polygon{
@@ -24,9 +21,9 @@ Polygon Square(double x0, double y0, double side) {
 /// Stores an entry past second-hit admission: the first offer of a hash
 /// is declined by design, the second is admitted.
 void Admit(ResultCache& cache, const ResultCache::Key& key,
-           std::shared_ptr<const std::vector<PointId>> ids) {
+           const std::vector<PointId>& ids) {
   cache.Insert(key, ids);
-  cache.Insert(key, std::move(ids));
+  cache.Insert(key, ids);
 }
 
 TEST(HashPolygonBitsTest, StableAndSensitiveToEveryBit) {
@@ -78,6 +75,47 @@ TEST(ResultCacheTest, FirstOfferIsDeclinedSecondIsAdmitted) {
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(*found, (std::vector<PointId>{1, 2, 3}));
   EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(ResultCacheTest, DeclinedOfferLeavesCacheAndCountersUntouched) {
+  // A declined offer only records the polygon hash: no entry, no copy of
+  // the ids, and only `declined` moves — the lookup counters, `admitted`
+  // and the resident entries stay exactly as they were.
+  ResultCache cache(4);
+  Admit(cache, {1, 7}, Ids({1, 2}));
+  ASSERT_NE(cache.Lookup({1, 7}), nullptr);
+  EXPECT_EQ(cache.Lookup({1, 8}), nullptr);
+  const std::size_t size = cache.size();
+  const std::uint64_t hits = cache.hits();
+  const std::uint64_t misses = cache.misses();
+  const std::uint64_t admitted = cache.admitted();
+  const std::uint64_t declined = cache.declined();
+
+  const std::vector<PointId> big(10000, 3);
+  cache.Insert({1, 8}, big);  // First offer of hash 8: declined.
+
+  EXPECT_EQ(cache.size(), size);
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_EQ(cache.admitted(), admitted);
+  EXPECT_EQ(cache.declined(), declined + 1);
+  // The resident entry is untouched, and the declined key did not land.
+  const auto kept = cache.Lookup({1, 7});
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(*kept, (std::vector<PointId>{1, 2}));
+  EXPECT_EQ(cache.Lookup({1, 8}), nullptr);
+}
+
+TEST(ResultCacheTest, AdmittedEntryOwnsACopyOfTheOfferedIds) {
+  // Admission copies: the caller's vector may change or die afterwards
+  // without touching what the cache serves.
+  ResultCache cache(4);
+  std::vector<PointId> ids = Ids({4, 5, 6});
+  Admit(cache, {1, 9}, ids);
+  ids.assign({7});
+  const auto found = cache.Lookup({1, 9});
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(*found, (std::vector<PointId>{4, 5, 6}));
 }
 
 TEST(ResultCacheTest, SeenHashesSpanVersions) {

@@ -271,17 +271,23 @@ TEST_F(ServerLoopbackTest, TinyDeadlineAbortsTyped) {
 }
 
 TEST_F(ServerLoopbackTest, OverloadShedsWithRetryLater) {
-  // One worker, a one-slot queue, and slow-ish queries from background
+  // One slot, one waiter allowed, and slow-ish queries from background
   // connections: a foreground burst must observe at least one typed
   // kRetryLater — admission control as backpressure, never a hang or a
   // silent drop. Each shed response is itself the retry protocol: the
-  // test retries and must eventually succeed.
+  // test retries and must eventually succeed. Every query bypasses the
+  // result cache so it really is slow: a cached repeat holds the slot
+  // for a few microseconds, and whether the burst ever finds the slot
+  // busy and a waiter queued is then up to the scheduler.
   QueryServer::Options options;
   options.engine_threads = 1;
   options.engine_queue_capacity = 1;
   StartServer(20000, options);
   const std::string wkt =
       ToWkt(Polygon{{{0.02, 0.02}, {0.98, 0.02}, {0.98, 0.98}, {0.02, 0.98}}});
+  WireQueryRequest slow;
+  slow.wkt = wkt;
+  slow.use_cache = false;
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> load;
@@ -290,7 +296,7 @@ TEST_F(ServerLoopbackTest, OverloadShedsWithRetryLater) {
       QueryClient c(server_->port());
       while (!stop.load()) {
         try {
-          c.Query(wkt);
+          c.Query(slow);
         } catch (const ServerError& e) {
           ASSERT_EQ(e.code(), WireErrorCode::kRetryLater);
         }
@@ -303,7 +309,7 @@ TEST_F(ServerLoopbackTest, OverloadShedsWithRetryLater) {
   bool succeeded = false;
   for (int attempt = 0; attempt < 400 && !(shed && succeeded); ++attempt) {
     try {
-      client.Query(wkt);
+      client.Query(slow);
       succeeded = true;
     } catch (const ServerError& e) {
       ASSERT_EQ(e.code(), WireErrorCode::kRetryLater)

@@ -12,9 +12,11 @@
 //                        SavePointsBinary, or CSV "x,y" lines — format
 //                        sniffed by extension: .csv = CSV, else binary).
 //   --seed S             Generator seed for --points (default 42).
-//   --threads T          Engine worker threads (default 0 = hardware).
-//   --queue-capacity Q   Engine admission bound (default 256). A full
-//                        queue sheds with RETRY_LATER.
+//   --threads T          Engine execution slots: queries running at once
+//                        (default 0 = hardware).
+//   --queue-capacity Q   Engine admission bound (default 256): a request
+//                        that finds every slot busy and Q requests
+//                        already waiting sheds with RETRY_LATER.
 //   --max-deadline-ms D  Ceiling on client-requested deadlines (default
 //                        0 = none).
 //
