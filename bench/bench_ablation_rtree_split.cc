@@ -1,7 +1,7 @@
 // Ablation: R-tree node-split strategy (quadratic vs linear) and bulk load
-// (STR) vs dynamic insertion. Reports build time and window-query node
-// accesses — the classic quality-vs-build-cost trade-off of Guttman's two
-// split algorithms, plus how much STR bulk loading beats both.
+// (Hilbert packing) vs dynamic insertion. Reports build time and
+// window-query node accesses — the classic quality-vs-build-cost trade-off
+// of Guttman's two split algorithms, plus how much bulk loading beats both.
 
 #include <chrono>
 #include <iomanip>
@@ -50,7 +50,7 @@ int main() {
     bool bulk;
   };
   const Case cases[] = {
-      {"STR bulk load", RTree::SplitStrategy::kQuadratic, true},
+      {"Hilbert bulk load", RTree::SplitStrategy::kQuadratic, true},
       {"insert + quadratic split", RTree::SplitStrategy::kQuadratic, false},
       {"insert + linear split", RTree::SplitStrategy::kLinear, false},
   };

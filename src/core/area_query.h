@@ -7,7 +7,6 @@
 #include "core/query_context.h"
 #include "core/query_stats.h"
 #include "geometry/polygon.h"
-#include "index/spatial_index.h"
 
 namespace vaq {
 

@@ -128,7 +128,6 @@ PointDatabase::PointDatabase(std::vector<Point> points, Options options)
                                  ? std::move(points)
                                  : CheckPairwiseDistinct(std::move(points)),
                              &to_original_)),
-      rtree_(options.rtree_max_entries, options.rtree_min_entries),
       delaunay_(points_, /*hilbert_sorted=*/true) {
   to_internal_.resize(points_.size());
   xs_.resize(points_.size());

@@ -76,8 +76,6 @@ void CheckFiniteAndDistinct(const std::vector<Point>& points);
 class PointDatabase {
  public:
   struct Options {
-    int rtree_max_entries = 16;
-    int rtree_min_entries = 6;
     /// Skip the O(n) finiteness and O(n log n) pairwise-distinct
     /// enforcement: the caller asserts the points are finite and
     /// distinct. Only for internal rebuild paths that maintain the

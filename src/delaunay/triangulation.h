@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "geometry/point.h"
-#include "index/spatial_index.h"
 
 namespace vaq {
 

@@ -84,6 +84,14 @@ struct PointHash {
   }
 };
 
+/// Identifier of a stored point: a position in the owning database's
+/// point table (see `PointDatabase`), which is also what the R-tree's
+/// lightweight (point, id) entries carry.
+using PointId = std::uint32_t;
+
+/// Marker for "no point found".
+inline constexpr PointId kInvalidPointId = 0xFFFFFFFFu;
+
 }  // namespace vaq
 
 #endif  // VAQ_GEOMETRY_POINT_H_

@@ -41,16 +41,34 @@ void PolygonKernel::Prepare(const PreparedArea& prep, simd::Arm arm) {
     if (m <= kConvexMaxVertices) {
       // Exact convexity: all consecutive-triple orientations share one
       // sign (collinear triples allowed, an all-collinear ring is not a
-      // polygon and stays on the grid path).
+      // polygon and stays on the grid path), AND the ring winds exactly
+      // once. Same-sign turns alone also admit star rings such as the
+      // pentagram, whose half-plane intersection is only the inner
+      // pentagon. Winding once means the sign of the edge dx changes
+      // exactly twice around the ring; the sign of a double difference is
+      // exact, and vertical edges (dx == 0) are skipped.
       bool pos = false;
       bool neg = false;
+      int first_dx = 0;
+      int last_dx = 0;
+      int dx_changes = 0;
       for (std::size_t i = 0; i < m; ++i) {
-        const int s = Orient2DSign(poly.vertex(i), poly.vertex((i + 1) % m),
-                                   poly.vertex((i + 2) % m));
+        const Point& a = poly.vertex(i);
+        const Point& b = poly.vertex((i + 1) % m);
+        const int s = Orient2DSign(a, b, poly.vertex((i + 2) % m));
         pos = pos || s > 0;
         neg = neg || s < 0;
+        const int dx = (b.x > a.x) - (b.x < a.x);
+        if (dx == 0) continue;
+        if (first_dx == 0) {
+          first_dx = dx;
+        } else if (dx != last_dx) {
+          ++dx_changes;
+        }
+        last_dx = dx;
       }
-      if (pos != neg) orientation = pos ? 1 : -1;
+      if (last_dx != first_dx) ++dx_changes;  // Close the cycle.
+      if (pos != neg && dx_changes == 2) orientation = pos ? 1 : -1;
     }
     if (orientation != 0) {
       kind_ = Kind::kConvexHalfPlane;

@@ -7,6 +7,7 @@
 #include <queue>
 #include <string>
 
+#include "delaunay/hilbert.h"
 #include "geometry/prepared_area.h"
 
 namespace vaq {
@@ -30,77 +31,32 @@ void RTree::RecomputeBounds(std::int32_t node_id) {
 }
 
 void RTree::Build(const std::vector<Point>& points) {
-  nodes_.clear();
-  root_ = -1;
-  count_ = points.size();
-  if (points.empty()) return;
-
-  // --- Sort-Tile-Recursive bulk load ---
-  std::vector<Entry> level;
-  level.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    level.push_back(Entry{Box(points[i]), static_cast<std::int32_t>(i)});
+  std::vector<Entry> leaves;
+  leaves.reserve(points.size());
+  for (const std::uint32_t i : HilbertOrder(points)) {
+    leaves.push_back(Entry{Box(points[i]), static_cast<std::int32_t>(i)});
   }
-
-  bool leaf_level = true;
-  while (level.size() > static_cast<std::size_t>(max_entries_) ||
-         leaf_level) {
-    const std::size_t n = level.size();
-    const std::size_t capacity = static_cast<std::size_t>(max_entries_);
-    const std::size_t num_groups = (n + capacity - 1) / capacity;
-    const std::size_t num_slabs = static_cast<std::size_t>(
-        std::ceil(std::sqrt(static_cast<double>(num_groups))));
-    const std::size_t slab_size = num_slabs * capacity;
-
-    std::sort(level.begin(), level.end(), [](const Entry& a, const Entry& b) {
-      return a.box.Center().x < b.box.Center().x;
-    });
-    std::vector<Entry> parents;
-    parents.reserve(num_groups);
-    for (std::size_t s = 0; s < n; s += slab_size) {
-      const std::size_t slab_end = std::min(s + slab_size, n);
-      std::sort(level.begin() + s, level.begin() + slab_end,
-                [](const Entry& a, const Entry& b) {
-                  return a.box.Center().y < b.box.Center().y;
-                });
-      for (std::size_t g = s; g < slab_end; g += capacity) {
-        const std::size_t group_end = std::min(g + capacity, slab_end);
-        const std::int32_t node_id = NewNode(leaf_level);
-        Node& node = nodes_[node_id];
-        node.entries.assign(level.begin() + g, level.begin() + group_end);
-        RecomputeBounds(node_id);
-        parents.push_back(Entry{nodes_[node_id].bounds, node_id});
-      }
-    }
-    level = std::move(parents);
-    leaf_level = false;
-    if (level.size() == 1) break;
-  }
-
-  if (level.size() == 1) {
-    root_ = level[0].id;
-  } else {
-    root_ = NewNode(false);
-    nodes_[root_].entries = std::move(level);
-    RecomputeBounds(root_);
-  }
+  Pack(std::move(leaves));
 }
 
 void RTree::BuildClustered(const std::vector<Point>& points) {
+  std::vector<Entry> leaves;
+  leaves.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    leaves.push_back(Entry{Box(points[i]), static_cast<std::int32_t>(i)});
+  }
+  Pack(std::move(leaves));
+}
+
+void RTree::Pack(std::vector<Entry> level) {
   nodes_.clear();
   root_ = -1;
-  count_ = points.size();
-  if (points.empty()) return;
+  count_ = level.size();
+  if (level.empty()) return;
 
-  // Pack consecutive runs of the (already spatially clustered) input into
+  // Pack consecutive runs of the (spatially clustered) entries into
   // leaves. Group sizes are balanced across the level so no node falls
   // far under capacity: ceil(n / M) groups of n / groups entries each.
-  std::vector<Entry> level;
-  level.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    level.push_back(Entry{Box(points[i]), static_cast<std::int32_t>(i)});
-  }
-
   bool leaf_level = true;
   while (level.size() > static_cast<std::size_t>(max_entries_) ||
          leaf_level) {

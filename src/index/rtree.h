@@ -15,9 +15,9 @@ namespace vaq {
 ///
 /// * dynamic inserts use ChooseLeaf by least area enlargement and the
 ///   quadratic split;
-/// * `Build()` bulk-loads with Sort-Tile-Recursive (Leutenegger et al.),
-///   producing near-100% leaf utilisation — this matches how an experiment
-///   database would be loaded;
+/// * bulk loads are Hilbert-packed: `BuildClustered` takes input already in
+///   Hilbert order (what `PointDatabase` stores and loads), `Build` sorts
+///   by Hilbert key first; both fill leaves to near-100% utilisation;
 /// * nearest-neighbour search is best-first over MINDIST
 ///   (Hjaltason & Samet 1999).
 class RTree : public SpatialIndex {
@@ -35,12 +35,14 @@ class RTree : public SpatialIndex {
   explicit RTree(int max_entries = 16, int min_entries = 6,
                  SplitStrategy split = SplitStrategy::kQuadratic);
 
+  /// Sorts `points` along a Hilbert curve, then packs them like
+  /// `BuildClustered`. Ids stay positions in `points`.
   void Build(const std::vector<Point>& points) override;
   /// Hilbert-packed bulk load: the input is promised to be in
   /// space-filling-curve order, so consecutive runs of `max_entries`
-  /// points become leaves directly — no sorting at any level. One O(n)
-  /// pass per level versus STR's two O(n log n) sorts, with leaf MBRs
-  /// of comparable tightness (curve runs are spatially compact).
+  /// points become leaves directly — no sorting at any level, one O(n)
+  /// pass per level (curve runs are spatially compact, so leaf MBRs are
+  /// tight).
   void BuildClustered(const std::vector<Point>& points) override;
   std::size_t size() const override { return count_; }
   void WindowQuery(const Box& window, std::vector<PointId>* out,
@@ -78,6 +80,9 @@ class RTree : public SpatialIndex {
 
   std::int32_t NewNode(bool leaf);
   void RecomputeBounds(std::int32_t node_id);
+  /// Replaces the content with a tree packed bottom-up from `level` (leaf
+  /// entries in the order they should fill leaves).
+  void Pack(std::vector<Entry> level);
   /// Emits every point of `node_id`'s subtree without geometric tests
   /// (bulk accept of a subtree fully inside the query polygon).
   void EmitSubtree(std::int32_t node_id, std::vector<PointId>* out,

@@ -12,14 +12,6 @@ namespace vaq {
 
 class PreparedArea;
 
-/// Identifier of a point stored in a spatial index. Indexes in this library
-/// store lightweight (point, id) entries; the id refers back into the
-/// caller's point table (see `PointDatabase`).
-using PointId = std::uint32_t;
-
-/// Marker for "no point found".
-inline constexpr PointId kInvalidPointId = 0xFFFFFFFFu;
-
 /// Counters that approximate the IO behaviour of a disk-resident index:
 /// every visited index node counts as one page access, every reported entry
 /// as one object fetch. The paper's framing of area queries as IO-intensive

@@ -9,8 +9,9 @@ namespace vaq {
 namespace {
 
 /// EWMA smoothing: one observation moves a factor 25% of the way to the
-/// measured ratio, so a slot re-centres in ~4 queries but a single
-/// outlier moves it at most 2x (given the [1/8, 8] ratio clamp).
+/// measured ratio, so a slot re-centres in ~4 of its own observations
+/// (only chosen slots observe) and a single outlier moves it at most a
+/// quarter of the way to the [1/8, 8] ratio clamp.
 constexpr double kAlpha = 0.25;
 /// Per-observation ratio clamp: a cold page cache or a scheduler stall
 /// can inflate one query 100x; letting that through would freeze the

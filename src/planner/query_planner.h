@@ -32,10 +32,13 @@ inline constexpr int kNumSelectivityBuckets = 8;
 ///    per-candidate cost constants for the actual machine and backend.
 ///
 /// Only the *chosen* method's slot updates per query (the planner never
-/// runs the losers), so learning is greedy; the seed keeps unexplored
-/// slots honest, and factors are clamped to [1/8, 8] so one anomalous
-/// query (page-cache cold start, scheduler hiccup) cannot invert a
-/// choice permanently — EWMA decay re-centres within ~1/alpha queries.
+/// runs the losers), so learning is greedy: a slot re-centres within
+/// ~1/alpha of its *own* observations, and factors are clamped to
+/// [1/8, 8] so one anomalous query (page-cache cold start, scheduler
+/// hiccup) moves a factor at most that far. Unchosen slots are never
+/// re-measured: a slot whose factor was inflated keeps it, and if that
+/// makes the planner stop picking it, it stays unpicked. There is no
+/// exploration of runners-up.
 ///
 /// Thread-safe; `Plan` and `Observe` take one short-lived mutex.
 class QueryPlanner {

@@ -8,7 +8,7 @@
 #include <string_view>
 #include <vector>
 
-#include "index/spatial_index.h"
+#include "geometry/point.h"
 #include "server/protocol.h"
 
 namespace vaq {

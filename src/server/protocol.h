@@ -12,7 +12,7 @@
 
 #include "core/method.h"
 #include "core/query_stats.h"
-#include "index/spatial_index.h"
+#include "geometry/point.h"
 
 namespace vaq {
 

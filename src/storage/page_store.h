@@ -11,7 +11,6 @@
 #include "core/query_stats.h"
 #include "fault/fault.h"
 #include "geometry/point.h"
-#include "index/spatial_index.h"
 #include "storage/page_format.h"
 
 namespace vaq {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force_area_query.h"
+#include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
@@ -106,6 +107,26 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::size_t>(300, 3000),
                        ::testing::Values(0.01, 0.08, 0.32)),
     ParamName);
+
+TEST(AreaQueryStarPolygonTest, PentagramMethodsMatchBruteForce) {
+  // A self-intersecting ring: every vertex turns the same way, so a
+  // convexity test that only checks turn signs mistakes it for convex and
+  // the vector arm's half-plane kernel returns just the inner pentagon.
+  // The answer is the even-odd region (the five tips) on every method.
+  Rng rng(7);
+  const PointDatabase db(GenerateUniformPoints(100000, kUnit, &rng));
+  const Polygon pentagram(
+      {{0.5, 0.9}, {0.26, 0.18}, {0.88, 0.62}, {0.12, 0.62}, {0.74, 0.18}});
+  const auto truth = BruteForceAreaQuery(&db).Run(pentagram, nullptr);
+  EXPECT_EQ(truth.size(), 12300u);
+  EXPECT_EQ(TraditionalAreaQuery(&db).Run(pentagram, nullptr), truth);
+  EXPECT_EQ(VoronoiAreaQuery(&db).Run(pentagram, nullptr), truth);
+  VoronoiAreaQuery::Options cell_overlap;
+  cell_overlap.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
+  EXPECT_EQ(VoronoiAreaQuery(&db, cell_overlap).Run(pentagram, nullptr),
+            truth);
+  EXPECT_EQ(GridSweepAreaQuery(&db).Run(pentagram, nullptr), truth);
+}
 
 }  // namespace
 }  // namespace vaq

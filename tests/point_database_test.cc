@@ -69,16 +69,6 @@ TEST(PointDatabaseTest, VoronoiDiagramLazyButConsistent) {
   EXPECT_EQ(&db.voronoi(), &vd);
 }
 
-TEST(PointDatabaseTest, CustomRTreeFanout) {
-  Rng rng(14);
-  PointDatabase::Options options;
-  options.rtree_max_entries = 8;
-  options.rtree_min_entries = 3;
-  PointDatabase db(GenerateUniformPoints(2000, kUnit, &rng), options);
-  // Smaller fanout -> taller tree than the default-16 tree would be.
-  EXPECT_GE(db.rtree().Height(), 4);
-}
-
 TEST(QueryStatsTest, AccumulateAndRedundancy) {
   QueryStats a;
   a.candidates = 10;

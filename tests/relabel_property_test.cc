@@ -17,8 +17,6 @@
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
-#include "delaunay/hilbert.h"
-#include "index/rtree.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
 #include "workload/rng.h"
@@ -104,44 +102,6 @@ TEST(RelabelPropertyTest, ShuffledInputOrdersGiveIdenticalResultSets) {
         EXPECT_EQ(points[db.OriginalId(id)], db.points()[id]);
       }
     }
-  }
-}
-
-TEST(RelabelPropertyTest, ClusteredBuildMatchesStrBuild) {
-  // The Hilbert-packed R-tree bulk load must answer every query exactly
-  // like the STR load and keep the structural invariants.
-  Rng rng(74);
-  const auto points = GenerateUniformPoints(3000, kUnit, &rng);
-  const auto order = HilbertOrder(points);
-  std::vector<Point> clustered;
-  clustered.reserve(points.size());
-  for (const auto i : order) clustered.push_back(points[i]);
-
-  RTree str(8, 3);
-  str.Build(clustered);
-  RTree packed(8, 3);
-  packed.BuildClustered(clustered);
-  std::string why;
-  EXPECT_TRUE(packed.CheckInvariants(&why)) << why;
-  EXPECT_EQ(packed.size(), clustered.size());
-
-  Rng qrng(75);
-  for (int rep = 0; rep < 20; ++rep) {
-    const double x = qrng.Uniform(0.0, 0.8);
-    const double y = qrng.Uniform(0.0, 0.8);
-    const Box window = Box::FromExtents(x, y, x + 0.2, y + 0.2);
-    std::vector<PointId> got_str, got_packed;
-    str.WindowQuery(window, &got_str);
-    packed.WindowQuery(window, &got_packed);
-    std::sort(got_str.begin(), got_str.end());
-    std::sort(got_packed.begin(), got_packed.end());
-    EXPECT_EQ(got_packed, got_str);
-
-    const Point q{qrng.Uniform(0.0, 1.0), qrng.Uniform(0.0, 1.0)};
-    const PointId nn_str = str.NearestNeighbor(q);
-    const PointId nn_packed = packed.NearestNeighbor(q);
-    EXPECT_EQ(SquaredDistance(clustered[nn_packed], q),
-              SquaredDistance(clustered[nn_str], q));
   }
 }
 

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
+#include <numbers>
+#include <utility>
 #include <vector>
 
 #include "geometry/polygon.h"
@@ -169,6 +172,27 @@ TEST(SimdClassifyPropertyTest, ConvexRegularNGonsBothWindings) {
     const Polygon cw = ccw.Reversed();
     ExpectAllKernelsExact(cw, &rng, 64, "ngon-cw",
                           PolygonKernel::Kind::kConvexHalfPlane);
+  }
+}
+
+TEST(SimdClassifyPropertyTest, SelfIntersectingStarRingsBothWindings) {
+  // Regular star rings {n/q} turn the same way at every vertex but wind q
+  // times, so they must not take the convex half-plane kernel (which would
+  // return only the inner core). Containment is even-odd, as in
+  // `Polygon::Contains`.
+  constexpr double kPi = std::numbers::pi;
+  Rng rng(5272);
+  for (const auto [n, q] :
+       {std::pair{5, 2}, std::pair{7, 2}, std::pair{7, 3}}) {
+    std::vector<Point> ring;
+    for (int i = 0; i < n; ++i) {
+      const double angle = kPi / 2 + 2 * kPi * i * q / n;
+      ring.push_back(
+          {0.5 + 0.4 * std::cos(angle), 0.5 + 0.4 * std::sin(angle)});
+    }
+    const Polygon star(ring);
+    ExpectAllKernelsExact(star, &rng, 400, "star-ccw");
+    ExpectAllKernelsExact(star.Reversed(), &rng, 400, "star-cw");
   }
 }
 
