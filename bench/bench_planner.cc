@@ -4,7 +4,10 @@
 //
 //  * **Grid cells** — {data size} x {query size} x {backend} where backend
 //    is raw in-memory timing vs the paper's simulated disk (1us per
-//    object fetch, busy-wait model). In memory the traditional
+//    object fetch, busy-wait model). Each (data size, backend) pair gets
+//    its own `DynamicPointDatabase`: auto runs through its planned path,
+//    and the static methods are timed on its base
+//    (`Snapshot::BaseQuery`). In memory the traditional
 //    filter-refine method wins every cell; under IO the Voronoi method's
 //    smaller candidate set wins every cell (the paper's crossover). The
 //    planner sees only the backend configuration and the query polygon,
@@ -47,9 +50,6 @@
 #include <vector>
 
 #include "core/dynamic_point_database.h"
-#include "core/point_database.h"
-#include "core/traditional_area_query.h"
-#include "core/voronoi_area_query.h"
 #include "planner/planned_area_query.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
@@ -120,15 +120,21 @@ int main(int argc, char** argv) {
             << " reps/cell ===\n";
   for (const std::size_t n : data_sizes) {
     Rng data_rng(kSeed);
-    PointDatabase db(GenerateUniformPoints(n, kUnit, &data_rng));
-    const TraditionalAreaQuery traditional(&db);
-    const VoronoiAreaQuery voronoi(&db);
+    const std::vector<Point> points =
+        GenerateUniformPoints(n, kUnit, &data_rng);
 
     for (const double fetch_ns : fetch_grid) {
-      db.set_simulated_fetch_ns(fetch_ns);
-      // A fresh planner per cell: every cell measures the cold seed
-      // model plus whatever the EWMAs learn inside the cell itself.
-      const PlannedAreaQuery planned(&db);
+      // A fresh database, hence a fresh planner, per cell: every cell
+      // measures the cold seed model plus whatever the EWMAs learn inside
+      // the cell itself.
+      DynamicPointDatabase::Options options;
+      options.simulated_fetch_ns = fetch_ns;
+      const DynamicPointDatabase db(points, options);
+      const auto snap = db.snapshot();
+      const AreaQuery& traditional =
+          snap->BaseQuery(DynamicMethod::kTraditional);
+      const AreaQuery& voronoi = snap->BaseQuery(DynamicMethod::kVoronoi);
+      const PlannedAreaQuery& planned = *db.PlannedQuery();
 
       for (const double query_size : query_sizes) {
         const std::vector<Polygon> areas = QueryStream(query_size, reps);
@@ -154,6 +160,10 @@ int main(int argc, char** argv) {
                   row.cache_misses += ctx.stats.result_cache_misses;
                   if (ids != truth[i]) ++row.mismatches;
                 } else if (truth.size() <= i) {
+                  // The base answers in its internal ids, the planned
+                  // path in stable ids (input positions).
+                  for (PointId& id : ids) id = snap->StableId(id);
+                  std::sort(ids.begin(), ids.end());
                   truth.push_back(std::move(ids));
                 }
               }

@@ -108,10 +108,6 @@ int main(int argc, char** argv) {
         PointDatabase::FetchLatencyModel::kSleep;
     const ShardedDatabase db(points, options);
 
-    const ShardedAreaQuery voronoi(&db, DynamicMethod::kVoronoi, &scatter);
-    const ShardedAreaQuery traditional(&db, DynamicMethod::kTraditional,
-                                       &scatter);
-
     for (const double query_size : query_sizes) {
       // The polygon stream is regenerated identically for every K, so
       // rows of one query size differ only in sharding.
@@ -129,11 +125,12 @@ int main(int argc, char** argv) {
       row.num_shards = k;
       QueryContext ctx;
       const auto run_method =
-          [&](const ShardedAreaQuery& query, MethodNumbers* numbers,
+          [&](DynamicMethod method, MethodNumbers* numbers,
               std::vector<std::vector<PointId>>* results) {
             const auto t0 = std::chrono::steady_clock::now();
             for (const Polygon& area : areas) {
-              results->push_back(query.Run(area, ctx));
+              results->push_back(RunShardedSnapshotQuery(
+                  *db.snapshot(), method, area, ctx, &scatter));
               numbers->sum += ctx.stats;
             }
             numbers->wall_ms = std::chrono::duration<double, std::milli>(
@@ -143,8 +140,9 @@ int main(int argc, char** argv) {
           };
       std::vector<std::vector<PointId>> voronoi_results;
       std::vector<std::vector<PointId>> traditional_results;
-      run_method(voronoi, &row.voronoi, &voronoi_results);
-      run_method(traditional, &row.traditional, &traditional_results);
+      run_method(DynamicMethod::kVoronoi, &row.voronoi, &voronoi_results);
+      run_method(DynamicMethod::kTraditional, &row.traditional,
+                 &traditional_results);
       for (int rep = 0; rep < reps; ++rep) {
         if (voronoi_results[rep] != traditional_results[rep]) {
           ++row.mismatches;

@@ -3,17 +3,13 @@
 // domain (data size fixed at 1E5 points). See bench_table1_data_size.cc
 // for the two timing models.
 //
-// Usage: bench_table2_query_size [--quick] [--threads] [--json] [--auto]
+// Usage: bench_table2_query_size [--quick] [--threads] [--json]
 //   --threads: additionally re-run every row through the QueryEngine at
 //   1/2/4/8 worker threads and print a thread-scaling table per row
 //   (blocking IO model, so the scaling is visible on any core count).
 //   --json: additionally write every row (RAW + IO model) to
 //   BENCH_table2.json in the working directory, for trajectory tracking.
-//   --auto: additionally run every row through the adaptive planner
-//   (`--method auto`); each row prints the planner's per-query time next
-//   to the statics and the JSON gains an "auto" object with the
-//   plan_method / plan_reason masks (see bench_planner for the gated
-//   planner study — this flag is for eyeballing Table II itself).
+//   (The planner's choice against these statics is bench_planner's job.)
 
 #include <cstring>
 #include <fstream>
@@ -27,12 +23,10 @@ int main(int argc, char** argv) {
   bool quick = false;
   bool threads = false;
   bool json = false;
-  bool run_auto = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     if (std::strcmp(argv[i], "--threads") == 0) threads = true;
     if (std::strcmp(argv[i], "--json") == 0) json = true;
-    if (std::strcmp(argv[i], "--auto") == 0) run_auto = true;
   }
   const std::vector<double> query_sizes =
       quick ? std::vector<double>{0.01, 0.08, 0.32}
@@ -49,23 +43,11 @@ int main(int argc, char** argv) {
       config.repetitions = reps;
       config.seed = 20200202;
       config.simulated_fetch_ns = fetch_ns;
-      config.run_auto = run_auto;
       rows.push_back(RunExperiment(config));
     }
     std::cout << "\n=== Table II (" << (fetch_ns > 0 ? "IO MODEL, 1us/fetch" : "RAW")
               << "): data size 1E5, " << reps << " reps/row ===\n";
     PrintPaperTable(rows, /*vary_query_size=*/true, std::cout);
-    if (run_auto) {
-      std::cout << "\n--- planner (--method auto) per-query time ---\n";
-      for (const ExperimentRow& r : rows) {
-        std::cout << "  " << r.config.query_size_fraction * 100.0
-                  << "%: auto " << r.auto_planned.time_ms
-                  << " ms (trad " << r.traditional.time_ms << ", vor "
-                  << r.voronoi.time_ms << ")  plan_method=0x" << std::hex
-                  << r.auto_planned.plan_method << " plan_reason=0x"
-                  << r.auto_planned.plan_reason << std::dec << "\n";
-      }
-    }
     std::cout << "\n--- Fig. 6 (time) & Fig. 7 (redundant validations) series ---\n";
     PrintFigureSeries(rows, /*vary_query_size=*/true, std::cout);
     int mismatches = 0;

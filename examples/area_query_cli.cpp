@@ -9,8 +9,9 @@
 //                  [--cache-pages=N] [--page-size=B]
 //     method: voronoi (default) | traditional | grid-sweep | brute |
 //       auto | all. `auto` routes through the adaptive planner
-//       (src/planner): the cost model picks the method per query and the
-//       CLI prints the choice and its reasons before the stats line.
+//       (src/planner) of a `DynamicPointDatabase` built from the same
+//       file: the cost model picks the method per query and the CLI
+//       prints the choice and its reasons before the stats line.
 //     --ids : print the matching point ids (one per line) after the stats
 //     --backend: what serves the point geometry — in-memory arrays
 //       (default) or an mmap page file behind an LRU cache of N pages of
@@ -37,12 +38,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/brute_force_area_query.h"
 #include "core/cancel.h"
+#include "core/dynamic_point_database.h"
 #include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
@@ -85,8 +86,11 @@ std::string PlanReasonString(std::uint64_t reason) {
   return s.empty() ? "none" : s;
 }
 
+/// Runs `query` and prints its stats line. `db` serves the geometry; when
+/// `internal_ids`, the query answers in `db`'s Hilbert-relabelled ids,
+/// otherwise already in input positions (the planned path's stable ids).
 void RunOne(const PointDatabase& db, const AreaQuery& query,
-            const Polygon& area, bool print_ids) {
+            const Polygon& area, bool print_ids, bool internal_ids = true) {
   QueryStats stats;
   const std::vector<PointId> result = query.Run(area, &stats);
   std::printf("%-12s results=%zu candidates=%llu redundant=%llu "
@@ -108,10 +112,11 @@ void RunOne(const PointDatabase& db, const AreaQuery& query,
     // stores points Hilbert-relabelled, so map each internal id back to
     // its position in the input file — and print ascending, as before
     // the relabelling.
-    std::vector<PointId> original;
-    original.reserve(result.size());
-    for (const PointId id : result) original.push_back(db.OriginalId(id));
-    std::sort(original.begin(), original.end());
+    std::vector<PointId> original = result;
+    if (internal_ids) {
+      for (PointId& id : original) id = db.OriginalId(id);
+      std::sort(original.begin(), original.end());
+    }
     for (const PointId id : original) std::printf("%u\n", id);
   }
 }
@@ -194,26 +199,28 @@ int main(int argc, char** argv) {
   // point order of the input file (comment/blank lines excluded).
   // Failure exits map 1:1 to the exception types caught below; the
   // code table lives in the header comment (and the usage text) only.
-  std::unique_ptr<PointDatabase> db_holder;
   try {
-    db_holder = std::make_unique<PointDatabase>(std::move(points), db_options);
-
-    const PointDatabase& db = *db_holder;
-    if (method == "voronoi" || method == "all") {
-      RunOne(db, VoronoiAreaQuery(&db), area, print_ids && method != "all");
-    }
-    if (method == "traditional" || method == "all") {
-      RunOne(db, TraditionalAreaQuery(&db), area,
-             print_ids && method != "all");
-    }
-    if (method == "grid-sweep" || method == "all") {
-      RunOne(db, GridSweepAreaQuery(&db), area, print_ids && method != "all");
-    }
-    if (method == "brute" || method == "all") {
-      RunOne(db, BruteForceAreaQuery(&db), area, print_ids && method != "all");
+    if (method != "auto") {
+      const PointDatabase db(points, db_options);
+      const bool ids = print_ids && method != "all";
+      if (method == "voronoi" || method == "all") {
+        RunOne(db, VoronoiAreaQuery(&db), area, ids);
+      }
+      if (method == "traditional" || method == "all") {
+        RunOne(db, TraditionalAreaQuery(&db), area, ids);
+      }
+      if (method == "grid-sweep" || method == "all") {
+        RunOne(db, GridSweepAreaQuery(&db), area, ids);
+      }
+      if (method == "brute" || method == "all") {
+        RunOne(db, BruteForceAreaQuery(&db), area, ids);
+      }
     }
     if (method == "auto" || method == "all") {
-      const PlannedAreaQuery planned(&db);
+      DynamicPointDatabase::Options options;
+      options.base = db_options;
+      const DynamicPointDatabase db(std::move(points), options);
+      const PlannedAreaQuery& planned = *db.PlannedQuery();
       const QueryPlan plan = planned.PlanFor(area);
       std::printf(
           "# planner: method=%s reason=%s predicted_candidates=%.0f "
@@ -221,7 +228,8 @@ int main(int argc, char** argv) {
           std::string(MethodName(plan.method)).c_str(),
           PlanReasonString(plan.reason).c_str(), plan.predicted_candidates,
           plan.predicted_cost_ns / 1e6);
-      RunOne(db, planned, area, print_ids && method != "all");
+      RunOne(db.snapshot()->base(), planned, area,
+             print_ids && method != "all", /*internal_ids=*/false);
     }
   } catch (const DuplicatePointError& e) {
     std::fprintf(stderr,

@@ -1,6 +1,7 @@
 // Dynamic updates walkthrough: insert and delete points while area
-// queries keep answering — including concurrently, through a QueryEngine —
-// and watch the delta buffer fold into the base at compaction.
+// queries keep answering — including concurrently, through a QueryEngine
+// running the database's planned query — and watch the delta buffer fold
+// into the base at compaction.
 
 #include <cstdio>
 #include <thread>
@@ -9,6 +10,7 @@
 #include "core/dynamic_area_query.h"
 #include "core/dynamic_point_database.h"
 #include "engine/query_engine.h"
+#include "planner/planned_area_query.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
 #include "workload/rng.h"
@@ -27,16 +29,19 @@ int main() {
   DynamicPointDatabase db(GenerateUniformPoints(20000, domain, &rng),
                           options);
 
-  const DynamicAreaQuery voronoi(&db, DynamicMethod::kVoronoi);
-  const DynamicAreaQuery brute(&db, DynamicMethod::kBruteForce);
+  // Fixed-method queries against the current version: each call pins a
+  // snapshot and answers over it.
+  QueryContext ctx;
+  const auto query = [&](DynamicMethod method, const Polygon& area) {
+    return RunDynamicSnapshotQuery(*db.snapshot(), method, area, ctx);
+  };
 
   PolygonSpec spec;
   spec.query_size_fraction = 0.05;
   const Polygon area = GenerateQueryPolygon(spec, domain, &rng);
 
-  QueryStats stats;
   std::printf("initially: %zu results in the area\n",
-              voronoi.Run(area, &stats).size());
+              query(DynamicMethod::kVoronoi, area).size());
 
   // Mutate: 6000 inserts, 2000 deletes. Each insert returns a stable id
   // that survives compaction; duplicates would be rejected (nullopt).
@@ -53,23 +58,23 @@ int main() {
               db.Size(), db.DeltaSize(),
               static_cast<unsigned long long>(db.Compactions()));
 
-  const std::vector<PointId> now = voronoi.Run(area, &stats);
+  const std::vector<PointId> now = query(DynamicMethod::kVoronoi, area);
   std::printf("now: %zu results, %llu of %llu candidates from the delta "
               "buffer\n",
               now.size(),
-              static_cast<unsigned long long>(stats.delta_candidates),
-              static_cast<unsigned long long>(stats.candidates));
-  if (voronoi.Run(area, &stats) != brute.Run(area, &stats)) {
+              static_cast<unsigned long long>(ctx.stats.delta_candidates),
+              static_cast<unsigned long long>(ctx.stats.candidates));
+  if (now != query(DynamicMethod::kBruteForce, area)) {
     std::printf("ERROR: methods disagree\n");
     return 1;
   }
 
   // Snapshot consistency under concurrency: engine workers keep running
-  // queries on the versions they pinned while a writer mutates. Explicit
-  // Compact() mid-stream is safe too — in-flight queries finish on the
-  // old base.
+  // planned queries on the versions they pinned while a writer mutates.
+  // Explicit Compact() mid-stream is safe too — in-flight queries finish
+  // on the old base.
   QueryEngine engine({.num_threads = 2});
-  const int method = engine.RegisterMethod(&voronoi);
+  const int method = engine.RegisterMethod(db.PlannedQuery());
   const std::uint64_t writer_seed = rng.Next();
   std::thread writer([&db, writer_seed] {
     Rng wrng(writer_seed);

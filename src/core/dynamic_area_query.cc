@@ -2,18 +2,15 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 
 #include "core/batch_refine.h"
 #include "geometry/prepared_area.h"
 
 namespace vaq {
 
-std::vector<PointId> RunDynamicSnapshotQuery(
+std::vector<PointId> RunDynamicSnapshotLeg(
     const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
     const Polygon& area, QueryContext& ctx) {
-  const auto t0 = std::chrono::steady_clock::now();
-
   // Base pass: the wrapped implementation resets and fills ctx.stats.
   std::vector<PointId> result = snap.BaseQuery(method).Run(area, ctx);
 
@@ -75,23 +72,23 @@ std::vector<PointId> RunDynamicSnapshotQuery(
     result.insert(result.end(), delta_hits.begin(), delta_hits.end());
   }
 
-  // The two contributions are individually sorted but interleave in the
-  // stable id space; one sort over the merged set restores the contract.
+  return result;
+}
+
+std::vector<PointId> RunDynamicSnapshotQuery(
+    const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
+    const Polygon& area, QueryContext& ctx) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<PointId> result = RunDynamicSnapshotLeg(snap, method, area, ctx);
+  // The base and delta contributions are individually sorted but
+  // interleave in the stable id space; one sort over the merged set
+  // restores the contract.
   ctx.SortIds(result, snap.stable_limit());
   ctx.stats.results = result.size();
   ctx.stats.elapsed_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
   return result;
-}
-
-std::vector<PointId> DynamicAreaQuery::Run(const Polygon& area,
-                                           QueryContext& ctx) const {
-  // Pin the version: the execution reads this snapshot only, so the query
-  // is immune to concurrent mutations and compactions.
-  const std::shared_ptr<const DynamicPointDatabase::Snapshot> snap =
-      db_->snapshot();
-  return RunDynamicSnapshotQuery(*snap, method_, area, ctx);
 }
 
 }  // namespace vaq

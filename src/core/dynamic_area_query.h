@@ -6,65 +6,38 @@
 
 namespace vaq {
 
-/// Runs one area query against an already-pinned snapshot: base pass with
-/// the selected method, tombstone filter, stable-id remap, delta-refine
-/// pass, merge and sort. This is the body of `DynamicAreaQuery::Run` minus
-/// the pin, exposed so callers that must hold several snapshots consistent
-/// with each other — the sharded scatter-gather layer pins one version of
-/// every shard up front — can execute against the exact version they
-/// pinned instead of whatever is current when the sub-query runs.
-/// `ctx.stats` is reset and filled like any `AreaQuery::Run`.
+/// Fixed-method area query over one pinned `DynamicPointDatabase`
+/// version: runs `method`'s base implementation (voronoi / traditional /
+/// grid-sweep / brute-force) over the immutable base, drops tombstoned
+/// hits, remaps base-internal ids to stable ids, then merges a
+/// delta-refine pass — the snapshot's SoA delta buffer streamed through
+/// the same blocked classification kernel the base methods use. Results
+/// are stable ids (see `DynamicPointDatabase`), sorted ascending.
+///
+/// The snapshot pin makes the call safe against concurrent `Insert`/
+/// `Erase`/`Compact`: pass `*db.snapshot()` for the current version.
+/// Per-execution scratch lives in `ctx` (the delta pass uses
+/// `ScratchDelta`). This is the fixed-method path benches and
+/// differential tests use; planned traffic goes through
+/// `DynamicPointDatabase::Query`, whose executor runs the same body.
+///
+/// Stats: `ctx.stats` is reset and filled with the base execution's
+/// counters plus the delta pass — delta scans count as `candidates` (and
+/// `delta_candidates`) and keep the `candidates == candidate_hits +
+/// visited_rejected` invariant, but charge no `geometry_loads` (the delta
+/// buffer is memory-resident by design). `candidate_hits` counts
+/// geometric hits; `results` can be smaller when tombstones exclude
+/// validated base hits.
 std::vector<PointId> RunDynamicSnapshotQuery(
     const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
     const Polygon& area, QueryContext& ctx);
 
-/// Area query over a `DynamicPointDatabase`: pins the current snapshot,
-/// runs the selected base implementation (voronoi / traditional /
-/// grid-sweep / brute-force) over the immutable base, then merges a
-/// delta-refine pass — the snapshot's SoA delta buffer streamed through
-/// the same blocked classification kernel the base methods use — and
-/// filters tombstoned base hits. Results are stable ids (see
-/// `DynamicPointDatabase`), sorted ascending.
-///
-/// Stateless like every `AreaQuery`: per-execution scratch lives in the
-/// caller's `QueryContext` (the delta pass uses `ScratchDelta`), and the
-/// snapshot pin makes `Run` safe against concurrent `Insert`/`Erase`/
-/// `Compact` — register instances with a `QueryEngine` and mutate away.
-///
-/// Stats: `ctx.stats` is the base execution's counters plus the delta
-/// pass — delta scans count as `candidates` (and `delta_candidates`) and
-/// keep the `candidates == candidate_hits + visited_rejected` invariant,
-/// but charge no `geometry_loads` (the delta buffer is memory-resident by
-/// design). `candidate_hits` counts geometric hits; `results` can be
-/// smaller when tombstones exclude validated base hits.
-class DynamicAreaQuery : public AreaQuery {
- public:
-  /// `db` must outlive this object.
-  DynamicAreaQuery(const DynamicPointDatabase* db, DynamicMethod method)
-      : db_(db), method_(method) {}
-
-  using AreaQuery::Run;
-  std::vector<PointId> Run(const Polygon& area,
-                           QueryContext& ctx) const override;
-
-  std::string_view Name() const override {
-    switch (method_) {
-      case DynamicMethod::kVoronoi:
-        return "dyn-voronoi";
-      case DynamicMethod::kTraditional:
-        return "dyn-traditional";
-      case DynamicMethod::kGridSweep:
-        return "dyn-grid-sweep";
-      case DynamicMethod::kBruteForce:
-        break;
-    }
-    return "dyn-brute-force";
-  }
-
- private:
-  const DynamicPointDatabase* db_;
-  DynamicMethod method_;
-};
+/// `RunDynamicSnapshotQuery` without the final sort (and without setting
+/// `results`/`elapsed_ms`): the per-view step of `RunShardedSnapshotQuery`,
+/// which merges every view's hits and sorts once at the end.
+std::vector<PointId> RunDynamicSnapshotLeg(
+    const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
+    const Polygon& area, QueryContext& ctx);
 
 }  // namespace vaq
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "planner/planned_area_query.h"
+#include "shard/sharded_database.h"
 
 namespace vaq {
 
@@ -285,7 +286,8 @@ std::vector<PointId> DynamicPointDatabase::Query(
 
 const PlannedAreaQuery* DynamicPointDatabase::PlannedQuery() const {
   std::call_once(planned_once_, [this] {
-    planned_ = std::make_unique<PlannedAreaQuery>(this);
+    planned_ = std::make_unique<PlannedAreaQuery>(
+        [this] { return ShardedDatabase::Snapshot::Single(snapshot()); });
   });
   return planned_.get();
 }

@@ -33,8 +33,8 @@ class PlannedAreaQuery;
 ///  * **deletes** of base points set a bit in a *tombstone* bitmap
 ///    (deletes of delta points just remove the buffer entry);
 ///  * queries answer over `base ∪ delta − tombstones` (see
-///    `DynamicAreaQuery`, which merges a delta-refine pass into the
-///    batched kernels);
+///    `RunDynamicSnapshotQuery`, which merges a delta-refine pass into
+///    the batched kernels);
 ///  * once `delta + tombstones` crosses the threshold, `Compact()`
 ///    rebuilds the base from the merged live set — reusing the Hilbert
 ///    clustering and the `hilbert_sorted` Delaunay fast path — and resets
@@ -275,9 +275,11 @@ class DynamicPointDatabase {
   /// `PlannedAreaQuery`): the cost model picks the method per query, the
   /// snapshot-keyed result cache serves repeated identical polygons, and
   /// `ctx.stats.plan_method`/`plan_reason` record the choice. This is the
-  /// planned single entry point; the four per-method query objects remain
-  /// reachable through `Snapshot::BaseQuery` for benches and differential
-  /// tests that need a *fixed* method.
+  /// planned single entry point. Callers that need a *fixed* method pass
+  /// `PlanHints::force_method`, or call `RunDynamicSnapshotQuery` on
+  /// `snapshot()` to skip the planner and the cache. (`Snapshot::BaseQuery`
+  /// answers over the base alone — base-internal ids, no delta, no
+  /// tombstones.)
   ///
   /// Thread-safe like `snapshot()`: the planner/cache state is internally
   /// synchronized, each caller brings its own `QueryContext`.

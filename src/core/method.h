@@ -7,9 +7,10 @@
 namespace vaq {
 
 /// The four area-query strategies the library implements. Used to select
-/// which base implementation a `DynamicAreaQuery` wraps, which method a
-/// sharded scatter-gather runs per leg, and — since the planner — which
-/// execution the cost model picked for an `auto` query.
+/// which base implementation the executor (`RunShardedSnapshotQuery`,
+/// `RunDynamicSnapshotQuery`) runs over each pinned view, which method a
+/// caller forces through `PlanHints::force_method`, and which execution
+/// the cost model picked for an `auto` query.
 ///
 /// Lives in its own header (not `dynamic_point_database.h`, its original
 /// home) because the planner layer needs the enum without pulling in the

@@ -45,11 +45,13 @@ struct QueryStats {
   /// log-structured store keeps resident, so scanning it costs no object
   /// IO. Always 0 for queries on an immutable `PointDatabase`.
   std::uint64_t delta_candidates = 0;
-  /// Scatter-gather accounting of a sharded query (see `ShardedAreaQuery`):
-  /// shards whose sub-query actually ran vs. shards skipped because their
-  /// MBR was classified outside the area (or they held no live points).
-  /// `shards_hit + shards_pruned` equals the database's shard count.
-  /// Always 0 for unsharded queries.
+  /// Scatter-gather accounting of a query run by `RunShardedSnapshotQuery`
+  /// (every planned query): views whose leg actually ran vs. views
+  /// skipped because their MBR was classified outside the area (or they
+  /// held no live points). Without failed legs, `shards_hit +
+  /// shards_pruned` equals the snapshot's view count: K for a
+  /// `ShardedDatabase`, 1 for a `DynamicPointDatabase`. Always 0 for a
+  /// method run directly (a base query, `RunDynamicSnapshotQuery`).
   std::uint64_t shards_hit = 0;
   std::uint64_t shards_pruned = 0;
   /// Page-granular object IO of the out-of-core backends (see

@@ -54,9 +54,11 @@ struct SubmitOptions {
   /// Planner hints of this submission (forced method, cache/scatter
   /// opt-outs). The engine installs them on the slot's `QueryContext`
   /// around the query — like the cancel token — so a registered
-  /// `PlannedAreaQuery` picks them up through the hint-less
-  /// `AreaQuery::Run` interface.
-  /// Ignored by the fixed-method query objects. Defaults = automatic.
+  /// `db.PlannedQuery()` picks them up through the hint-less
+  /// `AreaQuery::Run` interface; `force_method` is how engine traffic
+  /// runs one fixed method over a database. Query objects registered
+  /// directly (a base method over a `PointDatabase`) ignore them.
+  /// Defaults = automatic.
   PlanHints hints{};
 };
 
@@ -176,8 +178,8 @@ class QueryEngine {
   QueryResult Run(Polygon area, int method = 0, SubmitOptions opts = {});
 
   /// Enqueues one query against an ad-hoc query object that was never
-  /// registered — the scatter path of `ShardedAreaQuery`, whose per-shard
-  /// sub-queries are ephemeral objects bound to a pinned snapshot.
+  /// registered — the scatter path of `RunShardedSnapshotQuery`, whose
+  /// per-shard legs are ephemeral objects bound to a pinned snapshot.
   /// `query` must stay alive until the returned future resolves (the
   /// caller waits on it before destroying the object). Ad-hoc executions
   /// are internal fan-out legs of one client query: they are excluded
@@ -217,7 +219,7 @@ class QueryEngine {
   /// that blocks on futures of its own engine can deadlock it (slot
   /// holders waiting on work only those same slots could run), so
   /// composite queries check this and fall back to inline execution (see
-  /// `ShardedAreaQuery`).
+  /// `RunShardedSnapshotQuery`).
   bool OnWorkerThread() const;
 
  private:

@@ -1,6 +1,7 @@
 #ifndef VAQ_PLANNER_PLANNED_AREA_QUERY_H_
 #define VAQ_PLANNER_PLANNED_AREA_QUERY_H_
 
+#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -13,65 +14,45 @@
 
 namespace vaq {
 
-/// The unified planned query path: one `AreaQuery` that serves any of the
-/// three backends (immutable `PointDatabase`, `DynamicPointDatabase`,
-/// `ShardedDatabase`) by planning each query with the cost-model
-/// `QueryPlanner` and executing the chosen method against a snapshot it
-/// pins itself.
+/// The planned query path: one `AreaQuery` that plans each query with
+/// the cost-model `QueryPlanner` and executes the chosen method through
+/// `RunShardedSnapshotQuery` against a snapshot it pins itself. It serves
+/// a `DynamicPointDatabase` (pinned as one view) and a `ShardedDatabase`
+/// (K views) alike; each database builds its instance lazily behind
+/// `Query`/`PlannedQuery()`.
 ///
 /// Per query:
-///  1. Pin the backend's current snapshot (static backends are version 0
-///     forever — they cannot mutate).
+///  1. Pin the database's current snapshot.
 ///  2. Compute `PlanFeatures` (live size, the polygon's MBR/area shares
-///     of the database bounds, the backend's IO configuration) and ask
-///     the planner for a `QueryPlan` — method, sharded fanout call,
-///     predicted test count, reason bits.
+///     of the union of the view MBRs, the base's IO configuration, the
+///     view count) and ask the planner for a `QueryPlan` — method,
+///     scatter-or-inline call, predicted test count, reason bits.
 ///  3. Probe the result cache under (snapshot version, polygon bit-hash).
 ///     A hit returns the cached ids without executing anything: the COW
 ///     snapshot counter guarantees the pinned version saw no mutation
 ///     since the entry was stored, and the bit-hash keys on the exact
 ///     vertex bits, so the cached answer is bit-identical to a fresh run.
 ///  4. On a miss, execute the planned method against the pinned snapshot
-///     (for sharded plans, scattering onto the engine only when the plan
-///     says so), feed the measured `QueryStats` back into the planner's
-///     EWMAs, and cache the result (unless it is degraded-partial — a
-///     subset answer must never be served as the truth later).
+///     (scattering onto the engine only when the plan says so), feed the
+///     measured `QueryStats` back into the planner's EWMAs, and cache the
+///     result (unless it is degraded-partial — a subset answer must never
+///     be served as the truth later).
 ///
 /// `ctx.stats` always carries `plan_method` / `plan_reason`, and exactly
 /// one of `result_cache_hits` / `result_cache_misses` when caching is on.
 ///
 /// Stateless per-execution like every `AreaQuery` (scratch in the ctx);
 /// the planner EWMAs and the cache are internally synchronized, so one
-/// instance serves concurrent threads — `DynamicPointDatabase::Query` and
-/// `ShardedDatabase::Query` share one lazily-built instance per database.
+/// instance serves concurrent threads.
 class PlannedAreaQuery final : public AreaQuery {
  public:
-  struct Options {
-    /// Result-cache entries (0 disables caching entirely: no lookups, no
-    /// inserts, and the cache counters stay 0 in `QueryStats`).
-    std::size_t cache_capacity = 128;
-    /// Cost-model seed; defaults to the committed-baseline fit.
-    CostModel model{};
-  };
+  /// Pins the current version of the database being planned over.
+  using Pinner =
+      std::function<std::shared_ptr<const ShardedDatabase::Snapshot>()>;
 
-  /// Immutable backend: the planner owns the four method query objects.
-  /// `db` must outlive this object.
-  explicit PlannedAreaQuery(const PointDatabase* db)
-      : PlannedAreaQuery(db, Options{}) {}
-  PlannedAreaQuery(const PointDatabase* db, Options opts);
-  /// Dynamic backend. `db` must outlive this object.
-  explicit PlannedAreaQuery(const DynamicPointDatabase* db)
-      : PlannedAreaQuery(db, Options{}) {}
-  PlannedAreaQuery(const DynamicPointDatabase* db, Options opts);
-  /// Sharded backend. A null `scatter_engine` pins every plan inline.
-  /// `db` (and the engine, if given) must outlive this object.
-  explicit PlannedAreaQuery(const ShardedDatabase* db,
-                            QueryEngine* scatter_engine = nullptr,
-                            ShardPolicy policy = {})
-      : PlannedAreaQuery(db, scatter_engine, policy, Options{}) {}
-  PlannedAreaQuery(const ShardedDatabase* db, QueryEngine* scatter_engine,
-                   ShardPolicy policy, Options opts);
-  ~PlannedAreaQuery() override;
+  /// `pin` is called once per query. A null `scatter_engine` runs every
+  /// plan's legs inline; otherwise it must outlive this object.
+  explicit PlannedAreaQuery(Pinner pin, QueryEngine* scatter_engine = nullptr);
 
   using AreaQuery::Run;
   std::vector<PointId> Run(const Polygon& area,
@@ -91,22 +72,12 @@ class PlannedAreaQuery final : public AreaQuery {
   const ResultCache& cache() const { return cache_; }
 
  private:
-  struct StaticBundle;  // The four method queries over a PointDatabase.
-
   /// Features + pinned-version context of one planning round.
   struct Pinned;
   Pinned Pin(const Polygon& area) const;
 
-  std::vector<PointId> Execute(const Pinned& pinned, const QueryPlan& plan,
-                               const Polygon& area, QueryContext& ctx) const;
-
-  // Exactly one backend pointer is set.
-  const PointDatabase* static_db_ = nullptr;
-  const DynamicPointDatabase* dynamic_db_ = nullptr;
-  const ShardedDatabase* sharded_db_ = nullptr;
+  Pinner pin_;
   QueryEngine* scatter_engine_ = nullptr;
-  ShardPolicy policy_{};
-  std::unique_ptr<StaticBundle> bundle_;
 
   mutable QueryPlanner planner_;
   mutable ResultCache cache_;

@@ -14,11 +14,23 @@ namespace vaq {
 
 namespace {
 
-/// One scatter leg: the selected method against one pinned shard view,
-/// hits remapped to global stable ids. Internal to the scatter-gather —
-/// it deliberately skips the per-leg sort (`AreaQuery` contract), because
-/// global ids interleave across shards anyway and the gather runs one
-/// sort over the merged set.
+/// One leg: the method against one pinned view, *unsorted* — the gather
+/// sorts once over the merged set — with hits remapped to global stable
+/// ids when the view has an id map.
+std::vector<PointId> RunLeg(const ShardedDatabase::ShardView& view,
+                            DynamicMethod method, const Polygon& area,
+                            QueryContext& ctx) {
+  std::vector<PointId> ids =
+      RunDynamicSnapshotLeg(*view.snap, method, area, ctx);
+  if (view.ids != nullptr) {
+    for (PointId& id : ids) id = view.ids->Global(id);
+  }
+  return ids;
+}
+
+/// A leg as an `AreaQuery`, the unit `QueryEngine::SubmitWith` scatters.
+/// Internal to the executor: it deliberately breaks the sorted-ids
+/// contract of `AreaQuery`.
 class ShardLegQuery final : public AreaQuery {
  public:
   ShardLegQuery(const ShardedDatabase::ShardView* view, DynamicMethod method)
@@ -26,10 +38,7 @@ class ShardLegQuery final : public AreaQuery {
 
   std::vector<PointId> Run(const Polygon& area,
                            QueryContext& ctx) const override {
-    std::vector<PointId> ids =
-        RunDynamicSnapshotQuery(*view_->snap, method_, area, ctx);
-    for (PointId& id : ids) id = view_->ids->Global(id);
-    return ids;
+    return RunLeg(*view_, method_, area, ctx);
   }
 
   std::string_view Name() const override { return "shard-leg"; }
@@ -48,17 +57,24 @@ std::vector<PointId> RunShardedSnapshotQuery(
   const auto t0 = std::chrono::steady_clock::now();
 
   // Prune: O(1) conservative box test per shard. Empty shards are counted
-  // as pruned too (their MBR may be stale-empty or missing).
-  const PreparedArea& prep = ctx.Prepared(area);
-  std::vector<const ShardedDatabase::ShardView*> survivors;
-  survivors.reserve(snap.shards().size());
+  // as pruned too (their MBR may be stale-empty or missing). A single
+  // view always runs: pruning it would save at most an empty answer and
+  // cost a polygon build its method would not reuse.
+  const std::vector<ShardedDatabase::ShardView>& views = snap.shards();
+  std::vector<ShardLegQuery> legs;
+  legs.reserve(views.size());
   std::uint64_t pruned = 0;
-  for (const ShardedDatabase::ShardView& view : snap.shards()) {
-    if (view.snap->live_size() == 0 ||
-        prep.ClassifyBox(view.mbr) == PreparedArea::Region::kOutside) {
-      ++pruned;
-    } else {
-      survivors.push_back(&view);
+  if (views.size() == 1) {
+    legs.emplace_back(&views.front(), method);
+  } else {
+    const PreparedArea& prep = ctx.Prepared(area);
+    for (const ShardedDatabase::ShardView& view : views) {
+      if (view.snap->live_size() == 0 ||
+          prep.ClassifyBox(view.mbr) == PreparedArea::Region::kOutside) {
+        ++pruned;
+      } else {
+        legs.emplace_back(&view, method);
+      }
     }
   }
 
@@ -71,11 +87,15 @@ std::vector<PointId> RunShardedSnapshotQuery(
 
   // A leg's cancel token: fresh per attempt (each gets a full timeout
   // budget), chained under the parent query's token so cancelling the
-  // parent aborts every leg. Null when neither is configured — the legs
-  // then skip token polling entirely.
+  // parent aborts every leg. Null when the leg needs none of its own: no
+  // leg timeout and no parent, or an inline leg, which polls the parent
+  // token already installed on `ctx`.
   const CancelToken* parent = ctx.cancel();
-  const auto MakeLegToken = [&]() -> std::shared_ptr<CancelToken> {
-    if (policy.leg_timeout_ms <= 0.0 && parent == nullptr) return nullptr;
+  const auto MakeLegToken =
+      [&](bool inline_leg) -> std::shared_ptr<CancelToken> {
+    if (policy.leg_timeout_ms <= 0.0 && (inline_leg || parent == nullptr)) {
+      return nullptr;
+    }
     auto token = std::make_shared<CancelToken>();
     if (policy.leg_timeout_ms > 0.0) {
       token->SetDeadlineAfterMs(policy.leg_timeout_ms);
@@ -87,13 +107,17 @@ std::vector<PointId> RunShardedSnapshotQuery(
   // and every retry). Returns null on success, the error otherwise.
   const auto TryLegInline =
       [&](const ShardLegQuery& leg) -> std::exception_ptr {
-    const std::shared_ptr<CancelToken> token = MakeLegToken();
+    const std::shared_ptr<CancelToken> token = MakeLegToken(true);
     if (token != nullptr) ctx.set_cancel(token.get());
     std::exception_ptr error;
     try {
       std::vector<PointId> ids = leg.Run(area, ctx);
       merged += ctx.stats;
-      result.insert(result.end(), ids.begin(), ids.end());
+      if (result.empty()) {
+        result = std::move(ids);
+      } else {
+        result.insert(result.end(), ids.begin(), ids.end());
+      }
     } catch (...) {
       error = std::current_exception();
     }
@@ -101,11 +125,6 @@ std::vector<PointId> RunShardedSnapshotQuery(
     return error;
   };
 
-  std::vector<ShardLegQuery> legs;
-  legs.reserve(survivors.size());
-  for (const ShardedDatabase::ShardView* view : survivors) {
-    legs.emplace_back(view, method);
-  }
   std::vector<std::exception_ptr> leg_errors(legs.size());
 
   // Self-submission guard: if this query is itself executing on a worker
@@ -113,7 +132,7 @@ std::vector<PointId> RunShardedSnapshotQuery(
   // documented deadlock configuration), scattering would block this
   // worker on legs that may only ever be queued behind more blocked
   // parents. Degrade to inline legs instead of hanging.
-  const bool scatter = scatter_engine != nullptr && survivors.size() > 1 &&
+  const bool scatter = scatter_engine != nullptr && legs.size() > 1 &&
                        !scatter_engine->OnWorkerThread();
   if (scatter) {
     // Every submitted leg must be drained before this frame can unwind:
@@ -127,7 +146,7 @@ std::vector<PointId> RunShardedSnapshotQuery(
     for (std::size_t i = 0; i < legs.size(); ++i) {
       try {
         futures.push_back(
-            scatter_engine->SubmitWith(&legs[i], area, MakeLegToken()));
+            scatter_engine->SubmitWith(&legs[i], area, MakeLegToken(false)));
       } catch (...) {
         // Submit no further legs (the engine is stopping or shedding);
         // the unsubmitted tail is marked failed and the in-flight legs
@@ -178,10 +197,10 @@ std::vector<PointId> RunShardedSnapshotQuery(
     std::rethrow_exception(first_error);
   }
 
-  // Per-shard results are disjoint global-id sets; one sort restores the
-  // ascending contract over the merged list.
+  // Per-view results are disjoint global-id sets and no leg sorted its
+  // own; this is the query's one sort.
   ctx.SortIds(result, snap.stable_limit());
-  merged.shards_hit = survivors.size() - failed;
+  merged.shards_hit = legs.size() - failed;
   merged.shards_pruned = pruned;
   merged.shards_failed = failed;
   merged.degraded = failed > 0 ? 1 : 0;
@@ -191,17 +210,6 @@ std::vector<PointId> RunShardedSnapshotQuery(
                           .count();
   ctx.stats = merged;
   return result;
-}
-
-std::vector<PointId> ShardedAreaQuery::Run(const Polygon& area,
-                                           QueryContext& ctx) const {
-  // Pin one cross-shard version: every leg queries the exact shard
-  // snapshots recorded here, immune to concurrent mutations and to skew
-  // between shards.
-  const std::shared_ptr<const ShardedDatabase::Snapshot> snap =
-      db_->snapshot();
-  return RunShardedSnapshotQuery(*snap, method_, area, ctx, scatter_engine_,
-                                 policy_);
 }
 
 }  // namespace vaq

@@ -34,96 +34,49 @@ struct ShardPolicy {
   bool allow_partial = false;
 };
 
-/// Runs one scatter-gather area query against an already-pinned
-/// cross-shard snapshot: MBR prune, scatter (parallel legs through
-/// `scatter_engine`, or sequential inline legs when it is null or the
-/// caller is itself a worker of that pool), gather + merge + sort. This
-/// is the body of `ShardedAreaQuery::Run` minus the pin, exposed for the
-/// same reason as `RunDynamicSnapshotQuery`: a caller that derives other
-/// state from the snapshot — the planner keys its result cache on
-/// `Snapshot::version()` — must execute against the exact version it
-/// pinned, not whatever is current when the query runs.
-/// `ctx.stats` is reset and filled like any `AreaQuery::Run`.
+/// The one area-query executor: runs `method` against an already-pinned
+/// snapshot — the K views of a `ShardedDatabase`, or the single view a
+/// `DynamicPointDatabase` pins as (`Snapshot::Single`). The planner
+/// (`PlannedAreaQuery`) executes every plan through it; fixed-method
+/// callers pass `*db.snapshot()` themselves.
+///
+///  1. **Prune** (K > 1 only): classify each live shard's MBR against the
+///     prepared query polygon (`PreparedArea::ClassifyBox`, O(1) per
+///     shard); a `kOutside` verdict skips the shard. The MBRs are
+///     conservative (exact after compaction, grown by inserts), so a
+///     prune is always sound. A single view is never pruned, so an
+///     unsharded query prepares its polygon only inside its method.
+///  2. **Scatter** the surviving views: each runs
+///     `RunDynamicSnapshotLeg` against its pinned view and, when the view
+///     has an id map, remaps its hits to global stable ids. With a
+///     `scatter_engine` and more than one survivor the legs run as
+///     `QueryEngine::SubmitWith` jobs in parallel — under the blocking IO
+///     model the shards overlap their object fetches, which is where the
+///     sharded layout's throughput comes from; otherwise they run
+///     sequentially on the caller's context.
+///  3. **Gather**: concatenate the per-view hits and sort once (global id
+///     ranges interleave, and no leg sorts), and merge the per-leg
+///     `QueryStats` by summation, which preserves the `candidates ==
+///     candidate_hits + visited_rejected` invariant.
+///     `stats.shards_hit`/`shards_pruned`/`shards_failed` record the
+///     fan-out (they always sum to the view count); `elapsed_ms` is the
+///     end-to-end wall time, not the sum of the legs.
+///
+/// `ctx.stats` is reset and filled like any `AreaQuery::Run`. `policy`
+/// sets the per-leg timeout/retry budget and the partial-result mode.
+///
+/// **Pool rule**: the scatter engine should be a pool dedicated to shard
+/// legs — a sharded query blocks its calling thread until its legs
+/// finish, so legs queued behind other sharded queries occupying every
+/// worker of the same pool would deadlock. Running on a worker of the
+/// scatter engine anyway is *safe but pointless*: the executor detects it
+/// (`QueryEngine::OnWorkerThread`) and degrades to inline legs. Fan-out
+/// legs are `SubmitWith` tasks, excluded from the scatter engine's
+/// client-facing `Stats()`.
 std::vector<PointId> RunShardedSnapshotQuery(
     const ShardedDatabase::Snapshot& snap, DynamicMethod method,
-    const Polygon& area, QueryContext& ctx, QueryEngine* scatter_engine,
-    const ShardPolicy& policy);
-
-/// Scatter-gather area query over a `ShardedDatabase`:
-///
-///  1. **Pin** one cross-shard snapshot, so every sub-query answers the
-///     same version of the database whatever mutations run concurrently.
-///  2. **Prune**: classify each live shard's MBR against the prepared
-///     query polygon (`PreparedArea::ClassifyBox`, O(1) per shard); a
-///     `kOutside` verdict skips the shard entirely. The MBRs are
-///     conservative (exact after compaction, grown by inserts), so a
-///     prune is always sound.
-///  3. **Scatter** the surviving shards: each runs the selected method
-///     (`RunDynamicSnapshotQuery`) against its pinned shard snapshot and
-///     remaps its hits to global stable ids. With a scatter engine the
-///     legs run as `QueryEngine::SubmitWith` jobs in parallel — under the
-///     blocking IO model the shards overlap their object fetches, which
-///     is where the sharded layout's throughput comes from; without one
-///     they run sequentially on the caller's context.
-///  4. **Gather**: concatenate the per-shard hits (global id ranges
-///     interleave, so one final `SortIds` restores the sorted contract)
-///     and merge the per-shard `QueryStats` by summation, which preserves
-///     the `candidates == candidate_hits + visited_rejected` invariant.
-///     `stats.shards_hit`/`shards_pruned` record the scatter fan-out
-///     (they always sum to the shard count); `elapsed_ms` is the
-///     end-to-end wall time of the whole scatter-gather, not the sum of
-///     the legs.
-///
-/// Stateless and engine-registrable like every `AreaQuery`. **Pool
-/// rule**: the scatter engine should be a pool dedicated to shard legs —
-/// a sharded query blocks its calling thread until its legs finish, so
-/// legs queued behind other sharded queries occupying every worker of
-/// the same pool would deadlock. Registering this query with its own
-/// scatter engine anyway is *safe but pointless*: `Run` detects that it
-/// is executing on a worker of the scatter pool and degrades to inline
-/// legs (`QueryEngine::OnWorkerThread`). (Fan-out legs are `SubmitWith`
-/// tasks, excluded from the scatter engine's client-facing `Stats()`.)
-class ShardedAreaQuery : public AreaQuery {
- public:
-  /// `db` (and `scatter_engine`, if given) must outlive this object.
-  /// A null `scatter_engine` runs surviving shards sequentially inline —
-  /// same results and merged counters, no intra-query parallelism.
-  /// `policy` sets the per-leg timeout/retry budget and the partial-result
-  /// mode; the default is strict (see `ShardPolicy`).
-  ShardedAreaQuery(const ShardedDatabase* db, DynamicMethod method,
-                   QueryEngine* scatter_engine = nullptr,
-                   ShardPolicy policy = {})
-      : db_(db),
-        method_(method),
-        scatter_engine_(scatter_engine),
-        policy_(policy) {}
-
-  const ShardPolicy& policy() const { return policy_; }
-
-  using AreaQuery::Run;
-  std::vector<PointId> Run(const Polygon& area,
-                           QueryContext& ctx) const override;
-
-  std::string_view Name() const override {
-    switch (method_) {
-      case DynamicMethod::kVoronoi:
-        return "sharded-voronoi";
-      case DynamicMethod::kTraditional:
-        return "sharded-traditional";
-      case DynamicMethod::kGridSweep:
-        return "sharded-grid-sweep";
-      case DynamicMethod::kBruteForce:
-        break;
-    }
-    return "sharded-brute-force";
-  }
-
- private:
-  const ShardedDatabase* db_;
-  DynamicMethod method_;
-  QueryEngine* scatter_engine_;
-  ShardPolicy policy_;
-};
+    const Polygon& area, QueryContext& ctx,
+    QueryEngine* scatter_engine = nullptr, const ShardPolicy& policy = {});
 
 }  // namespace vaq
 

@@ -249,25 +249,32 @@ void ShardedDatabase::PublishLocked(std::shared_ptr<const Snapshot> next) {
 
 ShardedDatabase::~ShardedDatabase() = default;
 
+std::shared_ptr<const ShardedDatabase::Snapshot>
+ShardedDatabase::Snapshot::Single(
+    std::shared_ptr<const DynamicPointDatabase::Snapshot> snap) {
+  auto single = std::make_shared<Snapshot>();
+  single->stable_limit_ = snap->stable_limit();
+  single->version_ = snap->version();
+  const Box mbr = snap->base().bounds();
+  single->shards_.push_back(ShardView{std::move(snap), nullptr, mbr});
+  return single;
+}
+
 std::vector<PointId> ShardedDatabase::Query(const Polygon& area,
-                                            QueryContext& ctx,
-                                            QueryEngine* scatter_engine)
-    const {
-  return Query(area, ctx, scatter_engine, PlanHints{});
+                                            QueryContext& ctx) const {
+  return Query(area, ctx, PlanHints{});
 }
 
 std::vector<PointId> ShardedDatabase::Query(const Polygon& area,
                                             QueryContext& ctx,
-                                            QueryEngine* scatter_engine,
                                             const PlanHints& hints) const {
-  return PlannedQuery(scatter_engine)->RunPlanned(area, ctx, hints);
+  return PlannedQuery()->RunPlanned(area, ctx, hints);
 }
 
-const PlannedAreaQuery* ShardedDatabase::PlannedQuery(
-    QueryEngine* scatter_engine) const {
-  std::call_once(planned_once_, [&] {
-    planned_ = std::make_unique<PlannedAreaQuery>(this, scatter_engine,
-                                                  ShardPolicy{});
+const PlannedAreaQuery* ShardedDatabase::PlannedQuery() const {
+  std::call_once(planned_once_, [this] {
+    planned_ = std::make_unique<PlannedAreaQuery>(
+        [this] { return snapshot(); }, options_.scatter_engine);
   });
   return planned_.get();
 }

@@ -23,7 +23,8 @@ class QueryEngine;
 /// internally — and cuts the curve into K contiguous key ranges of
 /// roughly n/K points. Curve locality makes the ranges spatially compact,
 /// so shard MBRs overlap little and an area query can prune most shards
-/// by one `PreparedArea::ClassifyBox` test each (see `ShardedAreaQuery`).
+/// by one `PreparedArea::ClassifyBox` test each (see
+/// `RunShardedSnapshotQuery`).
 ///
 /// **Cuts are key-aligned**: a run of points sharing one curve key is
 /// never split across shards. That makes the partition a function of the
@@ -68,6 +69,12 @@ class ShardedDatabase {
     /// corridors that the paper's segment rule can fail to cross are K
     /// times wider at shard level; see DESIGN.md §9).
     DynamicPointDatabase::Options shard;
+    /// Pool the planned path (`Query`, `PlannedQuery`) may fan shard legs
+    /// onto when the plan scatters; null = every plan runs its legs
+    /// inline. Must outlive this database. Registering `PlannedQuery()`
+    /// on this same engine is safe: a query running on one of its
+    /// workers falls back to inline legs (see `RunShardedSnapshotQuery`).
+    QueryEngine* scatter_engine = nullptr;
   };
 
   /// Append-only shard-local stable id → global stable id map. Shares the
@@ -88,10 +95,11 @@ class ShardedDatabase {
   };
 
   /// One shard as a query sees it: the pinned shard version, the id map
-  /// translating its stable ids to global ids, and a conservative MBR of
-  /// its live points (exact after a full `Compact()`, only ever grown by
-  /// inserts in between — a pruning test against it can produce false
-  /// overlaps, never false prunes).
+  /// translating its stable ids to global ids (null for the single view
+  /// of an unsharded database, whose stable ids are already global), and
+  /// a conservative MBR of its live points (exact after a full
+  /// `Compact()`, only ever grown by inserts in between — a pruning test
+  /// against it can produce false overlaps, never false prunes).
   struct ShardView {
     std::shared_ptr<const DynamicPointDatabase::Snapshot> snap;
     std::shared_ptr<const IdMap> ids;
@@ -99,9 +107,17 @@ class ShardedDatabase {
   };
 
   /// One immutable cross-shard version. Obtained via `snapshot()`; valid
-  /// for as long as the caller holds the pointer.
+  /// for as long as the caller holds the pointer. This is the one
+  /// snapshot type the planner pins and `RunShardedSnapshotQuery`
+  /// executes: an unsharded database pins as a single view (`Single`).
   class Snapshot {
    public:
+    /// One `DynamicPointDatabase` version as a single view with no id
+    /// map. Its MBR, the planning domain, is the base bounds; a single
+    /// view is never pruned, so inserts outside them are still found.
+    static std::shared_ptr<const Snapshot> Single(
+        std::shared_ptr<const DynamicPointDatabase::Snapshot> snap);
+
     const std::vector<ShardView>& shards() const { return shards_; }
     /// Exclusive upper bound of every global stable id in this version.
     PointId stable_limit() const { return stable_limit_; }
@@ -172,27 +188,19 @@ class ShardedDatabase {
 
   /// Runs one area query through the adaptive planner (see
   /// `PlannedAreaQuery`): the cost model picks the method per query *and*
-  /// whether to fan the surviving shards out onto `scatter_engine` or run
-  /// them inline; the snapshot-keyed result cache serves repeated
-  /// identical polygons. `scatter_engine` (may be null = always inline)
-  /// and `policy` are fixed at the first call — they configure the
-  /// lazily-built planned query — and must outlive this database.
-  /// Thread-safe like `snapshot()`.
+  /// whether to fan the surviving shards out onto
+  /// `Options::scatter_engine` or run them inline; the snapshot-keyed
+  /// result cache serves repeated identical polygons. Fixed-method
+  /// callers pass `PlanHints::force_method`, or call
+  /// `RunShardedSnapshotQuery` on `snapshot()`. Thread-safe like
+  /// `snapshot()`.
+  std::vector<PointId> Query(const Polygon& area, QueryContext& ctx) const;
   std::vector<PointId> Query(const Polygon& area, QueryContext& ctx,
-                             QueryEngine* scatter_engine = nullptr) const;
-  std::vector<PointId> Query(const Polygon& area, QueryContext& ctx,
-                             QueryEngine* scatter_engine,
                              const PlanHints& hints) const;
 
   /// The lazily-built planned query behind `Query`, as a registrable
-  /// `AreaQuery` — see `DynamicPointDatabase::PlannedQuery`. Like `Query`,
-  /// `scatter_engine` configures the planned query at the *first* call
-  /// (later arguments are ignored) and must outlive this database. Note a
-  /// planned sharded query may scatter onto that engine: registering it
-  /// on the same engine is safe only because `ShardedAreaQuery` falls
-  /// back to inline legs on a worker thread (the self-submission guard).
-  const PlannedAreaQuery* PlannedQuery(
-      QueryEngine* scatter_engine = nullptr) const;
+  /// `AreaQuery` — see `DynamicPointDatabase::PlannedQuery`.
+  const PlannedAreaQuery* PlannedQuery() const;
 
   /// Total compactions across shards (threshold-triggered + explicit).
   std::uint64_t Compactions() const;

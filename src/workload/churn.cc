@@ -86,12 +86,9 @@ ChurnReport RunChurnExperiment(const ChurnConfig& config) {
         [&](PointId id, const Point& p) { live.Add(id, p); });
   }
 
-  const DynamicAreaQuery methods[] = {
-      DynamicAreaQuery(&db, DynamicMethod::kVoronoi),
-      DynamicAreaQuery(&db, DynamicMethod::kTraditional),
-      DynamicAreaQuery(&db, DynamicMethod::kGridSweep),
-      DynamicAreaQuery(&db, DynamicMethod::kBruteForce),
-  };
+  constexpr DynamicMethod kMethods[] = {
+      DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
 
   PolygonSpec spec;
   spec.vertices = config.polygon_vertices;
@@ -125,9 +122,13 @@ ChurnReport RunChurnExperiment(const ChurnConfig& config) {
     } else {
       const Polygon area = GenerateQueryPolygon(spec, kDomain, &rng);
       const auto t0 = Clock::now();
-      const std::vector<PointId> truth = methods[0].Run(area, ctx);
+      const auto snap = db.snapshot();
+      const std::vector<PointId> truth =
+          RunDynamicSnapshotQuery(*snap, kMethods[0], area, ctx);
       for (std::size_t m = 1; m < 4; ++m) {
-        if (methods[m].Run(area, ctx) != truth) ++report.mismatches;
+        if (RunDynamicSnapshotQuery(*snap, kMethods[m], area, ctx) != truth) {
+          ++report.mismatches;
+        }
       }
       report.query_ms += MsSince(t0);
       ++report.queries;
@@ -148,8 +149,11 @@ ChurnReport RunChurnExperiment(const ChurnConfig& config) {
         truth.push_back(live.ids()[rebuilt.OriginalId(internal)]);
       }
       std::sort(truth.begin(), truth.end());
-      for (const DynamicAreaQuery& method : methods) {
-        if (method.Run(area, ctx) != truth) ++report.mismatches;
+      const auto snap = db.snapshot();
+      for (const DynamicMethod method : kMethods) {
+        if (RunDynamicSnapshotQuery(*snap, method, area, ctx) != truth) {
+          ++report.mismatches;
+        }
       }
       report.verify_ms += MsSince(t0);
       ++report.verifications;

@@ -7,7 +7,6 @@
 #include "core/brute_force_area_query.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
-#include "planner/planned_area_query.h"
 #include "delaunay/hilbert.h"
 #include "delaunay/triangulation.h"
 #include "engine/query_engine.h"
@@ -42,10 +41,6 @@ void Accumulate(MethodAverages* avg, const QueryStats& stats) {
   avg->shards_failed += static_cast<double>(stats.shards_failed);
   avg->kernel_kind |= stats.kernel_kind;  // Mask of kernels that ran.
   avg->degraded |= stats.degraded;        // Flag: any repetition degraded.
-  avg->plan_method |= stats.plan_method;  // Masks, like kernel_kind.
-  avg->plan_reason |= stats.plan_reason;
-  avg->result_cache_hits += static_cast<double>(stats.result_cache_hits);
-  avg->result_cache_misses += static_cast<double>(stats.result_cache_misses);
 }
 
 void Finish(MethodAverages* avg, int reps) {
@@ -63,8 +58,6 @@ void Finish(MethodAverages* avg, int reps) {
   avg->io_retries /= reps;
   avg->pages_quarantined /= reps;
   avg->shards_failed /= reps;
-  avg->result_cache_hits /= reps;
-  avg->result_cache_misses /= reps;
   if (avg->batch_wall_ms > 0.0) {
     avg->throughput_qps = reps / (avg->batch_wall_ms / 1000.0);
   }
@@ -119,7 +112,6 @@ ExperimentRow RunExperimentOnDatabase(PointDatabase& db,
   const TraditionalAreaQuery traditional(&db);
   const VoronoiAreaQuery voronoi(&db);
   const BruteForceAreaQuery brute(&db);
-  const PlannedAreaQuery planned(&db);
 
   const std::vector<Polygon> areas = GenerateQueryStream(config);
 
@@ -128,17 +120,11 @@ ExperimentRow RunExperimentOnDatabase(PointDatabase& db,
                           static_cast<std::size_t>(config.repetitions) + 1});
   const int trad_id = engine.RegisterMethod(&traditional);
   const int vaq_id = engine.RegisterMethod(&voronoi);
-  const int auto_id =
-      config.run_auto ? engine.RegisterMethod(&planned) : -1;
 
   const std::vector<QueryResult> trad_results =
       RunMethodBatch(engine, trad_id, areas, &row.traditional);
   const std::vector<QueryResult> vaq_results =
       RunMethodBatch(engine, vaq_id, areas, &row.voronoi);
-  std::vector<QueryResult> auto_results;
-  if (config.run_auto) {
-    auto_results = RunMethodBatch(engine, auto_id, areas, &row.auto_planned);
-  }
 
   for (int rep = 0; rep < config.repetitions; ++rep) {
     row.result_size += static_cast<double>(trad_results[rep].ids.size());
@@ -150,13 +136,9 @@ ExperimentRow RunExperimentOnDatabase(PointDatabase& db,
     } else if (trad_results[rep].ids != vaq_results[rep].ids) {
       ++row.mismatches;
     }
-    if (config.run_auto && auto_results[rep].ids != trad_results[rep].ids) {
-      ++row.mismatches;
-    }
   }
   Finish(&row.traditional, config.repetitions);
   Finish(&row.voronoi, config.repetitions);
-  if (config.run_auto) Finish(&row.auto_planned, config.repetitions);
   row.result_size /= config.repetitions;
   return row;
 }
@@ -276,10 +258,6 @@ void WriteMethodJson(const MethodAverages& m, std::ostream& os) {
      << ", \"shards_failed\": " << m.shards_failed
      << ", \"kernel_kind\": " << m.kernel_kind
      << ", \"degraded\": " << m.degraded
-     << ", \"plan_method\": " << m.plan_method
-     << ", \"plan_reason\": " << m.plan_reason
-     << ", \"result_cache_hits\": " << m.result_cache_hits
-     << ", \"result_cache_misses\": " << m.result_cache_misses
      << ", \"batch_wall_ms\": " << m.batch_wall_ms
      << ", \"throughput_qps\": " << m.throughput_qps << "}";
 }
@@ -308,10 +286,6 @@ void WriteRowsJson(const std::vector<ExperimentRow>& rows, std::ostream& os) {
     WriteMethodJson(r.traditional, os);
     os << ",\n   \"voronoi\": ";
     WriteMethodJson(r.voronoi, os);
-    if (r.config.run_auto) {
-      os << ",\n   \"auto\": ";
-      WriteMethodJson(r.auto_planned, os);
-    }
     os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "]\n";

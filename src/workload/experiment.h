@@ -46,13 +46,6 @@ struct ExperimentConfig {
   StorageBackend storage_backend = StorageBackend::kInMemory;
   std::size_t page_cache_pages = 4096;
   std::uint32_t page_size_bytes = 4096;
-  /// Also run the repetitions through the adaptive planner
-  /// (`PlannedAreaQuery`, the library's `--method auto`): the cost model
-  /// picks a method per query and the row reports which methods it chose
-  /// and why (`ExperimentRow::auto_planned`, with `plan_method` /
-  /// `plan_reason` masks in the JSON). The planned results are verified
-  /// against the traditional batch like any method.
-  bool run_auto = false;
 };
 
 /// Per-method averages over the repetitions, plus batch-level throughput.
@@ -89,14 +82,6 @@ struct MethodAverages {
   /// OR of `QueryStats::degraded` across repetitions: 1 if any repetition
   /// returned a degraded partial result. A flag, not an average.
   std::uint64_t degraded = 0;
-  /// Planner provenance of a planned (`run_auto`) batch: the OR of
-  /// `QueryStats::plan_method` / `plan_reason` across repetitions — every
-  /// method the planner picked and every reason bit it cited — plus the
-  /// per-query result-cache traffic. All 0 for hand-dispatched methods.
-  std::uint64_t plan_method = 0;
-  std::uint64_t plan_reason = 0;
-  double result_cache_hits = 0.0;
-  double result_cache_misses = 0.0;
   /// Wall-clock of the whole batch through the engine and the resulting
   /// queries/second (equals repetitions / wall when the pool is saturated).
   double batch_wall_ms = 0.0;
@@ -109,8 +94,6 @@ struct ExperimentRow {
   double result_size = 0.0;
   MethodAverages traditional;
   MethodAverages voronoi;
-  /// The planned batch; only populated when `config.run_auto`.
-  MethodAverages auto_planned;
   int mismatches = 0;          // Only populated when config.verify.
   double build_rtree_ms = 0.0;
   double build_delaunay_ms = 0.0;

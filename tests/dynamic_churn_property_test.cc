@@ -55,12 +55,9 @@ TEST(DynamicChurnPropertyTest, ExplicitCompactionBoundariesAreSeamless) {
   options.auto_compact = false;
   DynamicPointDatabase db(GenerateUniformPoints(1500, kUnit, &rng),
                           options);
-  const DynamicAreaQuery methods[] = {
-      DynamicAreaQuery(&db, DynamicMethod::kVoronoi),
-      DynamicAreaQuery(&db, DynamicMethod::kTraditional),
-      DynamicAreaQuery(&db, DynamicMethod::kGridSweep),
-      DynamicAreaQuery(&db, DynamicMethod::kBruteForce),
-  };
+  constexpr DynamicMethod kMethods[] = {
+      DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
   PolygonSpec spec;
   spec.query_size_fraction = 0.08;
 
@@ -85,9 +82,10 @@ TEST(DynamicChurnPropertyTest, ExplicitCompactionBoundariesAreSeamless) {
       truth.push_back(ids[rebuilt.OriginalId(internal)]);
     }
     std::sort(truth.begin(), truth.end());
-    for (const DynamicAreaQuery& method : methods) {
-      EXPECT_EQ(method.Run(area, ctx), truth)
-          << when << ", method: " << method.Name();
+    for (const DynamicMethod method : kMethods) {
+      EXPECT_EQ(RunDynamicSnapshotQuery(*db.snapshot(), method, area, ctx),
+                truth)
+          << when << ", method: " << MethodName(method);
     }
   };
 

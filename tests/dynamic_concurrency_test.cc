@@ -1,7 +1,8 @@
 // Snapshot-consistent queries under concurrent mutation: `QueryEngine`
-// workers run dynamic queries while writer threads insert, erase and
-// compact. Built and run under TSan in CI — the snapshot pin must make
-// `Submit` concurrent with `Insert` race-free, not just crash-free.
+// workers run the database's planned query, forced onto each method in
+// turn, while writer threads insert, erase and compact. Built and run
+// under TSan in CI — the snapshot pin must make `Submit` concurrent with
+// `Insert` race-free, not just crash-free.
 
 #include <algorithm>
 #include <atomic>
@@ -14,6 +15,7 @@
 #include "core/dynamic_area_query.h"
 #include "core/dynamic_point_database.h"
 #include "engine/query_engine.h"
+#include "planner/planned_area_query.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
 #include "workload/rng.h"
@@ -30,18 +32,11 @@ TEST(DynamicConcurrencyTest, EngineQueriesConcurrentWithMutations) {
   DynamicPointDatabase db(GenerateUniformPoints(4000, kUnit, &rng),
                           options);
 
-  const DynamicAreaQuery voronoi(&db, DynamicMethod::kVoronoi);
-  const DynamicAreaQuery traditional(&db, DynamicMethod::kTraditional);
-  const DynamicAreaQuery grid_sweep(&db, DynamicMethod::kGridSweep);
-  const DynamicAreaQuery brute(&db, DynamicMethod::kBruteForce);
-
+  constexpr DynamicMethod kMethods[] = {
+      DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
   QueryEngine engine({.num_threads = 4});
-  const int methods[] = {
-      engine.RegisterMethod(&voronoi),
-      engine.RegisterMethod(&traditional),
-      engine.RegisterMethod(&grid_sweep),
-      engine.RegisterMethod(&brute),
-  };
+  const int planned = engine.RegisterMethod(db.PlannedQuery());
 
   // Two writers churn (one calls explicit Compact too) while the main
   // thread pushes queries through the pool.
@@ -75,7 +70,9 @@ TEST(DynamicConcurrencyTest, EngineQueriesConcurrentWithMutations) {
   std::vector<std::future<QueryResult>> futures;
   for (int i = 0; i < 200; ++i) {
     const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
-    futures.push_back(engine.Submit(area, methods[i % 4]));
+    SubmitOptions opts;
+    opts.hints.force_method = kMethods[i % 4];
+    futures.push_back(engine.Submit(area, planned, opts));
   }
   for (auto& f : futures) {
     const QueryResult r = f.get();
@@ -96,10 +93,13 @@ TEST(DynamicConcurrencyTest, EngineQueriesConcurrentWithMutations) {
   // Quiesced: all four methods agree with each other again.
   QueryContext ctx;
   const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
-  const std::vector<PointId> truth = brute.Run(area, ctx);
-  EXPECT_EQ(voronoi.Run(area, ctx), truth);
-  EXPECT_EQ(traditional.Run(area, ctx), truth);
-  EXPECT_EQ(grid_sweep.Run(area, ctx), truth);
+  const auto snap = db.snapshot();
+  const std::vector<PointId> truth = RunDynamicSnapshotQuery(
+      *snap, DynamicMethod::kBruteForce, area, ctx);
+  for (const DynamicMethod method : kMethods) {
+    EXPECT_EQ(RunDynamicSnapshotQuery(*snap, method, area, ctx), truth)
+        << MethodName(method);
+  }
 }
 
 TEST(DynamicConcurrencyTest, SnapshotOutlivesCompactionDuringQuery) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dynamic_area_query.h"
+#include "planner/query_plan.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
 #include "workload/rng.h"
@@ -133,10 +134,10 @@ TEST(DynamicPointDatabaseTest, AllMethodsAnswerOverBaseDeltaTombstones) {
   const std::vector<PointId> expected = LiveBruteForce(db, area);
   ASSERT_FALSE(expected.empty());
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    EXPECT_EQ(query.Run(area, ctx), expected)
-        << "method: " << query.Name();
+    EXPECT_EQ(RunDynamicSnapshotQuery(*db.snapshot(), method, area, ctx),
+              expected)
+        << "method: " << MethodName(method);
   }
 }
 
@@ -169,17 +170,17 @@ TEST(DynamicPointDatabaseTest, DeltaSpansMultipleChunksWithErases) {
   const Polygon area = TestArea(17, 0.2);
   const std::vector<PointId> expected = LiveBruteForce(db, area);
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    EXPECT_EQ(query.Run(area, ctx), expected)
-        << "method: " << query.Name();
+    EXPECT_EQ(RunDynamicSnapshotQuery(*db.snapshot(), method, area, ctx),
+              expected)
+        << "method: " << MethodName(method);
   }
   db.Compact();
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    EXPECT_EQ(query.Run(area, ctx), expected)
-        << "method: " << query.Name();
+    EXPECT_EQ(RunDynamicSnapshotQuery(*db.snapshot(), method, area, ctx),
+              expected)
+        << "method: " << MethodName(method);
   }
 }
 
@@ -198,9 +199,10 @@ TEST(DynamicPointDatabaseTest, CompactPreservesIdsAndResults) {
 
   const Polygon area = TestArea(11, 0.15);
   const std::vector<PointId> before = LiveBruteForce(db, area);
-  const DynamicAreaQuery query(&db, DynamicMethod::kVoronoi);
   QueryContext ctx;
-  EXPECT_EQ(query.Run(area, ctx), before);
+  EXPECT_EQ(RunDynamicSnapshotQuery(*db.snapshot(), DynamicMethod::kVoronoi,
+                                    area, ctx),
+            before);
   EXPECT_GT(ctx.stats.delta_candidates, 0u);
 
   db.Compact();
@@ -211,7 +213,9 @@ TEST(DynamicPointDatabaseTest, CompactPreservesIdsAndResults) {
 
   // Same stable ids before and after the rebuild, and the delta share of
   // the candidates is gone.
-  EXPECT_EQ(query.Run(area, ctx), before);
+  EXPECT_EQ(RunDynamicSnapshotQuery(*db.snapshot(), DynamicMethod::kVoronoi,
+                                    area, ctx),
+            before);
   EXPECT_EQ(ctx.stats.delta_candidates, 0u);
   EXPECT_EQ(db.Find(inserted.front()).has_value(), true);
   EXPECT_EQ(db.Find(150), std::nullopt);  // Tombstone stayed dead.
@@ -239,9 +243,9 @@ TEST(DynamicPointDatabaseTest, EmptyInitialDatabaseGrowsFromDelta) {
   const Polygon area = TestArea(3, 0.3);
   // Queries on a fully empty database return nothing and fill stats.
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    EXPECT_TRUE(query.Run(area, ctx).empty());
+    EXPECT_TRUE(
+        RunDynamicSnapshotQuery(*db.snapshot(), method, area, ctx).empty());
     EXPECT_GT(ctx.stats.elapsed_ms, 0.0);
   }
 
@@ -251,19 +255,19 @@ TEST(DynamicPointDatabaseTest, EmptyInitialDatabaseGrowsFromDelta) {
   }
   const std::vector<PointId> expected = LiveBruteForce(db, area);
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    EXPECT_EQ(query.Run(area, ctx), expected)
-        << "method: " << query.Name();
+    EXPECT_EQ(RunDynamicSnapshotQuery(*db.snapshot(), method, area, ctx),
+              expected)
+        << "method: " << MethodName(method);
   }
 
   // Folding a delta into an empty base exercises the smallest rebuilds.
   db.Compact();
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    EXPECT_EQ(query.Run(area, ctx), expected)
-        << "method: " << query.Name();
+    EXPECT_EQ(RunDynamicSnapshotQuery(*db.snapshot(), method, area, ctx),
+              expected)
+        << "method: " << MethodName(method);
   }
 }
 
@@ -302,18 +306,57 @@ TEST(DynamicPointDatabaseTest, StatsKeepCandidateInvariant) {
 
   const Polygon area = TestArea(13, 0.1);
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    const auto result = query.Run(area, ctx);
+    const auto result =
+        RunDynamicSnapshotQuery(*db.snapshot(), method, area, ctx);
     EXPECT_EQ(ctx.stats.results, result.size());
     EXPECT_EQ(ctx.stats.delta_candidates, db.DeltaSize());
     EXPECT_EQ(ctx.stats.candidates,
               ctx.stats.candidate_hits + ctx.stats.visited_rejected)
-        << "method: " << query.Name();
+        << "method: " << MethodName(method);
     // Tombstoned hits are validated candidates but not results; every
     // result is either a validated hit or a bulk accept (grid-sweep).
     EXPECT_GE(ctx.stats.candidate_hits + ctx.stats.bulk_accepted,
               ctx.stats.results);
+  }
+}
+
+TEST(DynamicPointDatabaseTest, ForcedPlannedQueryMatchesSnapshotQueryWork) {
+  // The planned path pins the database as one view and runs the shared
+  // executor; forced onto a method, it must return the same ids and do
+  // the same work as the fixed-method snapshot query (one base pass, one
+  // delta pass, no extra prune or sort).
+  Rng rng(101);
+  DynamicPointDatabase::Options options;
+  options.auto_compact = false;
+  DynamicPointDatabase db(GenerateUniformPoints(3000, kUnit, &rng),
+                          options);
+  for (int i = 0; i < 300; ++i) {
+    db.Insert({rng.Uniform(0, 1), rng.Uniform(0, 1)});
+  }
+  for (PointId id = 0; id < 3000; id += 5) db.Erase(id);
+  ASSERT_GT(db.DeltaSize(), 0u);
+  ASSERT_GT(db.TombstoneCount(), 0u);
+
+  const Polygon area = TestArea(19, 0.2);
+  const auto snap = db.snapshot();
+  for (const DynamicMethod method : kAllMethods) {
+    QueryContext fixed_ctx;
+    const std::vector<PointId> fixed =
+        RunDynamicSnapshotQuery(*snap, method, area, fixed_ctx);
+    PlanHints hints;
+    hints.force_method = method;
+    hints.use_cache = false;
+    QueryContext planned_ctx;
+    EXPECT_EQ(db.Query(area, planned_ctx, hints), fixed) << MethodName(method);
+    const QueryStats& a = fixed_ctx.stats;
+    const QueryStats& b = planned_ctx.stats;
+    EXPECT_EQ(a.candidates, b.candidates) << MethodName(method);
+    EXPECT_EQ(a.geometry_loads, b.geometry_loads) << MethodName(method);
+    EXPECT_EQ(a.neighbor_expansions, b.neighbor_expansions)
+        << MethodName(method);
+    EXPECT_EQ(a.segment_tests, b.segment_tests) << MethodName(method);
+    EXPECT_EQ(b.plan_method, MethodBit(method));
   }
 }
 

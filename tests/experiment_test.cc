@@ -82,35 +82,6 @@ TEST(ExperimentTest, TablePrinterProducesRows) {
   EXPECT_NE(figures.str().find("redundant"), std::string::npos);
 }
 
-TEST(ExperimentTest, AutoBatchMatchesStaticsAndReportsProvenance) {
-  ExperimentConfig config = SmallConfig();
-  config.run_auto = true;
-  const ExperimentRow row = RunExperiment(config);
-  // The planned batch is verified per repetition against the traditional
-  // results inside the runner; any divergence lands in row.mismatches.
-  EXPECT_EQ(row.mismatches, 0);
-  EXPECT_GT(row.auto_planned.time_ms, 0.0);
-  EXPECT_NE(row.auto_planned.plan_method, 0u);
-  EXPECT_NE(row.auto_planned.plan_reason, 0u);
-  // Every planned repetition is exactly one hit or one miss; the
-  // runner's query stream generates a distinct polygon per repetition,
-  // so this batch is all misses (the hit path is bench_planner's and
-  // PlannerCacheChurnTest's job — repeated identical polygons).
-  EXPECT_NEAR(row.auto_planned.result_cache_hits +
-                  row.auto_planned.result_cache_misses,
-              1.0, 1e-9);
-  EXPECT_NEAR(row.auto_planned.result_cache_misses, 1.0, 1e-9);
-
-  // The JSON writer only emits the auto object for planned rows.
-  std::ostringstream with;
-  WriteRowsJson({row}, with);
-  EXPECT_NE(with.str().find("\"auto\""), std::string::npos);
-  EXPECT_NE(with.str().find("plan_reason"), std::string::npos);
-  std::ostringstream without;
-  WriteRowsJson({RunExperiment(SmallConfig())}, without);
-  EXPECT_EQ(without.str().find("\"auto\""), std::string::npos);
-}
-
 TEST(ExperimentTest, ClusteredDistributionAlsoCorrect) {
   ExperimentConfig config = SmallConfig();
   config.distribution = PointDistribution::kClustered;

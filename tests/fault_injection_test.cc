@@ -895,15 +895,16 @@ TEST_F(ShardDegradedTest, AllLegsFailingStrictThrowsPartialReturnsFlagged) {
   QueryContext ctx;
 
   // Strict (default): typed error, never a silent partial answer.
-  const ShardedAreaQuery strict(&sharded, DynamicMethod::kBruteForce);
-  EXPECT_THROW(strict.Run(area_, ctx), PageReadError);
+  EXPECT_THROW(RunShardedSnapshotQuery(*sharded.snapshot(),
+                                       DynamicMethod::kBruteForce, area_, ctx),
+               PageReadError);
 
   // Partial: empty result (every leg lost), loudly flagged.
   ShardPolicy policy;
   policy.allow_partial = true;
-  const ShardedAreaQuery partial(&sharded, DynamicMethod::kBruteForce,
-                                 nullptr, policy);
-  const std::vector<PointId> got = partial.Run(area_, ctx);
+  const std::vector<PointId> got =
+      RunShardedSnapshotQuery(*sharded.snapshot(), DynamicMethod::kBruteForce,
+                              area_, ctx, nullptr, policy);
   EXPECT_TRUE(got.empty());
   EXPECT_EQ(ctx.stats.degraded, 1u);
   EXPECT_GT(ctx.stats.shards_failed, 0u);
@@ -929,8 +930,8 @@ TEST_F(ShardDegradedTest, PartialResultsAreOracleSubsetWithFlags) {
   policy.allow_partial = true;
   for (const DynamicMethod method :
        {DynamicMethod::kBruteForce, DynamicMethod::kTraditional}) {
-    const ShardedAreaQuery query(&sharded, method, nullptr, policy);
-    const std::vector<PointId> got = query.Run(area_, ctx);
+    const std::vector<PointId> got = RunShardedSnapshotQuery(
+        *sharded.snapshot(), method, area_, ctx, nullptr, policy);
     // Sorted subset of the oracle: degraded mode may lose shards, it may
     // never invent or duplicate ids.
     EXPECT_TRUE(std::includes(truth.begin(), truth.end(), got.begin(),
@@ -971,9 +972,9 @@ TEST_F(ShardDegradedTest, LegTimeoutRetriesRecoverViaWarmedCache) {
   ShardPolicy policy;
   policy.leg_timeout_ms = 60.0;
   policy.max_leg_retries = 8;
-  const ShardedAreaQuery query(&sharded, DynamicMethod::kBruteForce,
-                               nullptr, policy);
-  const std::vector<PointId> got = query.Run(area_, ctx);
+  const std::vector<PointId> got =
+      RunShardedSnapshotQuery(*sharded.snapshot(), DynamicMethod::kBruteForce,
+                              area_, ctx, nullptr, policy);
   EXPECT_EQ(got, truth);
   EXPECT_EQ(ctx.stats.degraded, 0u);
   EXPECT_EQ(ctx.stats.shards_failed, 0u);
@@ -982,24 +983,26 @@ TEST_F(ShardDegradedTest, LegTimeoutRetriesRecoverViaWarmedCache) {
   // the typed abort. (Caches are warm now, so rerun against a fresh
   // database.)
   const ShardedDatabase cold(points_, options);
-  const ShardedAreaQuery no_retries(&cold, DynamicMethod::kBruteForce,
-                                    nullptr, ShardPolicy{60.0, 0, false});
-  EXPECT_THROW(no_retries.Run(area_, ctx), QueryAbortedError);
+  EXPECT_THROW(
+      RunShardedSnapshotQuery(*cold.snapshot(), DynamicMethod::kBruteForce,
+                              area_, ctx, nullptr, ShardPolicy{60.0, 0, false}),
+      QueryAbortedError);
 }
 
 TEST_F(ShardDegradedTest, ParentCancellationAbortsWholeQueryEvenPartial) {
   const ShardedDatabase sharded(points_, FaultyShardOptions(FaultSpec{}));
   ShardPolicy policy;
   policy.allow_partial = true;
-  const ShardedAreaQuery query(&sharded, DynamicMethod::kBruteForce,
-                               nullptr, policy);
   CancelToken token;
   token.Cancel();
   QueryContext ctx;
   ctx.set_cancel(&token);
   // A cancelled parent is an abort, not a "every shard failed" degraded
   // answer — partial mode must not swallow it.
-  EXPECT_THROW(query.Run(area_, ctx), QueryAbortedError);
+  EXPECT_THROW(
+      RunShardedSnapshotQuery(*sharded.snapshot(), DynamicMethod::kBruteForce,
+                              area_, ctx, nullptr, policy),
+      QueryAbortedError);
   ctx.set_cancel(nullptr);
 }
 

@@ -16,6 +16,7 @@
 
 #include "core/dynamic_point_database.h"
 #include "planner/planned_area_query.h"
+#include "shard/sharded_database.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
 #include "workload/rng.h"
@@ -25,8 +26,10 @@ namespace {
 
 constexpr Box kUnit = Box{{0.0, 0.0}, {1.0, 1.0}};
 
-std::vector<PointId> LiveBruteForce(const DynamicPointDatabase& db,
-                                    const Polygon& area) {
+/// Brute force over the live set of either database type, in its stable
+/// (global) id space.
+template <typename Database>
+std::vector<PointId> LiveBruteForce(const Database& db, const Polygon& area) {
   std::vector<PointId> expected;
   db.snapshot()->ForEachLive([&](PointId id, const Point& p) {
     if (area.Contains(p)) expected.push_back(id);
@@ -101,20 +104,16 @@ TEST(PlannerCacheChurnTest, RandomizedChurnNeverServesAStaleResult) {
   EXPECT_GT(misses, static_cast<std::uint64_t>(areas.size()));
 }
 
-TEST(PlannerCacheChurnTest, EveryMutationKindInvalidates) {
-  Rng rng(99);
-  DynamicPointDatabase::Options options;
-  options.auto_compact = false;
-  DynamicPointDatabase db(GenerateUniformPoints(500, kUnit, &rng), options);
-  const Polygon area = FixedAreas(11, 1, 0.4)[0];
-  QueryContext ctx;
-
-  // Prime the cache, then make each mutation kind and require a re-miss
-  // with the updated answer. Second-hit admission means the first
-  // execution of a never-seen polygon is declined (its hash is merely
-  // recorded), the second execution is stored, the third hits.
+/// Primes the cache with `area`, then makes each mutation kind and
+/// requires a re-miss with the updated answer. Second-hit admission means
+/// the first execution of a never-seen polygon is declined (its hash is
+/// merely recorded), the second execution is stored, the third hits.
+template <typename Database>
+void ExpectEveryMutationKindInvalidates(Database& db, const Polygon& area,
+                                        QueryContext& ctx) {
   std::vector<PointId> before = db.Query(area, ctx);
   EXPECT_EQ(ctx.stats.result_cache_misses, 1u);
+  EXPECT_EQ(before, LiveBruteForce(db, area));
   db.Query(area, ctx);
   EXPECT_EQ(ctx.stats.result_cache_misses, 1u)
       << "a first-seen polygon must not be cached by its first execution";
@@ -144,13 +143,30 @@ TEST(PlannerCacheChurnTest, EveryMutationKindInvalidates) {
   std::vector<PointId> after_compact = db.Query(area, ctx);
   EXPECT_EQ(ctx.stats.result_cache_misses, 1u);
   EXPECT_EQ(after_compact, before);
+}
 
+TEST(PlannerCacheChurnTest, EveryMutationKindInvalidates) {
+  Rng rng(99);
+  const std::vector<Point> points = GenerateUniformPoints(500, kUnit, &rng);
+  const Polygon area = FixedAreas(11, 1, 0.4)[0];
+  DynamicPointDatabase::Options options;
+  options.auto_compact = false;
+
+  DynamicPointDatabase db(points, options);
+  QueryContext ctx;
+  ExpectEveryMutationKindInvalidates(db, area, ctx);
   // A no-op compaction (nothing to merge) publishes nothing: same
   // version, and serving the cached entry is exactly right.
   db.Compact();
   db.Query(area, ctx);
   EXPECT_EQ(ctx.stats.result_cache_hits, 1u)
       << "a no-op compact must not invalidate (version unchanged)";
+
+  // The sharded planned path keys its cache on the cross-shard version.
+  ShardedDatabase::Options sharded_options;
+  sharded_options.shard = options;
+  ShardedDatabase sharded(points, sharded_options);
+  ExpectEveryMutationKindInvalidates(sharded, area, ctx);
 }
 
 TEST(PlannerCacheChurnTest, ConcurrentReadersAndMutatorStayExact) {

@@ -18,6 +18,7 @@
 #include "core/brute_force_area_query.h"
 #include "core/point_database.h"
 #include "engine/query_engine.h"
+#include "planner/planned_area_query.h"
 #include "shard/sharded_area_query.h"
 #include "shard/sharded_database.h"
 #include "workload/point_generator.h"
@@ -28,6 +29,9 @@ namespace vaq {
 namespace {
 
 constexpr Box kUnit = Box{{0.0, 0.0}, {1.0, 1.0}};
+constexpr DynamicMethod kMethods[] = {
+    DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+    DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
 
 /// Ground truth for the current version: rebuild a monolithic database
 /// from the snapshot's live set and brute-force it, then map internal ids
@@ -62,12 +66,6 @@ TEST(ShardChurnTest, ChurnStreamMatchesRebuildAcrossCompactions) {
   options.shard.compact_threshold = 150;
   ShardedDatabase db(GenerateUniformPoints(1500, kUnit, &rng), options);
 
-  const ShardedAreaQuery methods[] = {
-      ShardedAreaQuery(&db, DynamicMethod::kVoronoi),
-      ShardedAreaQuery(&db, DynamicMethod::kTraditional),
-      ShardedAreaQuery(&db, DynamicMethod::kGridSweep),
-      ShardedAreaQuery(&db, DynamicMethod::kBruteForce),
-  };
   PolygonSpec spec;
   spec.query_size_fraction = 0.06;
 
@@ -95,11 +93,11 @@ TEST(ShardChurnTest, ChurnStreamMatchesRebuildAcrossCompactions) {
     }
     if (op % 200 == 199) {
       const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
-      const std::vector<PointId> truth =
-          RebuildTruth(*db.snapshot(), area);
-      for (const ShardedAreaQuery& method : methods) {
-        EXPECT_EQ(method.Run(area, ctx), truth)
-            << "op=" << op << " method=" << method.Name();
+      const auto snap = db.snapshot();
+      const std::vector<PointId> truth = RebuildTruth(*snap, area);
+      for (const DynamicMethod method : kMethods) {
+        EXPECT_EQ(RunShardedSnapshotQuery(*snap, method, area, ctx), truth)
+            << "op=" << op << " method=" << MethodName(method);
         EXPECT_EQ(ctx.stats.candidates,
                   ctx.stats.candidate_hits + ctx.stats.visited_rejected);
         EXPECT_EQ(ctx.stats.shards_hit + ctx.stats.shards_pruned, 4u);
@@ -114,27 +112,19 @@ TEST(ShardChurnTest, ChurnStreamMatchesRebuildAcrossCompactions) {
 
 TEST(ShardChurnTest, QueriesConcurrentWithMutationsAreSnapshotConsistent) {
   Rng rng(4321);
+  // Frontend engine executes the planned sharded queries; a separate
+  // scatter pool runs their fan-out legs (see the pool rule of
+  // RunShardedSnapshotQuery). Simulated object IO and large polygons make
+  // each leg worth scattering, so the planner fans out.
+  QueryEngine scatter({.num_threads = 2});
   ShardedDatabase::Options options;
   options.num_shards = 4;
   options.shard.compact_threshold = 256;
+  options.shard.simulated_fetch_ns = 1000.0;
+  options.scatter_engine = &scatter;
   ShardedDatabase db(GenerateUniformPoints(3000, kUnit, &rng), options);
-
-  // Frontend engine executes the sharded queries; a separate scatter pool
-  // runs their fan-out legs (see the ShardedAreaQuery deadlock rule).
-  QueryEngine scatter({.num_threads = 2});
-  const ShardedAreaQuery methods[] = {
-      ShardedAreaQuery(&db, DynamicMethod::kVoronoi, &scatter),
-      ShardedAreaQuery(&db, DynamicMethod::kTraditional, &scatter),
-      ShardedAreaQuery(&db, DynamicMethod::kGridSweep, &scatter),
-      ShardedAreaQuery(&db, DynamicMethod::kBruteForce, &scatter),
-  };
   QueryEngine frontend({.num_threads = 2});
-  const int method_ids[] = {
-      frontend.RegisterMethod(&methods[0]),
-      frontend.RegisterMethod(&methods[1]),
-      frontend.RegisterMethod(&methods[2]),
-      frontend.RegisterMethod(&methods[3]),
-  };
+  const int planned = frontend.RegisterMethod(db.PlannedQuery());
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -162,12 +152,15 @@ TEST(ShardChurnTest, QueriesConcurrentWithMutationsAreSnapshotConsistent) {
   }
 
   PolygonSpec spec;
-  spec.query_size_fraction = 0.05;
+  spec.query_size_fraction = 0.3;
   std::vector<std::future<QueryResult>> futures;
   for (int i = 0; i < 120; ++i) {
     const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
-    futures.push_back(frontend.Submit(area, method_ids[i % 4]));
+    SubmitOptions opts;
+    opts.hints.force_method = kMethods[i % 4];
+    futures.push_back(frontend.Submit(area, planned, opts));
   }
+  int scattered = 0;
   for (std::future<QueryResult>& f : futures) {
     const QueryResult r = f.get();
     // Internal consistency under churn: sorted distinct global ids and a
@@ -180,16 +173,21 @@ TEST(ShardChurnTest, QueriesConcurrentWithMutationsAreSnapshotConsistent) {
     EXPECT_EQ(r.stats.candidates,
               r.stats.candidate_hits + r.stats.visited_rejected);
     EXPECT_EQ(r.stats.shards_hit + r.stats.shards_pruned, 4u);
+    if ((r.stats.plan_reason & plan_reason::kScatter) != 0) ++scattered;
   }
   stop.store(true);
   for (std::thread& t : writers) t.join();
+  EXPECT_GT(scattered, 0) << "no plan fanned its legs out under churn";
 
   // Quiesced: all four sharded methods agree with the rebuild oracle.
   QueryContext ctx;
   const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
-  const std::vector<PointId> truth = RebuildTruth(*db.snapshot(), area);
-  for (const ShardedAreaQuery& method : methods) {
-    EXPECT_EQ(method.Run(area, ctx), truth) << method.Name();
+  const auto snap = db.snapshot();
+  const std::vector<PointId> truth = RebuildTruth(*snap, area);
+  for (const DynamicMethod method : kMethods) {
+    EXPECT_EQ(RunShardedSnapshotQuery(*snap, method, area, ctx, &scatter),
+              truth)
+        << MethodName(method);
   }
 }
 

@@ -52,10 +52,10 @@ TEST(ShardConstructionTest, MoreShardsThanPointsWorks) {
   for (const DynamicMethod method :
        {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
         DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
-    const ShardedAreaQuery query(&sharded, method);
-    const std::vector<PointId> got = query.Run(everything, ctx);
+    const std::vector<PointId> got =
+        RunShardedSnapshotQuery(*sharded.snapshot(), method, everything, ctx);
     EXPECT_EQ(got, (std::vector<PointId>{0, 1, 2, 3, 4}))
-        << "method=" << query.Name();
+        << "method=" << MethodName(method);
     EXPECT_EQ(ctx.stats.shards_hit + ctx.stats.shards_pruned, 16u);
   }
 
@@ -66,8 +66,11 @@ TEST(ShardConstructionTest, MoreShardsThanPointsWorks) {
     ASSERT_TRUE(id.has_value());
   }
   EXPECT_EQ(sharded.Size(), 69u);
-  const ShardedAreaQuery brute(&sharded, DynamicMethod::kBruteForce);
-  EXPECT_EQ(brute.Run(everything, ctx).size(), 69u);
+  EXPECT_EQ(RunShardedSnapshotQuery(*sharded.snapshot(),
+                                    DynamicMethod::kBruteForce, everything,
+                                    ctx)
+                .size(),
+            69u);
 }
 
 TEST(ShardConstructionTest, EmptyInputWorks) {
@@ -76,11 +79,15 @@ TEST(ShardConstructionTest, EmptyInputWorks) {
   QueryContext ctx;
   const Polygon area = Polygon(
       std::vector<Point>{{0.0, 0.0}, {1.0, 0.0}, {0.5, 1.0}});
-  const ShardedAreaQuery query(&sharded, DynamicMethod::kVoronoi);
-  EXPECT_TRUE(query.Run(area, ctx).empty());
+  EXPECT_TRUE(RunShardedSnapshotQuery(*sharded.snapshot(),
+                                      DynamicMethod::kVoronoi, area, ctx)
+                  .empty());
   EXPECT_EQ(ctx.stats.shards_pruned, 4u);
   EXPECT_TRUE(sharded.Insert({0.5, 0.5}).has_value());
-  EXPECT_EQ(query.Run(area, ctx).size(), 1u);
+  EXPECT_EQ(RunShardedSnapshotQuery(*sharded.snapshot(),
+                                    DynamicMethod::kVoronoi, area, ctx)
+                .size(),
+            1u);
 
   // Routing over the empty-construction default domain is a real K-way
   // split, not a single-shard funnel: a spread of inserts must populate

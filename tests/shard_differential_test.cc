@@ -11,7 +11,9 @@
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
 #include "engine/query_engine.h"
+#include "planner/planned_area_query.h"
 #include "shard/sharded_area_query.h"
 #include "shard/sharded_database.h"
 #include "workload/point_generator.h"
@@ -122,11 +125,12 @@ TEST(ShardDifferentialTest, MatchesUnshardedOracleAcrossShardCounts) {
         for (std::size_t m = 0; m < 4; ++m) {
           const std::vector<PointId> truth =
               OracleRun(oracle, *oracle_methods[m], area, ctx);
-          const ShardedAreaQuery query(&sharded, methods[m]);
-          const std::vector<PointId> got = query.Run(area, ctx);
+          const std::vector<PointId> got = RunShardedSnapshotQuery(
+              *sharded.snapshot(), methods[m], area, ctx);
           EXPECT_EQ(got, truth)
               << "n=" << dataset.size << " K=" << k
-              << " query_size=" << query_size << " method=" << query.Name();
+              << " query_size=" << query_size
+              << " method=" << MethodName(methods[m]);
           ExpectMergedStatsInvariants(ctx.stats, k, got.size());
         }
       }
@@ -155,11 +159,12 @@ TEST(ShardDifferentialTest, ScatterEngineMatchesInlineExecution) {
     for (const DynamicMethod method :
          {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
           DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
-      const ShardedAreaQuery inline_query(&sharded, method);
-      const ShardedAreaQuery parallel_query(&sharded, method, &scatter);
-      const std::vector<PointId> inline_ids = inline_query.Run(area, ctx);
+      const auto snap = sharded.snapshot();
+      const std::vector<PointId> inline_ids =
+          RunShardedSnapshotQuery(*snap, method, area, ctx);
       const QueryStats inline_stats = ctx.stats;
-      const std::vector<PointId> parallel_ids = parallel_query.Run(area, ctx);
+      const std::vector<PointId> parallel_ids =
+          RunShardedSnapshotQuery(*snap, method, area, ctx, &scatter);
       EXPECT_EQ(inline_ids, truth);
       EXPECT_EQ(parallel_ids, truth);
       // The merge is order-independent, so the two execution modes agree
@@ -177,32 +182,42 @@ TEST(ShardDifferentialTest, ScatterEngineMatchesInlineExecution) {
 }
 
 TEST(ShardDifferentialTest, SelfScatterEngineDegradesToInlineNotDeadlock) {
-  // The documented misconfiguration: the sharded query registered with
-  // the very engine it scatters into. All 2 workers fill up with parent
-  // queries; without the OnWorkerThread guard every parent would block
-  // forever on legs nobody can pop. With it, parents run their legs
-  // inline and results stay exact.
+  // The documented misconfiguration: the planned sharded query registered
+  // with the very engine it scatters into. All 2 workers fill up with
+  // parent queries; without the OnWorkerThread guard every parent whose
+  // plan scatters would block forever on legs nobody can pop. With it,
+  // parents run their legs inline and results stay exact. Simulated
+  // object IO makes each leg expensive enough that the planner scatters.
   Rng rng(6060);
   const std::vector<Point> points = GenerateUniformPoints(2000, kUnit, &rng);
   const PointDatabase oracle(points);
   const BruteForceAreaQuery oracle_brute(&oracle);
-  const ShardedDatabase sharded(points, ShardOptions(8));
-
   QueryEngine engine({.num_threads = 2});
-  const ShardedAreaQuery query(&sharded, DynamicMethod::kVoronoi, &engine);
-  const int method = engine.RegisterMethod(&query);
+  ShardedDatabase::Options options = ShardOptions(8);
+  options.shard.simulated_fetch_ns = 5000.0;
+  options.scatter_engine = &engine;
+  const ShardedDatabase sharded(points, options);
+  const int method = engine.RegisterMethod(sharded.PlannedQuery());
 
   PolygonSpec spec;
   spec.query_size_fraction = 0.15;
   QueryContext ctx;
+  SubmitOptions opts;
+  opts.hints.force_method = DynamicMethod::kVoronoi;
   std::vector<Polygon> areas;
+  std::vector<std::future<QueryResult>> futures;
   for (int i = 0; i < 16; ++i) {
     areas.push_back(GenerateQueryPolygon(spec, kUnit, &rng));
+    futures.push_back(engine.Submit(areas.back(), method, opts));
   }
-  const std::vector<QueryResult> results = engine.RunBatch(areas, method);
+  int scattered = 0;
   for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(results[i].ids, OracleRun(oracle, oracle_brute, areas[i], ctx));
+    const QueryResult r = futures[i].get();
+    EXPECT_EQ(r.ids, OracleRun(oracle, oracle_brute, areas[i], ctx));
+    if ((r.stats.plan_reason & plan_reason::kScatter) != 0) ++scattered;
   }
+  // The guard only matters for plans that scatter.
+  EXPECT_GT(scattered, 0);
 }
 
 TEST(ShardDifferentialTest, ShardAssignmentIsPermutationInvariant) {
@@ -247,11 +262,11 @@ TEST(ShardDifferentialTest, ShardAssignmentIsPermutationInvariant) {
     Rng query_rng(556);
     for (int rep = 0; rep < 4; ++rep) {
       const Polygon area = GenerateQueryPolygon(spec, kUnit, &query_rng);
-      const ShardedAreaQuery qa(&a, DynamicMethod::kVoronoi);
-      const ShardedAreaQuery qb(&b, DynamicMethod::kVoronoi);
-      const std::vector<PointId> ids_a = qa.Run(area, ctx);
+      const std::vector<PointId> ids_a = RunShardedSnapshotQuery(
+          *snap_a, DynamicMethod::kVoronoi, area, ctx);
       std::vector<PointId> ids_b_mapped;
-      for (const PointId id : qb.Run(area, ctx)) {
+      for (const PointId id : RunShardedSnapshotQuery(
+               *snap_b, DynamicMethod::kVoronoi, area, ctx)) {
         ids_b_mapped.push_back(perm[id]);
       }
       std::sort(ids_b_mapped.begin(), ids_b_mapped.end());
@@ -290,9 +305,10 @@ TEST(ShardDifferentialTest, ConcaveAreaSpanningShardsStaysComplete) {
     for (const DynamicMethod method :
          {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
           DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
-      const ShardedAreaQuery query(&sharded, method);
-      EXPECT_EQ(query.Run(u_shape, ctx), truth)
-          << "K=" << k << " method=" << query.Name();
+      EXPECT_EQ(
+          RunShardedSnapshotQuery(*sharded.snapshot(), method, u_shape, ctx),
+          truth)
+          << "K=" << k << " method=" << MethodName(method);
     }
   }
 }
@@ -314,13 +330,84 @@ TEST(ShardDifferentialTest, PruningSkipsShardsButNeverResults) {
     const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
     const std::vector<PointId> truth =
         OracleRun(oracle, oracle_brute, area, ctx);
-    const ShardedAreaQuery query(&sharded, DynamicMethod::kTraditional);
-    EXPECT_EQ(query.Run(area, ctx), truth);
+    EXPECT_EQ(RunShardedSnapshotQuery(*sharded.snapshot(),
+                                      DynamicMethod::kTraditional, area, ctx),
+              truth);
     total_pruned += ctx.stats.shards_pruned;
   }
   // 1%-sized queries against 16 Hilbert-compact shards: the large
   // majority of shard MBRs must classify outside.
   EXPECT_GT(total_pruned, 12u * 8u);
+}
+
+TEST(ShardDifferentialTest, PlannedQueryMatchesOracleInlineAndScattered) {
+  // The planned sharded path (`ShardedDatabase::Query`): auto and every
+  // forced method, with and without a scatter engine, must answer exactly
+  // what the unsharded oracle answers.
+  Rng rng(2727);
+  const std::vector<Point> points = GenerateUniformPoints(3000, kUnit, &rng);
+  const PointDatabase oracle(points);
+  const BruteForceAreaQuery oracle_brute(&oracle);
+  QueryEngine scatter({.num_threads = 2});
+  const std::optional<DynamicMethod> forced[] = {
+      std::nullopt, DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+
+  QueryContext ctx;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{4}}) {
+    for (QueryEngine* engine : {static_cast<QueryEngine*>(nullptr), &scatter}) {
+      ShardedDatabase::Options options = ShardOptions(k);
+      options.scatter_engine = engine;
+      const ShardedDatabase sharded(points, options);
+      for (const double query_size : {0.02, 0.3, 0.7}) {
+        PolygonSpec spec;
+        spec.query_size_fraction = query_size;
+        const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
+        const std::vector<PointId> truth =
+            OracleRun(oracle, oracle_brute, area, ctx);
+        for (const std::optional<DynamicMethod>& method : forced) {
+          PlanHints hints;
+          hints.force_method = method;
+          hints.use_cache = false;  // Every call executes.
+          const std::vector<PointId> got = sharded.Query(area, ctx, hints);
+          EXPECT_EQ(got, truth)
+              << "K=" << k << " engine=" << (engine != nullptr)
+              << " query_size=" << query_size << " method="
+              << (method ? MethodName(*method) : "auto");
+          ExpectMergedStatsInvariants(ctx.stats, k, got.size());
+          EXPECT_NE(ctx.stats.plan_method, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardDifferentialTest, LargePlannedQueryScattersWithEngine) {
+  // A polygon covering most of the domain over four large shards: every
+  // traditional leg is worth more than the scatter overhead, so the seed
+  // cost model fans the legs onto the engine.
+  Rng rng(2828);
+  const std::vector<Point> points = GenerateUniformPoints(20000, kUnit, &rng);
+  const PointDatabase oracle(points);
+  const BruteForceAreaQuery oracle_brute(&oracle);
+  QueryEngine scatter({.num_threads = 2});
+  ShardedDatabase::Options options = ShardOptions(4);
+  options.scatter_engine = &scatter;
+  const ShardedDatabase sharded(points, options);
+
+  const Polygon area(std::vector<Point>{
+      {0.05, 0.05}, {0.95, 0.05}, {0.95, 0.95}, {0.05, 0.95}});
+  PlanHints hints;
+  hints.force_method = DynamicMethod::kTraditional;
+  ASSERT_TRUE(sharded.PlannedQuery()->PlanFor(area, hints).scatter);
+  QueryContext oracle_ctx;
+  const std::vector<PointId> truth =
+      OracleRun(oracle, oracle_brute, area, oracle_ctx);
+  QueryContext ctx;
+  EXPECT_EQ(sharded.Query(area, ctx, hints), truth);
+  EXPECT_NE(ctx.stats.plan_reason & plan_reason::kScatter, 0u);
+  EXPECT_GT(ctx.stats.shards_hit, 1u);
+  EXPECT_EQ(ctx.stats.shards_hit + ctx.stats.shards_pruned, 4u);
 }
 
 }  // namespace

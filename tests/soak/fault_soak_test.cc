@@ -159,7 +159,6 @@ TEST(FaultSoakTest, ShardedPartialModeReturnsFlaggedOracleSubsets) {
         DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
     const DynamicMethod method =
         methods[static_cast<std::size_t>(seed) % 4];
-    const ShardedAreaQuery query(&sharded, method, nullptr, policy);
     const BruteForceAreaQuery oracle_brute(&oracle);
 
     QueryContext ctx;
@@ -174,7 +173,8 @@ TEST(FaultSoakTest, ShardedPartialModeReturnsFlaggedOracleSubsets) {
       }
       std::sort(truth.begin(), truth.end());
 
-      const std::vector<PointId> got = query.Run(area, ctx);
+      const std::vector<PointId> got = RunShardedSnapshotQuery(
+          *sharded.snapshot(), method, area, ctx, nullptr, policy);
       EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "seed=" << seed;
       EXPECT_TRUE(
           std::includes(truth.begin(), truth.end(), got.begin(), got.end()))

@@ -129,10 +129,11 @@ TEST(StorageDifferentialTest, ShardedPagedMatchesInMemoryOracle) {
       for (const DynamicMethod method :
            {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
             DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
-        const ShardedAreaQuery query(&sharded, method);
-        EXPECT_EQ(query.Run(area, ctx), truth)
+        EXPECT_EQ(
+            RunShardedSnapshotQuery(*sharded.snapshot(), method, area, ctx),
+            truth)
             << "backend=" << StorageBackendName(backend)
-            << " method=" << query.Name();
+            << " method=" << MethodName(method);
         // The per-shard page counters must survive the scatter-gather
         // stats merge with the invariant intact.
         ExpectPageInvariant(ctx.stats);
@@ -150,12 +151,9 @@ TEST(StorageDifferentialTest, ChurnOnPagedBackendMatchesRebuild) {
   options.auto_compact = false;
   options.base.storage = PagedOptions(StorageBackend::kMmap).storage;
   DynamicPointDatabase db(GenerateUniformPoints(1500, kUnit, &rng), options);
-  const DynamicAreaQuery methods[] = {
-      DynamicAreaQuery(&db, DynamicMethod::kVoronoi),
-      DynamicAreaQuery(&db, DynamicMethod::kTraditional),
-      DynamicAreaQuery(&db, DynamicMethod::kGridSweep),
-      DynamicAreaQuery(&db, DynamicMethod::kBruteForce),
-  };
+  constexpr DynamicMethod kMethods[] = {
+      DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
   PolygonSpec spec;
   spec.query_size_fraction = 0.08;
 
@@ -179,9 +177,10 @@ TEST(StorageDifferentialTest, ChurnOnPagedBackendMatchesRebuild) {
       truth.push_back(ids[rebuilt.OriginalId(internal)]);
     }
     std::sort(truth.begin(), truth.end());
-    for (const DynamicAreaQuery& method : methods) {
-      EXPECT_EQ(method.Run(area, ctx), truth)
-          << when << ", method: " << method.Name();
+    for (const DynamicMethod method : kMethods) {
+      EXPECT_EQ(RunDynamicSnapshotQuery(*db.snapshot(), method, area, ctx),
+                truth)
+          << when << ", method: " << MethodName(method);
       ExpectPageInvariant(ctx.stats);
     }
   };
