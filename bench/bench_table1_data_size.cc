@@ -12,7 +12,7 @@
 //
 // Usage: bench_table1_data_size [--quick] [--threads] [--json]
 //                               [--data-size=N] [--reps=R]
-//                               [--backend=memory|mmap|mmap_uring]
+//                               [--backend=memory|mmap]
 //                               [--cache-pages=C]
 //   --quick: 3 data sizes, 20 repetitions (CI smoke run). Default: the
 //   paper's full 10 sizes at 100 repetitions.
@@ -63,7 +63,6 @@ int main(int argc, char** argv) {
       const std::string name = arg.substr(10);
       if (name == "memory") backend = StorageBackend::kInMemory;
       else if (name == "mmap") backend = StorageBackend::kMmap;
-      else if (name == "mmap_uring") backend = StorageBackend::kMmapUring;
       else {
         std::cerr << "unknown backend: " << name << "\n";
         return 1;

@@ -5,7 +5,7 @@
 //
 // Usage:
 //   area_query_cli <points.{vaqp|csv}> <polygon.csv> [method] [--ids]
-//                  [--backend=memory|mmap|mmap_uring]
+//                  [--backend=memory|mmap]
 //                  [--cache-pages=N] [--page-size=B]
 //     method: voronoi (default) | traditional | grid-sweep | brute |
 //       auto | all. `auto` routes through the adaptive planner
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s <points.{vaqp|csv}> <polygon.csv> "
                  "[voronoi|traditional|grid-sweep|brute|auto|all] [--ids]\n"
-                 "       [--backend=memory|mmap|mmap_uring] "
+                 "       [--backend=memory|mmap] "
                  "[--cache-pages=N] [--page-size=B]\n"
                  "  auto: adaptive planner picks the method per query "
                  "(choice and reasons are printed)\n"
@@ -155,8 +155,6 @@ int main(int argc, char** argv) {
         db_options.storage.backend = StorageBackend::kInMemory;
       } else if (backend == "mmap") {
         db_options.storage.backend = StorageBackend::kMmap;
-      } else if (backend == "mmap_uring") {
-        db_options.storage.backend = StorageBackend::kMmapUring;
       } else {
         std::fprintf(stderr, "error: unknown backend '%s'\n",
                      backend.c_str());

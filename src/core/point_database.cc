@@ -183,8 +183,6 @@ void PointDatabase::InitPagedStorage() {
   store_options.verify_checksum = options_storage_.verify_checksum;
   store_options.miss_mode = options_storage_.miss_mode;
   store_options.required_page_size_bytes = options_storage_.page_size_bytes;
-  store_options.use_uring =
-      options_storage_.backend == StorageBackend::kMmapUring;
   store_options.fault = options_storage_.fault;
   try {
     page_store_ = PageStore::Open(path, store_options);

@@ -179,8 +179,7 @@ class PointDatabase {
   }
 
   /// Prefetch hint for an upcoming gather of `ids[0..n)` — a no-op on
-  /// the in-memory backend, `madvise(MADV_WILLNEED)` (plus batched
-  /// io_uring reads into the cache, when active) on the paged ones.
+  /// the in-memory backend, `madvise(MADV_WILLNEED)` on the paged one.
   /// Issued by the frontier-expansion loop for the generation it is
   /// about to stream and by the filter-refine path for its candidate
   /// list; never changes results or per-query touch accounting.

@@ -98,8 +98,6 @@ FaultSpec FaultSpec::Parse(const std::string& text) {
       spec.spike_ms = ParseNonNegative(key, value);
     } else if (key == "fetch_spike") {
       spec.fetch_spike_rate = ParseRate(key, value);
-    } else if (key == "torn") {
-      spec.torn_prefetch_rate = ParseRate(key, value);
     } else if (key == "retries") {
       spec.max_read_retries = static_cast<int>(ParseNonNegative(key, value));
     } else if (key == "backoff_ms") {

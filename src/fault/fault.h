@@ -39,10 +39,6 @@ struct FaultSpec {
   /// spikes by `spike_ms`. Drawn per fetch call (sequence-hashed), so it
   /// perturbs latency distributions without touching results.
   double fetch_spike_rate = 0.0;
-  /// Probability that a batched (io_uring) prefetch tears: the batch is
-  /// treated as failed mid-flight and rolled back, exercising the
-  /// fallback path. Never affects results — the gather re-reads misses.
-  double torn_prefetch_rate = 0.0;
   /// Read-retry policy the storage layer applies while this spec is
   /// active: a transient fault is retried up to this many times with
   /// capped exponential backoff starting at `backoff_initial_ms` and
@@ -55,7 +51,7 @@ struct FaultSpec {
 
   /// Parses a comma-separated `key=value` spec, e.g.
   ///   "seed=42,read_error=0.01,corrupt=0.005,slow=0.01,spike_ms=5"
-  /// Keys: seed, read_error, corrupt, slow, spike_ms, fetch_spike, torn,
+  /// Keys: seed, read_error, corrupt, slow, spike_ms, fetch_spike,
   /// retries, backoff_ms, backoff_max_ms. The returned spec is enabled
   /// (an empty string parses to a disabled spec). Throws
   /// `std::invalid_argument` on an unknown key or a malformed value.
@@ -97,11 +93,6 @@ class FaultInjector {
     return Decide(kSiteSlow, page, 0, spec_.slow_page_rate);
   }
 
-  /// Does the `n`-th prefetch batch tear mid-flight?
-  bool TornPrefetch(std::uint64_t batch) const {
-    return Decide(kSiteTorn, batch, 0, spec_.torn_prefetch_rate);
-  }
-
   /// Does the `n`-th simulated fetch spike?
   bool FetchSpikes(std::uint64_t fetch) const {
     return Decide(kSiteSpike, fetch, 0, spec_.fetch_spike_rate);
@@ -119,11 +110,12 @@ class FaultInjector {
 
  private:
   // Site tags keep the per-site hash streams independent: a page that
-  // draws a read error does not thereby draw corruption too.
+  // draws a read error does not thereby draw corruption too. Tag 0x4 is
+  // unused; the others keep their values so a seed replays the same
+  // faults.
   static constexpr std::uint64_t kSiteRead = 0x1;
   static constexpr std::uint64_t kSiteCorrupt = 0x2;
   static constexpr std::uint64_t kSiteSlow = 0x3;
-  static constexpr std::uint64_t kSiteTorn = 0x4;
   static constexpr std::uint64_t kSiteSpike = 0x5;
 
   bool Decide(std::uint64_t site, std::uint64_t entity, std::uint64_t attempt,

@@ -254,7 +254,7 @@ void QueryServer::ServeConnection(Connection* conn) {
 }
 
 std::vector<std::uint8_t> QueryServer::HandleRequest(
-    Connection* conn, Opcode opcode, std::vector<std::uint8_t> payload) {
+    Connection* conn, Opcode opcode, std::span<const std::uint8_t> payload) {
   if (stopping_.load(std::memory_order_relaxed)) {
     ++conn->errors;
     return ErrorFrame(WireErrorCode::kShuttingDown,

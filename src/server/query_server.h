@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -127,8 +128,8 @@ class QueryServer {
   void ServeConnection(Connection* conn);
   /// Handles one decoded request frame; returns the response bytes
   /// (one or more frames, the last terminal).
-  std::vector<std::uint8_t> HandleRequest(Connection* conn, Opcode opcode,
-                                          std::vector<std::uint8_t> payload);
+  std::vector<std::uint8_t> HandleRequest(
+      Connection* conn, Opcode opcode, std::span<const std::uint8_t> payload);
   std::vector<std::uint8_t> HandleQuery(std::span<const std::uint8_t> payload);
 
   DynamicPointDatabase* db_;

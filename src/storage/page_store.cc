@@ -12,11 +12,6 @@
 #include <stdexcept>
 #include <thread>
 
-#if defined(VAQ_HAVE_IO_URING)
-#include <linux/io_uring.h>
-#include <sys/syscall.h>
-#endif
-
 namespace vaq {
 
 const char* StorageBackendName(StorageBackend backend) {
@@ -25,176 +20,11 @@ const char* StorageBackendName(StorageBackend backend) {
       return "memory";
     case StorageBackend::kMmap:
       return "mmap";
-    case StorageBackend::kMmapUring:
-      return "mmap_uring";
   }
   return "unknown";
 }
 
-// ---------------------------------------------------------------------------
-// Raw io_uring wrapper (no liburing dependency): one SQ/CQ ring pair used
-// only for batched page reads — fill N read SQEs, one `io_uring_enter`
-// that both submits and waits, drain N CQEs. Setup failure (old kernel,
-// seccomp-filtered sandbox, io_uring_disabled sysctl) is not an error:
-// `Create` returns null and the store degrades to madvise-only prefetch.
-// ---------------------------------------------------------------------------
-#if defined(VAQ_HAVE_IO_URING) && defined(__NR_io_uring_setup) && \
-    defined(__NR_io_uring_enter)
-
-struct PageStore::Uring {
-  int ring_fd = -1;
-  unsigned sq_entry_count = 0;
-  void* sq_ring = nullptr;
-  std::size_t sq_ring_sz = 0;
-  void* cq_ring = nullptr;
-  std::size_t cq_ring_sz = 0;
-  bool single_mmap = false;
-  io_uring_sqe* sqes = nullptr;
-  std::size_t sqes_sz = 0;
-  unsigned* sq_head = nullptr;
-  unsigned* sq_tail = nullptr;
-  unsigned* sq_mask = nullptr;
-  unsigned* sq_array = nullptr;
-  unsigned* cq_head = nullptr;
-  unsigned* cq_tail = nullptr;
-  unsigned* cq_mask = nullptr;
-  io_uring_cqe* cqes = nullptr;
-
-  struct ReadReq {
-    void* buf;
-    std::uint64_t off;
-    std::uint32_t len;
-  };
-
-  static std::unique_ptr<Uring> Create(unsigned entries) {
-    io_uring_params params;
-    std::memset(&params, 0, sizeof(params));
-    const long fd = syscall(__NR_io_uring_setup, entries, &params);
-    if (fd < 0) return nullptr;
-
-    auto ring = std::make_unique<Uring>();
-    ring->ring_fd = static_cast<int>(fd);
-    ring->sq_entry_count = params.sq_entries;
-    ring->sq_ring_sz =
-        params.sq_off.array + params.sq_entries * sizeof(unsigned);
-    ring->cq_ring_sz =
-        params.cq_off.cqes + params.cq_entries * sizeof(io_uring_cqe);
-    ring->single_mmap = (params.features & IORING_FEAT_SINGLE_MMAP) != 0;
-    if (ring->single_mmap) {
-      ring->sq_ring_sz = ring->cq_ring_sz =
-          std::max(ring->sq_ring_sz, ring->cq_ring_sz);
-    }
-    ring->sq_ring = mmap(nullptr, ring->sq_ring_sz, PROT_READ | PROT_WRITE,
-                         MAP_SHARED | MAP_POPULATE, ring->ring_fd,
-                         IORING_OFF_SQ_RING);
-    if (ring->sq_ring == MAP_FAILED) {
-      ring->sq_ring = nullptr;
-      return nullptr;
-    }
-    if (ring->single_mmap) {
-      ring->cq_ring = ring->sq_ring;
-    } else {
-      ring->cq_ring = mmap(nullptr, ring->cq_ring_sz, PROT_READ | PROT_WRITE,
-                           MAP_SHARED | MAP_POPULATE, ring->ring_fd,
-                           IORING_OFF_CQ_RING);
-      if (ring->cq_ring == MAP_FAILED) {
-        ring->cq_ring = nullptr;
-        return nullptr;
-      }
-    }
-    ring->sqes_sz = params.sq_entries * sizeof(io_uring_sqe);
-    void* sqes = mmap(nullptr, ring->sqes_sz, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring->ring_fd,
-                      IORING_OFF_SQES);
-    if (sqes == MAP_FAILED) return nullptr;
-    ring->sqes = static_cast<io_uring_sqe*>(sqes);
-
-    char* sq = static_cast<char*>(ring->sq_ring);
-    ring->sq_head = reinterpret_cast<unsigned*>(sq + params.sq_off.head);
-    ring->sq_tail = reinterpret_cast<unsigned*>(sq + params.sq_off.tail);
-    ring->sq_mask = reinterpret_cast<unsigned*>(sq + params.sq_off.ring_mask);
-    ring->sq_array = reinterpret_cast<unsigned*>(sq + params.sq_off.array);
-    char* cq = static_cast<char*>(ring->cq_ring);
-    ring->cq_head = reinterpret_cast<unsigned*>(cq + params.cq_off.head);
-    ring->cq_tail = reinterpret_cast<unsigned*>(cq + params.cq_off.tail);
-    ring->cq_mask = reinterpret_cast<unsigned*>(cq + params.cq_off.ring_mask);
-    ring->cqes = reinterpret_cast<io_uring_cqe*>(cq + params.cq_off.cqes);
-    return ring;
-  }
-
-  ~Uring() {
-    if (sqes != nullptr) munmap(sqes, sqes_sz);
-    if (cq_ring != nullptr && !single_mmap) munmap(cq_ring, cq_ring_sz);
-    if (sq_ring != nullptr) munmap(sq_ring, sq_ring_sz);
-    if (ring_fd >= 0) close(ring_fd);
-  }
-
-  /// Issues every read and waits for all completions; chunked by ring
-  /// capacity. Returns false if any submit or any read failed/shortened —
-  /// the caller falls back to pread for the whole batch.
-  bool ReadBatch(int file_fd, const ReadReq* reqs, std::size_t n) {
-    for (std::size_t base = 0; base < n;) {
-      const unsigned chunk = static_cast<unsigned>(
-          std::min<std::size_t>(n - base, sq_entry_count));
-      unsigned tail = *sq_tail;  // Sole submitter; plain read is fine.
-      for (unsigned i = 0; i < chunk; ++i) {
-        const unsigned idx = tail & *sq_mask;
-        io_uring_sqe* sqe = &sqes[idx];
-        std::memset(sqe, 0, sizeof(*sqe));
-        sqe->opcode = IORING_OP_READ;
-        sqe->fd = file_fd;
-        sqe->addr = reinterpret_cast<std::uint64_t>(reqs[base + i].buf);
-        sqe->len = reqs[base + i].len;
-        sqe->off = reqs[base + i].off;
-        sqe->user_data = base + i;
-        sq_array[idx] = idx;
-        ++tail;
-      }
-      __atomic_store_n(sq_tail, tail, __ATOMIC_RELEASE);
-      unsigned completed = 0;
-      while (completed < chunk) {
-        const long ret =
-            syscall(__NR_io_uring_enter, ring_fd,
-                    completed == 0 ? chunk : 0, chunk - completed,
-                    IORING_ENTER_GETEVENTS, nullptr, 0);
-        if (ret < 0 && errno != EINTR) return false;
-        unsigned head = *cq_head;
-        const unsigned cq_ready = __atomic_load_n(cq_tail, __ATOMIC_ACQUIRE);
-        while (head != cq_ready) {
-          const io_uring_cqe& cqe = cqes[head & *cq_mask];
-          const ReadReq& req = reqs[cqe.user_data];
-          if (cqe.res != static_cast<std::int32_t>(req.len)) {
-            __atomic_store_n(cq_head, head + 1, __ATOMIC_RELEASE);
-            return false;
-          }
-          ++head;
-          ++completed;
-        }
-        __atomic_store_n(cq_head, head, __ATOMIC_RELEASE);
-      }
-      base += chunk;
-    }
-    return true;
-  }
-};
-
-#else  // io_uring not compiled in: a stub so the unique_ptr member links.
-
-struct PageStore::Uring {
-  struct ReadReq {
-    void* buf;
-    std::uint64_t off;
-    std::uint32_t len;
-  };
-  static std::unique_ptr<Uring> Create(unsigned) { return nullptr; }
-  bool ReadBatch(int, const ReadReq*, std::size_t) { return false; }
-};
-
-#endif
-
 namespace {
-
-constexpr unsigned kUringEntries = 64;
 
 unsigned ShiftOf(std::size_t pow2) {
   unsigned s = 0;
@@ -275,21 +105,16 @@ PageStore::PageStore(const std::string& path, const Options& options,
   frames_.resize(frames_count_ * header_.page_size_bytes);
   slot_of_page_.assign(header_.NumPages(), -1);
   page_of_slot_.assign(frames_count_, 0);
-  pin_count_.assign(frames_count_, 0);
   lru_prev_.assign(frames_count_, kNilSlot);
   lru_next_.assign(frames_count_, kNilSlot);
   free_slots_.reserve(frames_count_);
   for (std::size_t s = frames_count_; s-- > 0;) free_slots_.push_back(s);
-
-  if (options_.use_uring) uring_ = Uring::Create(kUringEntries);
 }
 
 PageStore::~PageStore() {
   if (map_base_ != nullptr) munmap(map_base_, map_len_);
   if (fd_ >= 0) ::close(fd_);
 }
-
-bool PageStore::uring_active() const { return uring_ != nullptr; }
 
 void PageStore::UnlinkLocked(std::size_t slot) {
   const std::size_t prev = lru_prev_[slot];
@@ -319,17 +144,16 @@ std::size_t PageStore::AcquireSlotLocked() {
     free_slots_.pop_back();
     return slot;
   }
-  // Evict the least-recently-used unpinned frame.
-  for (std::size_t slot = lru_tail_; slot != kNilSlot;
-       slot = lru_prev_[slot]) {
-    if (pin_count_[slot] != 0) continue;
-    slot_of_page_[page_of_slot_[slot]] = -1;
-    ++counters_.evictions;
-    UnlinkLocked(slot);
-    return slot;
+  // Every occupied frame is on the LRU chain, so with no free slot the
+  // tail exists unless a failed load leaked its frame.
+  const std::size_t slot = lru_tail_;
+  if (slot == kNilSlot) {
+    throw std::logic_error("PageStore: no free or evictable cache frame");
   }
-  throw std::runtime_error(
-      "PageStore: cannot load page — every cache frame is pinned");
+  slot_of_page_[page_of_slot_[slot]] = -1;
+  ++counters_.evictions;
+  UnlinkLocked(slot);
+  return slot;
 }
 
 void PageStore::LoadPageLocked(std::uint32_t page, std::size_t slot) {
@@ -508,54 +332,6 @@ void PageStore::Prefetch(const PointId* ids, std::size_t n) {
   if (prefetch_pages_.empty()) return;
 
   const std::size_t len = header_.page_size_bytes;
-  if (uring_ != nullptr) {
-    // Load the hinted pages into cache frames with one batched submit.
-    // Cap at the cache capacity minus one so the prefetch can never evict
-    // a page the in-progress gather still holds a frame pointer to (the
-    // gather re-resolves per page anyway; the cap just keeps a hint from
-    // churning the whole cache).
-    std::size_t quota = frames_count_ > 1 ? frames_count_ - 1 : 1;
-    std::vector<Uring::ReadReq> reqs;
-    std::vector<std::size_t> slots;
-    reqs.reserve(std::min(prefetch_pages_.size(), quota));
-    for (const std::uint32_t page : prefetch_pages_) {
-      if (reqs.size() >= quota) break;
-      std::size_t slot;
-      try {
-        slot = AcquireSlotLocked();
-      } catch (const std::runtime_error&) {
-        break;  // Everything pinned — a hint must not throw.
-      }
-      reqs.push_back(Uring::ReadReq{
-          frames_.data() + slot * len,
-          kPageFileHeaderBytes + static_cast<std::uint64_t>(page) * len,
-          static_cast<std::uint32_t>(len)});
-      slots.push_back(slot);
-      slot_of_page_[page] = static_cast<std::int64_t>(slot);
-      page_of_slot_[slot] = page;
-      PushFrontLocked(slot);
-    }
-    if (!reqs.empty()) {
-      // A torn prefetch treats the whole batch as failed mid-flight even
-      // when the ring would have succeeded, forcing the rollback path
-      // below; the gather then re-reads those pages as ordinary misses,
-      // so results never change — only the fallback gets exercised.
-      const bool torn = injector_ != nullptr &&
-                        injector_->TornPrefetch(prefetch_batches_++);
-      if (!torn && uring_->ReadBatch(fd_, reqs.data(), reqs.size())) {
-        counters_.prefetch_reads += reqs.size();
-        return;
-      }
-      // Batched read failed: roll the mappings back and fall through to
-      // the madvise hint; subsequent touches will pread as normal misses.
-      for (std::size_t i = 0; i < slots.size(); ++i) {
-        slot_of_page_[page_of_slot_[slots[i]]] = -1;
-        UnlinkLocked(slots[i]);
-        free_slots_.push_back(slots[i]);
-      }
-    }
-  }
-
   // madvise(MADV_WILLNEED) over the distinct pages, coalescing adjacent
   // pages into one range. Addresses are aligned down to the system page
   // (the 64-byte header offsets every payload page).
@@ -578,21 +354,6 @@ void PageStore::Prefetch(const PointId* ids, std::size_t n) {
     madvise(aligned, static_cast<std::size_t>(end - aligned), MADV_WILLNEED);
     i = j;
   }
-}
-
-void PageStore::Pin(std::uint32_t page, QueryStats* stats) {
-  std::lock_guard<std::mutex> lock(mu_);
-  FrameForPageLocked(page, stats);
-  ++pin_count_[static_cast<std::size_t>(slot_of_page_[page])];
-}
-
-void PageStore::Unpin(std::uint32_t page) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t slot = slot_of_page_[page];
-  if (slot < 0 || pin_count_[static_cast<std::size_t>(slot)] == 0) {
-    throw std::logic_error("PageStore::Unpin: page is not pinned");
-  }
-  --pin_count_[static_cast<std::size_t>(slot)];
 }
 
 bool PageStore::Cached(std::uint32_t page) const {

@@ -72,12 +72,6 @@ enum class StorageBackend {
   /// Coordinates served from an mmap-backed page file through the LRU
   /// `PageStore`; prefetch hints via `madvise(MADV_WILLNEED)`.
   kMmap,
-  /// As `kMmap`, plus prefetch performs batched `io_uring` reads that
-  /// load the hinted pages into cache frames ahead of the gather (one
-  /// submit syscall per frontier instead of one `pread` per missed
-  /// page). Falls back to `kMmap` behavior when io_uring is unavailable
-  /// (not compiled in, or the kernel/sandbox rejects the setup syscall).
-  kMmapUring,
 };
 
 const char* StorageBackendName(StorageBackend backend);
@@ -116,7 +110,6 @@ struct PageIoCounters {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t prefetch_reads = 0;  // Pages loaded by uring prefetch.
   /// Read attempts beyond the first (transient faults absorbed by the
   /// retry policy) and pages written off after repeated checksum
   /// failures. Both 0 unless fault injection is active or the device
@@ -129,7 +122,7 @@ struct PageIoCounters {
 ///
 /// Every coordinate read goes through a cache *frame*: a page access
 /// first resolves the page to a frame (hit: LRU touch; miss: evict the
-/// least-recently-used unpinned frame and load the page via the
+/// least-recently-used frame and load the page via the
 /// configured miss mode), then reads coordinates out of the frame. The
 /// explicit cache — rather than trusting the OS page cache alone — is
 /// what makes "cache smaller than dataset" an experiment knob and
@@ -156,12 +149,9 @@ class PageStore {
     /// size. For callers whose cache geometry is fixed before the file
     /// is seen.
     std::uint32_t required_page_size_bytes = 0;
-    /// Attempt to build an io_uring for batched prefetch reads; silently
-    /// degrades to madvise-only prefetch when unavailable.
-    bool use_uring = false;
     /// Fault injection for this store (disabled by default). When
     /// enabled, read attempts consult the injector (simulated transient
-    /// errors, frame corruption, slow pages, torn prefetches) and the
+    /// errors, frame corruption, slow pages) and the
     /// retry/backoff/quarantine policy of the spec governs recovery.
     /// When `corrupt` faults are possible, per-page checksums are
     /// computed once at open so a corrupted frame is detected before any
@@ -198,21 +188,12 @@ class PageStore {
   /// Single-point read through the cache (one page touch).
   Point GetPoint(PointId id, QueryStats* stats);
 
-  /// Page-granular prefetch hint for an upcoming gather of `ids[0..n)`.
-  /// Plain mmap mode: `madvise(MADV_WILLNEED)` on the distinct page
-  /// ranges, letting the kernel read ahead without altering cache state
-  /// or accounting. Uring mode: additionally loads the uncached pages
-  /// into cache frames with one batched submit, so the gather that
-  /// follows hits (those loads count as `prefetch_reads`, and the
-  /// gather's touches as hits — the pages are resident by then).
+  /// Page-granular prefetch hint for an upcoming gather of `ids[0..n)`:
+  /// `madvise(MADV_WILLNEED)` on the distinct uncached page ranges,
+  /// letting the kernel read ahead. Never loads a frame and never changes
+  /// cache state or accounting — frames are filled only by a gather's
+  /// miss, under the fault policy of `LoadPageCheckedLocked`.
   void Prefetch(const PointId* ids, std::size_t n);
-
-  /// Pins `page` into the cache (loading it if absent — accounted as a
-  /// normal touch against `stats`): eviction skips pinned frames until
-  /// `Unpin`. Pins nest. Throws `std::runtime_error` if every frame is
-  /// pinned and the page cannot be loaded.
-  void Pin(std::uint32_t page, QueryStats* stats);
-  void Unpin(std::uint32_t page);
 
   /// Whether `page` currently occupies a cache frame (tests, benches).
   bool Cached(std::uint32_t page) const;
@@ -224,13 +205,7 @@ class PageStore {
   PageIoCounters counters() const;
   void ResetCounters();
 
-  /// Whether the batched io_uring prefetch path is live (compiled in,
-  /// requested, and accepted by the kernel).
-  bool uring_active() const;
-
  private:
-  struct Uring;  // Raw io_uring wrapper; defined in page_store.cc.
-
   PageStore(const std::string& path, const Options& options,
             const PageFileHeader& header, int fd);
 
@@ -266,7 +241,6 @@ class PageStore {
   std::size_t frames_count_ = 0;
   std::vector<std::int64_t> slot_of_page_;   // -1 = not cached.
   std::vector<std::uint32_t> page_of_slot_;
-  std::vector<std::uint32_t> pin_count_;
   // Intrusive LRU list over slots; head = most recent, tail = eviction
   // candidate. kNilSlot terminates.
   static constexpr std::size_t kNilSlot = static_cast<std::size_t>(-1);
@@ -275,7 +249,6 @@ class PageStore {
   std::vector<std::size_t> free_slots_;
   PageIoCounters counters_;
 
-  std::unique_ptr<Uring> uring_;
   /// Scratch for Prefetch's distinct-page set (guarded by mu_).
   std::vector<std::uint32_t> prefetch_pages_;
 
@@ -293,7 +266,6 @@ class PageStore {
   /// 1 = page quarantined: every future access throws `PageReadError`
   /// immediately instead of handing out bytes that failed verification.
   std::vector<std::uint8_t> quarantined_;
-  std::uint64_t prefetch_batches_ = 0;  // Torn-prefetch decision index.
 };
 
 }  // namespace vaq

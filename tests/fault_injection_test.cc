@@ -48,7 +48,7 @@ constexpr Box kUnit = Box{{0.0, 0.0}, {1.0, 1.0}};
 TEST(FaultSpecTest, ParsesFullSpec) {
   const FaultSpec spec = FaultSpec::Parse(
       "seed=42,read_error=0.01,corrupt=0.005,slow=0.02,spike_ms=5,"
-      "fetch_spike=0.1,torn=0.25,retries=7,backoff_ms=0.5,backoff_max_ms=8");
+      "fetch_spike=0.1,retries=7,backoff_ms=0.5,backoff_max_ms=8");
   EXPECT_TRUE(spec.enabled);
   EXPECT_EQ(spec.seed, 42u);
   EXPECT_DOUBLE_EQ(spec.read_error_rate, 0.01);
@@ -56,7 +56,6 @@ TEST(FaultSpecTest, ParsesFullSpec) {
   EXPECT_DOUBLE_EQ(spec.slow_page_rate, 0.02);
   EXPECT_DOUBLE_EQ(spec.spike_ms, 5.0);
   EXPECT_DOUBLE_EQ(spec.fetch_spike_rate, 0.1);
-  EXPECT_DOUBLE_EQ(spec.torn_prefetch_rate, 0.25);
   EXPECT_EQ(spec.max_read_retries, 7);
   EXPECT_DOUBLE_EQ(spec.backoff_initial_ms, 0.5);
   EXPECT_DOUBLE_EQ(spec.backoff_max_ms, 8.0);
@@ -73,6 +72,7 @@ TEST(FaultSpecTest, RejectsMalformedInput) {
   EXPECT_THROW(FaultSpec::Parse("read_error=1.5"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::Parse("read_error=-0.1"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::Parse("retries=-1"), std::invalid_argument);
+  EXPECT_THROW(FaultSpec::Parse("torn=0.5"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -311,12 +311,31 @@ TEST_F(FaultedPageStoreTest, FailedLoadDoesNotLeakCacheFrames) {
   spec.max_read_retries = 0;
   // Cache of 2 frames, hammered with failing loads: if a failed load
   // leaked its frame, the third failure would exhaust the cache and turn
-  // the typed read error into "every frame is pinned".
+  // the typed read error into the no-evictable-frame logic error.
   const auto store = OpenFaulted(spec, /*cache_pages=*/2);
   for (int round = 0; round < 8; ++round) {
     EXPECT_THROW(store->GetPoint(IdOnPage(round % kPages), nullptr),
                  PageReadError);
   }
+}
+
+TEST_F(FaultedPageStoreTest, PrefetchCannotBypassReadFaults) {
+  FaultSpec spec;
+  spec.enabled = true;
+  spec.seed = 1;
+  spec.read_error_rate = 1.0;
+  spec.max_read_retries = 0;
+  // A prefetch hint must not fill frames behind the fault policy: the
+  // gather that follows still misses, and every miss fails.
+  const auto store = OpenFaulted(spec);
+  std::vector<PointId> ids;
+  for (std::size_t p = 0; p < 4; ++p) ids.push_back(IdOnPage(p));
+  store->Prefetch(ids.data(), ids.size());
+  for (std::size_t p = 0; p < 4; ++p) EXPECT_FALSE(store->Cached(p));
+  std::vector<double> xs(ids.size()), ys(ids.size());
+  EXPECT_THROW(
+      store->Gather(ids.data(), ids.size(), xs.data(), ys.data(), nullptr),
+      PageReadError);
 }
 
 TEST_F(FaultedPageStoreTest, DisabledSpecIsByteIdenticalToNoFaultStore) {

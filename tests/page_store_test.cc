@@ -1,5 +1,5 @@
 // The LRU page cache (storage/page_store.h) under scripted access
-// sequences: eviction order, pin semantics, exact hit/miss counters, and
+// sequences: eviction order, prefetch hints, exact hit/miss counters, and
 // the accounting invariant `page_cache_hits + page_cache_misses ==
 // pages_touched` that the per-query stats plumbing relies on.
 
@@ -120,46 +120,6 @@ TEST_F(PageStoreTest, EvictionFollowsLruOrder) {
   EXPECT_TRUE(store->Cached(2));
 }
 
-TEST_F(PageStoreTest, PinnedPagesSurviveEviction) {
-  const auto store = OpenCache(2);
-  QueryStats stats;
-  store->Pin(0, &stats);  // Load + pin page 0 (one touch, one miss).
-  EXPECT_EQ(stats.page_cache_misses, 1u);
-  // Stream every other page through the second frame: page 0 must never
-  // be chosen for eviction while pinned.
-  for (std::size_t p = 1; p < kPages; ++p) {
-    store->GetPoint(IdOnPage(p), &stats);
-    ASSERT_TRUE(store->Cached(0)) << "pinned page evicted at p=" << p;
-  }
-  store->Unpin(0);
-  // Unpinned, 0 is the LRU frame (untouched since the pin) — the next
-  // two distinct misses push it out.
-  store->GetPoint(IdOnPage(5), &stats);
-  store->GetPoint(IdOnPage(6), &stats);
-  EXPECT_FALSE(store->Cached(0));
-}
-
-TEST_F(PageStoreTest, PinsNestAndUnpinValidates) {
-  const auto store = OpenCache(2);
-  store->Pin(0, nullptr);
-  store->Pin(0, nullptr);  // Nested.
-  store->Unpin(0);
-  for (std::size_t p = 1; p < 6; ++p) store->GetPoint(IdOnPage(p), nullptr);
-  EXPECT_TRUE(store->Cached(0));  // Still one pin outstanding.
-  store->Unpin(0);
-  EXPECT_THROW(store->Unpin(0), std::logic_error);   // Not pinned.
-  EXPECT_THROW(store->Unpin(15), std::logic_error);  // Never cached.
-}
-
-TEST_F(PageStoreTest, AllFramesPinnedThrowsOnMiss) {
-  const auto store = OpenCache(2);
-  store->Pin(0, nullptr);
-  store->Pin(1, nullptr);
-  EXPECT_THROW(store->GetPoint(IdOnPage(2), nullptr), std::runtime_error);
-  store->Unpin(1);
-  EXPECT_NO_THROW(store->GetPoint(IdOnPage(2), nullptr));
-}
-
 TEST_F(PageStoreTest, GatherChargesOncePerPageRun) {
   const auto store = OpenCache(8);
   // 3 runs over 2 distinct pages: [page0 x3][page1 x2][page0 x1].
@@ -196,43 +156,22 @@ TEST_F(PageStoreTest, PrefetchMakesNextGatherHitWithoutAccounting) {
   const auto store = OpenCache(8);
   std::vector<PointId> ids;
   for (std::size_t p = 0; p < 4; ++p) ids.push_back(IdOnPage(p));
-  // A hint is not an access: it must not move the query-visible counters
-  // (uring mode loads frames and counts them as prefetch_reads; madvise
-  // mode only nudges the kernel).
+  // A hint is not an access: it only nudges the kernel, so it must not
+  // move the query-visible counters or fill a frame — frames are filled
+  // only on the gather's checked miss path.
   store->Prefetch(ids.data(), ids.size());
   const PageIoCounters after_hint = store->counters();
   EXPECT_EQ(after_hint.pages_touched, 0u);
   EXPECT_EQ(after_hint.cache_hits, 0u);
   EXPECT_EQ(after_hint.cache_misses, 0u);
+  for (std::size_t p = 0; p < 4; ++p) EXPECT_FALSE(store->Cached(p));
 
   QueryStats stats;
   std::vector<double> xs(ids.size()), ys(ids.size());
   store->Gather(ids.data(), ids.size(), xs.data(), ys.data(), &stats);
   EXPECT_EQ(stats.pages_touched, 4u);
-  EXPECT_EQ(stats.page_cache_hits + stats.page_cache_misses, 4u);
-  if (store->uring_active()) {
-    // The batched read loaded the frames, so the gather hits.
-    EXPECT_EQ(stats.page_cache_hits, 4u);
-    EXPECT_EQ(store->counters().prefetch_reads, 4u);
-  }
-}
-
-TEST_F(PageStoreTest, UringModeMatchesPlainReads) {
-  // Whether or not the kernel grants an io_uring (sandboxes often
-  // refuse), the uring-requested store must return identical bytes.
-  PageStore::Options options;
-  options.cache_pages = 4;
-  options.use_uring = true;
-  const auto store = PageStore::Open(path_, options);
-  std::vector<PointId> ids;
-  for (std::size_t p = 0; p < kPages; ++p) ids.push_back(IdOnPage(p) + 7);
-  store->Prefetch(ids.data(), ids.size());
-  std::vector<double> xs(ids.size()), ys(ids.size());
-  store->Gather(ids.data(), ids.size(), xs.data(), ys.data(), nullptr);
-  for (std::size_t j = 0; j < ids.size(); ++j) {
-    EXPECT_EQ(xs[j], static_cast<double>(ids[j]));
-    EXPECT_EQ(ys[j], -static_cast<double>(ids[j]));
-  }
+  EXPECT_EQ(stats.page_cache_misses, 4u);
+  for (std::size_t p = 0; p < 4; ++p) EXPECT_TRUE(store->Cached(p));
 }
 
 TEST_F(PageStoreTest, ResetCountersClearsLifetimeTotals) {

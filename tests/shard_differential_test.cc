@@ -37,21 +37,23 @@ namespace {
 
 constexpr Box kUnit = Box{{0.0, 0.0}, {1.0, 1.0}};
 
-/// When VAQ_TEST_STORAGE=mmap (or mmap_uring) is set — the CI leg that
+/// When VAQ_TEST_STORAGE=mmap is set — the CI leg that
 /// re-runs this differential suite out-of-core — every sharded database
 /// serves its geometry through the paged backend with a deliberately tiny
 /// cache, while the unsharded oracles stay in-memory: each EXPECT_EQ
 /// below then additionally proves paged reads bit-identical to resident
-/// reads under real miss traffic.
+/// reads under real miss traffic. Any other value fails the test rather
+/// than silently running the leg in memory.
 StorageOptions TestStorageFromEnv() {
   StorageOptions storage;
   const char* env = std::getenv("VAQ_TEST_STORAGE");
   if (env == nullptr) return storage;
-  if (std::strcmp(env, "mmap") == 0) {
-    storage.backend = StorageBackend::kMmap;
-  } else if (std::strcmp(env, "mmap_uring") == 0) {
-    storage.backend = StorageBackend::kMmapUring;
+  if (std::strcmp(env, "mmap") != 0) {
+    ADD_FAILURE() << "unrecognised VAQ_TEST_STORAGE='" << env
+                  << "' (expected 'mmap' or unset)";
+    return storage;
   }
+  storage.backend = StorageBackend::kMmap;
   storage.cache_pages = 8;  // Tiny: force genuine evictions and misses.
   return storage;
 }

@@ -44,8 +44,8 @@ constexpr int kPolygonsPerSeed = 3;
 /// One randomized spec per seed, drawn from grids that cover the
 /// interesting corners: fault-free, rare faults the retry budget absorbs,
 /// heavy faults that defeat it, and certain loss. Latency-class rates
-/// (slow/torn) stay result-neutral by design; spike_ms is kept tiny so
-/// the soak's wall-clock stays in budget.
+/// (slow, fetch_spike) stay result-neutral by design; spike_ms is kept
+/// tiny so the soak's wall-clock stays in budget.
 FaultSpec DrawSpec(std::mt19937* gen) {
   const auto pick = [gen](std::initializer_list<double> choices) {
     std::vector<double> v(choices);
@@ -59,7 +59,7 @@ FaultSpec DrawSpec(std::mt19937* gen) {
   spec.corrupt_rate = pick({0.0, 0.01, 0.1});
   spec.slow_page_rate = pick({0.0, 0.1});
   spec.spike_ms = 0.05;
-  spec.torn_prefetch_rate = pick({0.0, 0.5});
+  pick({0.0, 0.5});  // Unused draw: keeps each seed's later fields fixed.
   spec.fetch_spike_rate = pick({0.0, 0.2});
   spec.max_read_retries =
       std::uniform_int_distribution<int>(0, 3)(*gen);
@@ -68,10 +68,10 @@ FaultSpec DrawSpec(std::mt19937* gen) {
 }
 
 PointDatabase::Options FaultedPagedOptions(const FaultSpec& spec,
-                                           bool uring) {
+                                           PageMissMode miss_mode) {
   PointDatabase::Options options;
-  options.storage.backend =
-      uring ? StorageBackend::kMmapUring : StorageBackend::kMmap;
+  options.storage.backend = StorageBackend::kMmap;
+  options.storage.miss_mode = miss_mode;
   options.storage.cache_pages = 4;
   options.storage.page_size_bytes = 256;  // Many pages => many fault sites.
   options.storage.fault = spec;
@@ -89,8 +89,10 @@ TEST(FaultSoakTest, EveryMethodIsExactOrTypedUnderRandomFaults) {
                       : PointDistribution::kClustered,
         &rng);
     const PointDatabase oracle(points);
-    const PointDatabase paged(points,
-                              FaultedPagedOptions(spec, seed % 4 == 3));
+    const PointDatabase paged(
+        points, FaultedPagedOptions(spec, seed % 4 == 3
+                                              ? PageMissMode::kMmapCopy
+                                              : PageMissMode::kPread));
 
     const TraditionalAreaQuery oracle_trad(&oracle), paged_trad(&paged);
     const VoronoiAreaQuery oracle_vaq(&oracle), paged_vaq(&paged);
@@ -114,8 +116,8 @@ TEST(FaultSoakTest, EveryMethodIsExactOrTypedUnderRandomFaults) {
         const std::vector<PointId> truth = pair.oracle_q->Run(area, ctx);
         try {
           const std::vector<PointId> got = pair.paged_q->Run(area, ctx);
-          // Survived the faults: must be exact — retries and torn-batch
-          // rollbacks are invisible in the result set, by contract.
+          // Survived the faults: must be exact — retries are invisible in
+          // the result set, by contract.
           EXPECT_EQ(got, truth)
               << "seed=" << seed << " method=" << pair.paged_q->Name();
           EXPECT_EQ(ctx.stats.page_cache_hits + ctx.stats.page_cache_misses,

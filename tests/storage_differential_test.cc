@@ -1,8 +1,8 @@
 // The out-of-core PR's acceptance property: a database served from the
 // mmap page file behind a deliberately tiny LRU cache must answer every
 // query bit-identically to the in-memory backend — across all four
-// methods, through the sharded scatter-gather path, and under dynamic
-// churn with compactions — while the page counters obey
+// methods and both miss modes, through the sharded scatter-gather path,
+// and under dynamic churn with compactions — while the page counters obey
 // `page_cache_hits + page_cache_misses == pages_touched` and show the
 // genuine miss traffic the small cache forces. The page file stores the
 // exact doubles of the resident arrays, so any divergence is a bug in the
@@ -33,11 +33,20 @@ constexpr Box kUnit = Box{{0.0, 0.0}, {1.0, 1.0}};
 
 /// A paged configuration whose cache (8 pages x 256 points) holds well
 /// under the test datasets, so queries take real misses and evictions.
-PointDatabase::Options PagedOptions(StorageBackend backend) {
+PointDatabase::Options PagedOptions(
+    PageMissMode miss_mode = PageMissMode::kPread) {
   PointDatabase::Options options;
-  options.storage.backend = backend;
+  options.storage.backend = StorageBackend::kMmap;
   options.storage.cache_pages = 8;
+  options.storage.miss_mode = miss_mode;
   return options;
+}
+
+constexpr PageMissMode kMissModes[] = {PageMissMode::kPread,
+                                       PageMissMode::kMmapCopy};
+
+const char* MissModeName(PageMissMode miss_mode) {
+  return miss_mode == PageMissMode::kPread ? "pread" : "mmap_copy";
 }
 
 void ExpectPageInvariant(const QueryStats& s) {
@@ -49,14 +58,13 @@ TEST(StorageDifferentialTest, AllMethodsMatchInMemoryOracle) {
                                              PointDistribution::kClustered};
   const double query_sizes[] = {0.01, 0.05, 0.20};
 
-  for (const StorageBackend backend :
-       {StorageBackend::kMmap, StorageBackend::kMmapUring}) {
+  for (const PageMissMode miss_mode : kMissModes) {
     for (const PointDistribution distribution : distributions) {
       Rng rng(2024);
       const std::vector<Point> points =
           GeneratePoints(4000, kUnit, distribution, &rng);
       const PointDatabase oracle(points);
-      const PointDatabase paged(points, PagedOptions(backend));
+      const PointDatabase paged(points, PagedOptions(miss_mode));
       ASSERT_NE(paged.page_store(), nullptr);
 
       const TraditionalAreaQuery oracle_trad(&oracle), paged_trad(&paged);
@@ -83,7 +91,7 @@ TEST(StorageDifferentialTest, AllMethodsMatchInMemoryOracle) {
           EXPECT_EQ(oracle_stats.pages_touched, 0u);  // Memory backend.
           const std::vector<PointId> got = pair.paged_q->Run(area, ctx);
           EXPECT_EQ(got, truth)
-              << "backend=" << StorageBackendName(backend)
+              << "miss_mode=" << MissModeName(miss_mode)
               << " method=" << pair.paged_q->Name()
               << " query_size=" << query_size;
           ExpectPageInvariant(ctx.stats);
@@ -96,8 +104,7 @@ TEST(StorageDifferentialTest, AllMethodsMatchInMemoryOracle) {
       }
       // 4000 points across 16 pages vs an 8-page cache: the streams
       // cannot fit, so real page IO must have happened.
-      EXPECT_GT(paged_misses, 0u)
-          << "backend=" << StorageBackendName(backend);
+      EXPECT_GT(paged_misses, 0u) << "miss_mode=" << MissModeName(miss_mode);
     }
   }
 }
@@ -108,11 +115,10 @@ TEST(StorageDifferentialTest, ShardedPagedMatchesInMemoryOracle) {
   const PointDatabase oracle(points);
   const BruteForceAreaQuery oracle_brute(&oracle);
 
-  for (const StorageBackend backend :
-       {StorageBackend::kMmap, StorageBackend::kMmapUring}) {
+  for (const PageMissMode miss_mode : kMissModes) {
     ShardedDatabase::Options options;
     options.num_shards = 4;
-    options.shard.base.storage = PagedOptions(backend).storage;
+    options.shard.base.storage = PagedOptions(miss_mode).storage;
     const ShardedDatabase sharded(points, options);
 
     QueryContext ctx;
@@ -132,7 +138,7 @@ TEST(StorageDifferentialTest, ShardedPagedMatchesInMemoryOracle) {
         EXPECT_EQ(
             RunShardedSnapshotQuery(*sharded.snapshot(), method, area, ctx),
             truth)
-            << "backend=" << StorageBackendName(backend)
+            << "miss_mode=" << MissModeName(miss_mode)
             << " method=" << MethodName(method);
         // The per-shard page counters must survive the scatter-gather
         // stats merge with the invariant intact.
@@ -149,7 +155,7 @@ TEST(StorageDifferentialTest, ChurnOnPagedBackendMatchesRebuild) {
   Rng rng(777);
   DynamicPointDatabase::Options options;
   options.auto_compact = false;
-  options.base.storage = PagedOptions(StorageBackend::kMmap).storage;
+  options.base.storage = PagedOptions().storage;
   DynamicPointDatabase db(GenerateUniformPoints(1500, kUnit, &rng), options);
   constexpr DynamicMethod kMethods[] = {
       DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
@@ -223,7 +229,7 @@ TEST(StorageDifferentialTest, EmptyDatabaseSkipsSpill) {
   // No points -> nothing to page; the constructor must not create (or
   // fail on) a zero-page spill file.
   const PointDatabase db(std::vector<Point>{},
-                         PagedOptions(StorageBackend::kMmap));
+                         PagedOptions());
   EXPECT_EQ(db.page_store(), nullptr);
   EXPECT_EQ(db.storage_backend(), StorageBackend::kInMemory);
 }

@@ -15,9 +15,12 @@
 //   --deadline-ms D  Per-query deadline (server may cap it).
 //   --ids            Print every result id (default: count + stats only).
 //
+// Numeric operands and flags must be whole numbers in range: P in
+// [1, 65535], ID a 32-bit point id, X/Y finite, D finite and >= 0.
+//
 // Exit codes (see README):
 //   0  success
-//   2  bad usage
+//   2  bad usage (unknown command, missing or malformed value)
 //   3  connection failure (server not running / wrong port)
 //   4  typed server error (the code name is printed, e.g. RETRY_LATER)
 //   5  transport/protocol failure mid-conversation
@@ -28,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "server/client.h"
 
 namespace {
@@ -36,6 +40,12 @@ int Usage() {
   std::cerr << "usage: vaq_client --port P "
                "(query WKT [--method M] [--no-cache] [--deadline-ms D] "
                "[--ids] | insert X Y | erase ID | compact | stats | ping)\n";
+  return 2;
+}
+
+int BadValue(const std::string& what, const std::string& value) {
+  std::cerr << "vaq_client: bad value for " << what << ": '" << value
+            << "'\n";
   return 2;
 }
 
@@ -57,7 +67,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--port") {
-      port = static_cast<std::uint16_t>(std::strtoul(value(), nullptr, 10));
+      std::uint64_t n = 0;
+      if (!ParseUint(value(), &n, 65535) || n == 0) {
+        return BadValue(arg, argv[i]);
+      }
+      port = static_cast<std::uint16_t>(n);
     } else if (arg == "--method") {
       const std::string m = value();
       if (m == "voronoi") query.force_method = DynamicMethod::kVoronoi;
@@ -69,7 +83,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-cache") {
       query.use_cache = false;
     } else if (arg == "--deadline-ms") {
-      query.deadline_ms = std::strtod(value(), nullptr);
+      if (!ParseFinite(value(), &query.deadline_ms) ||
+          query.deadline_ms < 0.0) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--ids") {
       print_ids = true;
     } else if (command.empty()) {
@@ -80,10 +97,29 @@ int main(int argc, char** argv) {
   }
   if (port == 0 || command.empty()) return Usage();
 
+  // Operands are checked before connecting, so a bad value is a usage
+  // error whether or not a server is listening.
+  double x = 0.0, y = 0.0;
+  std::uint64_t erase_id = 0;
+  if (command == "query" && operands.size() != 1) return Usage();
+  if (command == "insert") {
+    if (operands.size() != 2) return Usage();
+    if (!ParseFinite(operands[0].c_str(), &x)) {
+      return BadValue("X", operands[0]);
+    }
+    if (!ParseFinite(operands[1].c_str(), &y)) {
+      return BadValue("Y", operands[1]);
+    }
+  } else if (command == "erase") {
+    if (operands.size() != 1) return Usage();
+    if (!ParseUint(operands[0].c_str(), &erase_id, UINT32_MAX)) {
+      return BadValue("ID", operands[0]);
+    }
+  }
+
   try {
     QueryClient client(port);
     if (command == "query") {
-      if (operands.size() != 1) return Usage();
       query.wkt = operands[0];
       const QueryClient::QueryOutcome outcome = client.Query(query);
       std::cout << "results: " << outcome.ids.size()
@@ -98,19 +134,15 @@ int main(int argc, char** argv) {
         for (const PointId id : outcome.ids) std::cout << id << "\n";
       }
     } else if (command == "insert") {
-      if (operands.size() != 2) return Usage();
-      const WireMutationResult r =
-          client.Insert(std::strtod(operands[0].c_str(), nullptr),
-                        std::strtod(operands[1].c_str(), nullptr));
+      const WireMutationResult r = client.Insert(x, y);
       if (r.ok) {
         std::cout << "inserted id " << r.value << "\n";
       } else {
         std::cout << "rejected (duplicate or invalid point)\n";
       }
     } else if (command == "erase") {
-      if (operands.size() != 1) return Usage();
-      const WireMutationResult r = client.Erase(static_cast<PointId>(
-          std::strtoul(operands[0].c_str(), nullptr, 10)));
+      const WireMutationResult r =
+          client.Erase(static_cast<PointId>(erase_id));
       std::cout << (r.ok ? "erased\n" : "no such live id\n");
     } else if (command == "compact") {
       client.Compact();

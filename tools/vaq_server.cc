@@ -17,8 +17,8 @@
 //   --queue-capacity Q   Engine admission bound (default 256): a request
 //                        that finds every slot busy and Q requests
 //                        already waiting sheds with RETRY_LATER.
-//   --max-deadline-ms D  Ceiling on client-requested deadlines (default
-//                        0 = none).
+//   --max-deadline-ms D  Ceiling on client-requested deadlines, a finite
+//                        number >= 0 (default 0 = none).
 //
 // The server runs until SIGINT/SIGTERM, then drains and exits.
 //
@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "server/query_server.h"
 #include "workload/dataset_io.h"
 #include "workload/point_generator.h"
@@ -45,14 +46,6 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
-
-bool ParseUint(const char* s, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
 
 }  // namespace
 
@@ -73,26 +66,34 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Called after value() advanced i to the rejected value.
+    auto bad_value = [&]() {
+      std::cerr << "vaq_server: bad value for " << arg << ": '" << argv[i]
+                << "'\n";
+      std::exit(2);
+    };
     std::uint64_t n = 0;
     if (arg == "--port") {
-      if (!ParseUint(value(), &n) || n > 65535) std::exit(2);
+      if (!ParseUint(value(), &n, 65535)) bad_value();
       options.port = static_cast<std::uint16_t>(n);
     } else if (arg == "--points") {
-      if (!ParseUint(value(), &n) || n == 0) std::exit(2);
+      if (!ParseUint(value(), &n) || n == 0) bad_value();
       num_points = n;
     } else if (arg == "--load") {
       load_path = value();
     } else if (arg == "--seed") {
-      if (!ParseUint(value(), &n)) std::exit(2);
+      if (!ParseUint(value(), &n)) bad_value();
       seed = n;
     } else if (arg == "--threads") {
-      if (!ParseUint(value(), &n) || n > 1024) std::exit(2);
+      if (!ParseUint(value(), &n, 1024)) bad_value();
       options.engine_threads = static_cast<int>(n);
     } else if (arg == "--queue-capacity") {
-      if (!ParseUint(value(), &n) || n == 0) std::exit(2);
+      if (!ParseUint(value(), &n) || n == 0) bad_value();
       options.engine_queue_capacity = n;
     } else if (arg == "--max-deadline-ms") {
-      options.max_deadline_ms = std::strtod(value(), nullptr);
+      double d = 0.0;
+      if (!ParseFinite(value(), &d) || d < 0.0) bad_value();
+      options.max_deadline_ms = d;
     } else {
       std::cerr << "vaq_server: unknown flag " << arg << "\n";
       return 2;
