@@ -8,12 +8,10 @@
 
 namespace vaq {
 
-std::vector<PointId> RunDynamicSnapshotLeg(
-    const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
-    const Polygon& area, QueryContext& ctx) {
-  // Base pass: the wrapped implementation resets and fills ctx.stats.
-  std::vector<PointId> result = snap.BaseQuery(method).Run(area, ctx);
-
+void FinishDynamicSnapshotLeg(const DynamicPointDatabase::Snapshot& snap,
+                              DynamicMethod method, const Polygon& area,
+                              std::vector<PointId>& result,
+                              QueryContext& ctx) {
   // Remap base-internal ids to stable ids, dropping tombstoned hits in
   // place. A tombstoned hit stays a validated candidate (it was fetched
   // and passed the geometry test) — it just is not a result.
@@ -71,15 +69,15 @@ std::vector<PointId> RunDynamicSnapshotLeg(
     ctx.stats.visited_rejected += dn - delta_hits.size();
     result.insert(result.end(), delta_hits.begin(), delta_hits.end());
   }
-
-  return result;
 }
 
 std::vector<PointId> RunDynamicSnapshotQuery(
     const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
     const Polygon& area, QueryContext& ctx) {
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<PointId> result = RunDynamicSnapshotLeg(snap, method, area, ctx);
+  // Base pass: the wrapped implementation resets and fills ctx.stats.
+  std::vector<PointId> result = snap.BaseQuery(method).Run(area, ctx);
+  FinishDynamicSnapshotLeg(snap, method, area, result, ctx);
   // The base and delta contributions are individually sorted but
   // interleave in the stable id space; one sort over the merged set
   // restores the contract.

@@ -32,12 +32,20 @@ std::vector<PointId> RunDynamicSnapshotQuery(
     const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
     const Polygon& area, QueryContext& ctx);
 
-/// `RunDynamicSnapshotQuery` without the final sort (and without setting
-/// `results`/`elapsed_ms`): the per-view step of `RunShardedSnapshotQuery`,
-/// which merges every view's hits and sorts once at the end.
-std::vector<PointId> RunDynamicSnapshotLeg(
-    const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
-    const Polygon& area, QueryContext& ctx);
+/// The snapshot-specific half of a dynamic query, after its base pass
+/// (`snap.BaseQuery(method).Run`): drops tombstoned hits from `ids` (the
+/// base pass's base-internal ids) in place, maps the rest to stable ids
+/// and appends the delta-refine hits. Unsorted, and adds to `ctx.stats`
+/// without resetting it or setting `results`/`elapsed_ms`.
+///
+/// The base pass depends only on the base, which every snapshot of one
+/// `base_generation()` shares, and tombstones only grow within a
+/// generation. So this finish is exact over base-pass ids taken from any
+/// snapshot of the same generation — which is what lets
+/// `RunShardedSnapshotQuery` serve cached base passes.
+void FinishDynamicSnapshotLeg(const DynamicPointDatabase::Snapshot& snap,
+                              DynamicMethod method, const Polygon& area,
+                              std::vector<PointId>& ids, QueryContext& ctx);
 
 }  // namespace vaq
 

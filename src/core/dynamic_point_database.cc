@@ -1,6 +1,7 @@
 #include "core/dynamic_point_database.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <utility>
 
@@ -16,6 +17,11 @@ namespace {
 Point NormalizedKey(const Point& p) { return Point{p.x + 0.0, p.y + 0.0}; }
 
 }  // namespace
+
+std::uint64_t DynamicPointDatabase::BaseBundle::NextGeneration() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 DynamicPointDatabase::DynamicPointDatabase(std::vector<Point> initial,
                                            Options options)

@@ -100,7 +100,8 @@ class DynamicPointDatabase {
           traditional(&db),
           voronoi(&db, voronoi_options),
           grid_sweep(&db),
-          brute(&db) {}
+          brute(&db),
+          generation(NextGeneration()) {}
     BaseBundle(const BaseBundle&) = delete;
     BaseBundle& operator=(const BaseBundle&) = delete;
 
@@ -109,6 +110,14 @@ class DynamicPointDatabase {
     VoronoiAreaQuery voronoi;
     GridSweepAreaQuery grid_sweep;
     BruteForceAreaQuery brute;
+    /// Process-unique id of this base, drawn from a counter at
+    /// construction and never reused (a bundle address could be, once
+    /// the bundle is freed). Every compaction builds a new bundle and so
+    /// a new generation; inserts and erases keep the bundle.
+    const std::uint64_t generation;
+
+   private:
+    static std::uint64_t NextGeneration();
   };
 
   /// One fixed-capacity block of the insert buffer: SoA coordinate
@@ -199,9 +208,13 @@ class DynamicPointDatabase {
     PointId stable_limit() const { return stable_limit_; }
     /// Monotonic publication counter: 0 for the initial version, +1 per
     /// published mutation/compaction. Two pins with equal versions are the
-    /// same immutable snapshot, which is what keys the planner's result
-    /// cache — republication invalidates every cached entry for free.
+    /// same immutable snapshot.
     std::uint64_t version() const { return version_; }
+    /// The base's generation (`BaseBundle::generation`): equal across
+    /// every version between two compactions. Base-pass answers depend
+    /// on the base alone, so it keys the planner's result cache; the
+    /// tombstones and the delta of each version are applied per query.
+    std::uint64_t base_generation() const { return bundle_->generation; }
 
     /// Visits every live point as `fn(stable_id, point)`, base first
     /// (internal order) then delta (buffer order).
@@ -273,7 +286,8 @@ class DynamicPointDatabase {
 
   /// Runs one area query through the adaptive planner (see
   /// `PlannedAreaQuery`): the cost model picks the method per query, the
-  /// snapshot-keyed result cache serves repeated identical polygons, and
+  /// generation-keyed result cache serves the base pass of repeated
+  /// identical polygons, and
   /// `ctx.stats.plan_method`/`plan_reason` record the choice. This is the
   /// planned single entry point. Callers that need a *fixed* method pass
   /// `PlanHints::force_method`, or call `RunDynamicSnapshotQuery` on

@@ -100,9 +100,10 @@ struct QueryStats {
   /// 0 when the query was dispatched by hand rather than planned.
   std::uint64_t plan_method = 0;
   std::uint64_t plan_reason = 0;
-  /// Snapshot-keyed result-cache traffic of a planned query: exactly one
-  /// of the two is 1 per planned execution with caching enabled (a hit
-  /// short-circuits execution entirely and leaves the work counters 0).
+  /// Result-cache traffic of a planned query: exactly one of the two is
+  /// 1 per planned execution with caching enabled. A hit served every
+  /// leg's base pass from the cache, so only the per-snapshot finish ran:
+  /// the base work counters stay 0 and `candidates` is the delta scan.
   /// Additive across repetitions, so engine totals count hits/misses.
   std::uint64_t result_cache_hits = 0;
   std::uint64_t result_cache_misses = 0;

@@ -1,7 +1,6 @@
 #include "planner/planned_area_query.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "core/point_database.h"
@@ -10,9 +9,8 @@
 namespace vaq {
 
 /// One planning round's pinned state: the features the plan is computed
-/// from, and the exact snapshot both the cache key and the execution use
-/// — pinning once is what makes the cached answer provably equal to the
-/// executed one (no mutation can slip between key and run).
+/// from, and the exact snapshot the execution runs on — the planned
+/// live size and the answer come from one version.
 struct PlannedAreaQuery::Pinned {
   PlanFeatures features;
   std::shared_ptr<const ShardedDatabase::Snapshot> snap;
@@ -68,48 +66,32 @@ std::vector<PointId> PlannedAreaQuery::Run(const Polygon& area,
 
 std::vector<PointId> PlannedAreaQuery::RunPlanned(
     const Polygon& area, QueryContext& ctx, const PlanHints& hints) const {
-  const auto t0 = std::chrono::steady_clock::now();
   const Pinned pinned = Pin(area);
   const QueryPlan plan = planner_.Plan(pinned.features, hints);
   const bool caching = hints.use_cache;
-
-  ResultCache::Key key;
-  if (caching) {
-    key = ResultCache::Key{pinned.snap->version(), HashPolygonBits(area)};
-    if (const std::shared_ptr<const std::vector<PointId>> ids =
-            cache_.Lookup(key)) {
-      // Served without execution: the work counters stay 0 (nothing
-      // ran), only the result size, the plan provenance and the hit flag
-      // are reported.
-      ctx.stats.Reset();
-      ctx.stats.results = ids->size();
-      ctx.stats.result_cache_hits = 1;
-      ctx.stats.plan_method = MethodBit(plan.method);
-      ctx.stats.plan_reason = plan.reason | plan_reason::kCacheHit;
-      ctx.stats.elapsed_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-      return *ids;
-    }
-  }
 
   // No grid is pre-built from the plan's prediction: the method would
   // rebuild it whenever its own count (traditional: the exact candidate
   // count after its filter) asks for a finer one, and brute force needs
   // none. Each method makes the query's one `Prepared` build itself.
+  // The executor serves each leg's base pass from the cache when it can.
   std::vector<PointId> ids = RunShardedSnapshotQuery(
       *pinned.snap, plan.method, area, ctx,
-      plan.scatter ? scatter_engine_ : nullptr);
+      plan.scatter ? scatter_engine_ : nullptr, ShardPolicy{},
+      caching ? &cache_ : nullptr, caching ? HashPolygonBits(area) : 0);
 
+  // The executor counts cache outcomes per leg; the query is one hit when
+  // every leg that ran hit, and one miss otherwise.
+  const bool any_hit = ctx.stats.result_cache_hits > 0;
+  const bool hit = any_hit && ctx.stats.result_cache_misses == 0;
+  ctx.stats.result_cache_hits = hit ? 1 : 0;
+  ctx.stats.result_cache_misses = caching && !hit ? 1 : 0;
   ctx.stats.plan_method |= MethodBit(plan.method);
-  ctx.stats.plan_reason |= plan.reason;
-  if (caching) ctx.stats.result_cache_misses = 1;
-  planner_.Observe(plan, pinned.features, ctx.stats);
-  // Degraded-partial answers (failed shard legs under `allow_partial`)
-  // must not be cached: a later hit would replay the subset as the truth.
-  if (caching && ctx.stats.degraded == 0) {
-    cache_.Insert(key, ids);
-  }
+  ctx.stats.plan_reason |= plan.reason | (hit ? plan_reason::kCacheHit : 0);
+  // A leg served from the cache skipped its base pass, so the stats no
+  // longer measure the plan; only queries that ran every base pass teach
+  // the cost model.
+  if (!any_hit) planner_.Observe(plan, pinned.features, ctx.stats);
   return ids;
 }
 

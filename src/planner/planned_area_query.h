@@ -27,19 +27,23 @@ namespace vaq {
 ///     of the union of the view MBRs, the base's IO configuration, the
 ///     view count) and ask the planner for a `QueryPlan` — method,
 ///     scatter-or-inline call, predicted test count, reason bits.
-///  3. Probe the result cache under (snapshot version, polygon bit-hash).
-///     A hit returns the cached ids without executing anything: the COW
-///     snapshot counter guarantees the pinned version saw no mutation
-///     since the entry was stored, and the bit-hash keys on the exact
-///     vertex bits, so the cached answer is bit-identical to a fresh run.
-///  4. On a miss, execute the planned method against the pinned snapshot
-///     (scattering onto the engine only when the plan says so), feed the
-///     measured `QueryStats` back into the planner's EWMAs, and cache the
-///     result (unless it is degraded-partial — a subset answer must never
-///     be served as the truth later).
+///  3. Execute the planned method against the pinned snapshot through
+///     `RunShardedSnapshotQuery` (scattering onto the engine only when the
+///     plan says so), with the result cache: each leg's base pass is
+///     looked up under (the view's base generation, polygon bit-hash) and
+///     run only on a miss, while every leg applies its own snapshot's
+///     tombstones and delta. The bit-hash keys on the exact vertex bits,
+///     so a patched hit is bit-identical to a fresh run.
+///  4. Fold the per-leg cache outcomes into one hit (every leg that ran
+///     hit) or one miss, and feed the measured `QueryStats` back into the
+///     planner's EWMAs when no leg hit (a leg served from the cache skipped
+///     the work the model predicts). Degraded-partial answers need no
+///     special case: a failed leg offers nothing, a surviving leg's base
+///     pass is exact.
 ///
 /// `ctx.stats` always carries `plan_method` / `plan_reason`, and exactly
 /// one of `result_cache_hits` / `result_cache_misses` when caching is on.
+/// A hit's base work counters are 0; its `candidates` are the delta scan.
 ///
 /// Stateless per-execution like every `AreaQuery` (scratch in the ctx);
 /// the planner EWMAs and the cache are internally synchronized, so one

@@ -22,8 +22,8 @@ inline constexpr std::uint64_t kSeedModel = 1u << 0;
 inline constexpr std::uint64_t kLearnedModel = 1u << 1;
 /// The caller forced the method via `PlanHints::force_method`.
 inline constexpr std::uint64_t kForced = 1u << 2;
-/// The result was served from the snapshot-keyed result cache; no
-/// execution ran (the method bit records the *planned* method).
+/// Every leg's base pass was served from the result cache; only the
+/// per-snapshot finish (tombstones, delta scan) ran.
 inline constexpr std::uint64_t kCacheHit = 1u << 3;
 /// Per-candidate IO dominates per-candidate CPU (simulated fetch or
 /// paged backend), the regime where the Voronoi method's smaller
@@ -46,7 +46,7 @@ struct PlanHints {
   /// Bypass the cost model and run this method (the plan still carries
   /// reason bits, records stats, and uses the result cache).
   std::optional<DynamicMethod> force_method;
-  /// Consult/fill the snapshot-keyed result cache. Disable for one-shot
+  /// Consult/fill the result cache of base passes. Disable for one-shot
   /// polygons that would only evict hotter entries.
   bool use_cache = true;
   /// Sharded only: allow fanning legs onto the scatter engine. Disable to

@@ -35,7 +35,25 @@ std::shared_ptr<const std::vector<PointId>> ResultCache::Lookup(
   return it->second->ids;
 }
 
-void ResultCache::Insert(const Key& key, std::span<const PointId> ids) {
+bool ResultCache::Admit(std::uint64_t polygon_hash) {
+  if (capacity_ == 0) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto seen = seen_index_.find(polygon_hash);
+  if (seen != seen_index_.end()) {
+    seen_lru_.splice(seen_lru_.begin(), seen_lru_, seen->second);
+    return true;
+  }
+  seen_lru_.push_front(polygon_hash);
+  seen_index_.emplace(polygon_hash, seen_lru_.begin());
+  while (seen_lru_.size() > seen_capacity_) {
+    seen_index_.erase(seen_lru_.back());
+    seen_lru_.pop_back();
+  }
+  return false;
+}
+
+void ResultCache::Insert(const Key& key, std::span<const PointId> ids,
+                         bool admit) {
   if (capacity_ == 0) return;
   const auto Copy = [ids] {
     return std::make_shared<const std::vector<PointId>>(ids.begin(),
@@ -49,22 +67,14 @@ void ResultCache::Insert(const Key& key, std::span<const PointId> ids) {
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  // Second-hit admission: a hash never offered before is recorded and
-  // declined — one-shot polygons pay 8 bytes of admission memory, not a
-  // cache slot (and not an eviction of a proven repeater).
-  const auto seen = seen_index_.find(key.polygon_hash);
-  if (seen == seen_index_.end()) {
+  // Second-hit admission: a first-seen polygon's offers are declined —
+  // one-shot polygons pay 8 bytes of admission memory, not a cache slot
+  // (and not an eviction of a proven repeater).
+  if (!admit) {
     ++declined_;
-    seen_lru_.push_front(key.polygon_hash);
-    seen_index_.emplace(key.polygon_hash, seen_lru_.begin());
-    while (seen_lru_.size() > seen_capacity_) {
-      seen_index_.erase(seen_lru_.back());
-      seen_lru_.pop_back();
-    }
     return;
   }
   ++admitted_;
-  seen_lru_.splice(seen_lru_.begin(), seen_lru_, seen->second);
   lru_.push_front(Entry{key, Copy()});
   index_.emplace(key, lru_.begin());
   while (lru_.size() > capacity_) {

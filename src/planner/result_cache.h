@@ -23,53 +23,65 @@ namespace vaq {
 /// behaviour, so they intentionally miss).
 std::uint64_t HashPolygonBits(const Polygon& area);
 
-/// Snapshot-keyed LRU cache of query results.
+/// LRU cache of base passes, keyed on (base generation, polygon bit-hash).
 ///
-/// The key is (snapshot version, polygon bit-hash). Versions come from the
-/// COW snapshot counters (`DynamicPointDatabase::Snapshot::version`,
-/// `ShardedDatabase::Snapshot::version`): every published mutation bumps
-/// the version, so *invalidation is free* — entries for older versions
-/// simply stop being looked up and age out of the LRU tail. There is no
-/// epoch scan, no writer hook, nothing on the mutation path.
+/// An entry holds the base-internal ids one query leg's base pass
+/// (`Snapshot::BaseQuery(method).Run`) returned for the polygon. The base
+/// is immutable for a whole generation (`Snapshot::base_generation()`),
+/// so the entry stays exact across every insert and erase of that
+/// generation: each query applies its own snapshot's tombstones and delta
+/// to a copy (`FinishDynamicSnapshotLeg`). Only a compaction, which builds
+/// a new base with a new generation, retires entries — they stop being
+/// looked up and age out of the LRU tail. There is no epoch scan, no
+/// writer hook, nothing on the mutation path. The method is not part of
+/// the key: every method answers the same query over the same base, and
+/// the planner may switch methods for a polygon.
 ///
 /// Values are shared immutable id vectors: a hit hands back the pointer,
 /// the caller copies if it must mutate. Capacity-bounded; thread-safe
 /// (single internal mutex — entries are small and lookups are rare
 /// relative to query work).
 ///
-/// **Second-hit admission.** A first-seen polygon is *not* cached:
-/// `Insert` records its bit-hash in a bounded recency set and drops the
-/// ids; only a polygon whose hash has been seen before is admitted. A
-/// scan of one-shot polygons (the common exploratory workload) therefore
-/// cannot evict the genuinely repeating entries — it churns the hash set
-/// (8 bytes per polygon) instead of the result LRU. The seen set is keyed
-/// on the hash alone, not (version, hash): a polygon that repeats across
-/// mutations is exactly the repeater the cache exists for, so the new
-/// version's first execution is admitted immediately.
+/// **Second-hit admission.** A first-seen polygon is *not* cached: the
+/// query's `Admit` verdict is false, so its offers record nothing but the
+/// hash in a bounded recency set; only a polygon whose hash an earlier
+/// query recorded is admitted. A scan of one-shot polygons (the common
+/// exploratory workload) therefore cannot evict the genuinely repeating
+/// entries — it churns the hash set (8 bytes per polygon) instead of the
+/// result LRU. The verdict is taken once per query, so the K legs of a
+/// sharded first-seen query are all declined rather than leg 2 counting
+/// leg 1 as its first sighting. The seen set is keyed on the hash alone:
+/// a polygon that repeats across compactions is exactly the repeater the
+/// cache exists for, so its first run against a new base is admitted.
 class ResultCache {
  public:
   explicit ResultCache(std::size_t capacity = 128)
       : capacity_(capacity), seen_capacity_(capacity * 8) {}
 
   struct Key {
-    std::uint64_t version = 0;
+    std::uint64_t generation = 0;
     std::uint64_t polygon_hash = 0;
     bool operator==(const Key& o) const {
-      return version == o.version && polygon_hash == o.polygon_hash;
+      return generation == o.generation && polygon_hash == o.polygon_hash;
     }
   };
 
   /// Returns the cached ids and refreshes LRU recency, or null on miss.
   std::shared_ptr<const std::vector<PointId>> Lookup(const Key& key);
 
-  /// Offers `ids` for caching under `key`. Admitted — copied and stored,
-  /// evicting the least recently used entry beyond capacity — only when
-  /// the polygon hash was offered before (second-hit admission, above) or
-  /// the key is already resident (refresh). A declined offer records the
-  /// hash and copies nothing. A capacity of 0 disables the cache entirely.
-  void Insert(const Key& key, std::span<const PointId> ids);
+  /// The second-hit admission verdict of one query: records
+  /// `polygon_hash` in the seen set and returns whether an earlier call
+  /// had recorded it. Take it once per query, before its legs offer.
+  bool Admit(std::uint64_t polygon_hash);
+
+  /// Offers `ids` under `key`. Stored — copied, evicting the least
+  /// recently used entry beyond capacity — when `admit` (the query's
+  /// `Admit` verdict) holds or the key is already resident (refresh). A
+  /// declined offer copies nothing. A capacity of 0 disables the cache.
+  void Insert(const Key& key, std::span<const PointId> ids, bool admit);
 
   /// Cumulative counters (monotonic; for stats plumbing and tests).
+  /// `hits`/`misses` count `Lookup` outcomes, one per query leg.
   std::uint64_t hits() const;
   std::uint64_t misses() const;
   /// Admission outcomes of `Insert`: stored/refreshed vs. dropped as
@@ -83,7 +95,7 @@ class ResultCache {
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
       // Mix the two words; splitmix64-style finalizer.
-      std::uint64_t x = k.version * 0x9e3779b97f4a7c15ull ^ k.polygon_hash;
+      std::uint64_t x = k.generation * 0x9e3779b97f4a7c15ull ^ k.polygon_hash;
       x ^= x >> 30;
       x *= 0xbf58476d1ce4e5b9ull;
       x ^= x >> 27;

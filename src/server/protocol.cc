@@ -392,6 +392,8 @@ std::vector<std::uint8_t> EncodeServerStatsPayload(const WireServerStats& s) {
   PutInt<std::uint64_t>(out, s.queries_aborted);
   PutInt<std::uint64_t>(out, s.mutations_total);
   PutInt<std::uint64_t>(out, s.drains_completed);
+  PutInt<std::uint64_t>(out, s.result_cache_hits);
+  PutInt<std::uint64_t>(out, s.result_cache_misses);
   PutInt<std::uint64_t>(out, s.client_requests);
   PutInt<std::uint64_t>(out, s.client_errors);
   return out;
@@ -415,6 +417,8 @@ WireServerStats DecodeServerStatsPayload(
   s.queries_aborted = r.GetInt<std::uint64_t>("queries_aborted");
   s.mutations_total = r.GetInt<std::uint64_t>("mutations_total");
   s.drains_completed = r.GetInt<std::uint64_t>("drains_completed");
+  s.result_cache_hits = r.GetInt<std::uint64_t>("result_cache_hits");
+  s.result_cache_misses = r.GetInt<std::uint64_t>("result_cache_misses");
   s.client_requests = r.GetInt<std::uint64_t>("client_requests");
   s.client_errors = r.GetInt<std::uint64_t>("client_errors");
   r.ExpectDone("server-stats");

@@ -219,6 +219,10 @@ struct WireServerStats {
   std::uint64_t queries_aborted = 0;   // kDeadline / kCancelled responses.
   std::uint64_t mutations_total = 0;
   std::uint64_t drains_completed = 0;  // Compact drain cycles.
+  // The planned query's result-cache lookups since start (one per query
+  // leg; the server's database is unsharded, so one per cached query).
+  std::uint64_t result_cache_hits = 0;
+  std::uint64_t result_cache_misses = 0;
   // The requesting connection's slice.
   std::uint64_t client_requests = 0;
   std::uint64_t client_errors = 0;

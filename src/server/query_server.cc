@@ -327,6 +327,9 @@ std::vector<std::uint8_t> QueryServer::HandleRequest(
           s.mutations_total = counters_.mutations_total;
           s.drains_completed = counters_.drains_completed;
         }
+        const ResultCache& cache = db_->PlannedQuery()->cache();
+        s.result_cache_hits = cache.hits();
+        s.result_cache_misses = cache.misses();
         s.client_requests = conn->requests;
         s.client_errors = conn->errors;
         std::vector<std::uint8_t> out;

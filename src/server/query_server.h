@@ -34,7 +34,7 @@ namespace vaq {
 ///
 /// **Planner routing.** The engine method the server registers is the
 /// database's `PlannedQuery()` — every network query plans, feeds the
-/// planner's EWMAs, and hits the snapshot-keyed result cache. Per-request
+/// planner's EWMAs, and hits the result cache. Per-request
 /// `PlanHints` ride in on `SubmitOptions::hints`.
 ///
 /// **Backpressure.** The engine runs with `shed_on_full`: when every slot

@@ -9,43 +9,78 @@
 
 #include "core/dynamic_area_query.h"
 #include "geometry/prepared_area.h"
+#include "planner/result_cache.h"
 
 namespace vaq {
 
 namespace {
 
+/// A query's result cache as its legs see it.
+struct LegCache {
+  ResultCache* cache = nullptr;
+  std::uint64_t polygon_hash = 0;
+  /// The query's second-hit admission verdict, taken before any leg runs.
+  bool admit = false;
+};
+
 /// One leg: the method against one pinned view, *unsorted* — the gather
 /// sorts once over the merged set — with hits remapped to global stable
-/// ids when the view has an id map.
-std::vector<PointId> RunLeg(const ShardedDatabase::ShardView& view,
-                            DynamicMethod method, const Polygon& area,
-                            QueryContext& ctx) {
-  std::vector<PointId> ids =
-      RunDynamicSnapshotLeg(*view.snap, method, area, ctx);
-  if (view.ids != nullptr) {
-    for (PointId& id : ids) id = view.ids->Global(id);
-  }
-  return ids;
-}
-
-/// A leg as an `AreaQuery`, the unit `QueryEngine::SubmitWith` scatters.
-/// Internal to the executor: it deliberately breaks the sorted-ids
-/// contract of `AreaQuery`.
+/// ids when the view has an id map. With a cache, a leg whose `LookUp`
+/// hit skips the base pass and finishes a copy of the cached ids; a leg
+/// that missed runs the base pass and offers its ids before the finish
+/// filters them in place. A leg that throws in its base pass offers
+/// nothing; a completed base pass is exact whatever happens after it.
+///
+/// Internal to the executor, run inline or as a `QueryEngine::SubmitWith`
+/// task: it deliberately breaks the sorted-ids contract of `AreaQuery`.
 class ShardLegQuery final : public AreaQuery {
  public:
-  ShardLegQuery(const ShardedDatabase::ShardView* view, DynamicMethod method)
-      : view_(view), method_(method) {}
+  ShardLegQuery(const ShardedDatabase::ShardView* view, DynamicMethod method,
+                const LegCache* cache)
+      : view_(view), method_(method), cache_(cache) {}
+
+  /// Fetches this leg's cached base pass; returns whether it hit.
+  bool LookUp() {
+    cached_ = cache_->cache->Lookup(Key());
+    return cached_ != nullptr;
+  }
 
   std::vector<PointId> Run(const Polygon& area,
                            QueryContext& ctx) const override {
-    return RunLeg(*view_, method_, area, ctx);
+    const DynamicPointDatabase::Snapshot& snap = *view_->snap;
+    std::vector<PointId> ids;
+    if (cached_ != nullptr) {
+      // The base pass does not run: its work counters stay 0, and the
+      // finish below charges only the delta scan.
+      ctx.stats.Reset();
+      ctx.stats.result_cache_hits = 1;
+      ids = *cached_;
+    } else {
+      // The base implementation resets and fills ctx.stats.
+      ids = snap.BaseQuery(method_).Run(area, ctx);
+      if (cache_ != nullptr) {
+        ctx.stats.result_cache_misses = 1;
+        cache_->cache->Insert(Key(), ids, cache_->admit);
+      }
+    }
+    FinishDynamicSnapshotLeg(snap, method_, area, ids, ctx);
+    if (view_->ids != nullptr) {
+      for (PointId& id : ids) id = view_->ids->Global(id);
+    }
+    return ids;
   }
 
   std::string_view Name() const override { return "shard-leg"; }
 
  private:
+  ResultCache::Key Key() const {
+    return {view_->snap->base_generation(), cache_->polygon_hash};
+  }
+
   const ShardedDatabase::ShardView* view_;
   DynamicMethod method_;
+  const LegCache* cache_;
+  std::shared_ptr<const std::vector<PointId>> cached_;
 };
 
 }  // namespace
@@ -53,7 +88,8 @@ class ShardLegQuery final : public AreaQuery {
 std::vector<PointId> RunShardedSnapshotQuery(
     const ShardedDatabase::Snapshot& snap, DynamicMethod method,
     const Polygon& area, QueryContext& ctx, QueryEngine* scatter_engine,
-    const ShardPolicy& policy) {
+    const ShardPolicy& policy, ResultCache* cache,
+    std::uint64_t polygon_hash) {
   const auto t0 = std::chrono::steady_clock::now();
 
   // Prune: O(1) conservative box test per shard. Empty shards are counted
@@ -61,11 +97,13 @@ std::vector<PointId> RunShardedSnapshotQuery(
   // view always runs: pruning it would save at most an empty answer and
   // cost a polygon build its method would not reuse.
   const std::vector<ShardedDatabase::ShardView>& views = snap.shards();
+  LegCache cache_state{cache, polygon_hash};
+  const LegCache* leg_cache = cache != nullptr ? &cache_state : nullptr;
   std::vector<ShardLegQuery> legs;
   legs.reserve(views.size());
   std::uint64_t pruned = 0;
   if (views.size() == 1) {
-    legs.emplace_back(&views.front(), method);
+    legs.emplace_back(&views.front(), method, leg_cache);
   } else {
     const PreparedArea& prep = ctx.Prepared(area);
     for (const ShardedDatabase::ShardView& view : views) {
@@ -73,9 +111,18 @@ std::vector<PointId> RunShardedSnapshotQuery(
           prep.ClassifyBox(view.mbr) == PreparedArea::Region::kOutside) {
         ++pruned;
       } else {
-        legs.emplace_back(&view, method);
+        legs.emplace_back(&view, method, leg_cache);
       }
     }
+  }
+
+  // Cache lookups, one per surviving leg, all before any leg runs: the
+  // admission verdict is taken once per query, and only when some leg
+  // will offer, so a first-seen polygon is declined on every leg.
+  if (leg_cache != nullptr) {
+    bool any_miss = false;
+    for (ShardLegQuery& leg : legs) any_miss |= !leg.LookUp();
+    if (any_miss) cache_state.admit = cache->Admit(polygon_hash);
   }
 
   // Scatter + gather. Per-leg stats merge by summation — `QueryStats`

@@ -8,6 +8,8 @@
 
 namespace vaq {
 
+class ResultCache;
+
 /// Failure policy of one sharded scatter-gather (DESIGN.md §12).
 ///
 /// Defaults preserve the strict contract: no per-leg deadline, no
@@ -46,14 +48,15 @@ struct ShardPolicy {
 ///     conservative (exact after compaction, grown by inserts), so a
 ///     prune is always sound. A single view is never pruned, so an
 ///     unsharded query prepares its polygon only inside its method.
-///  2. **Scatter** the surviving views: each runs
-///     `RunDynamicSnapshotLeg` against its pinned view and, when the view
-///     has an id map, remaps its hits to global stable ids. With a
-///     `scatter_engine` and more than one survivor the legs run as
-///     `QueryEngine::SubmitWith` jobs in parallel — under the blocking IO
-///     model the shards overlap their object fetches, which is where the
-///     sharded layout's throughput comes from; otherwise they run
-///     sequentially on the caller's context.
+///  2. **Scatter** the surviving views: each runs its base pass
+///     (`Snapshot::BaseQuery(method)`) and `FinishDynamicSnapshotLeg`
+///     against its pinned view and, when the view has an id map, remaps
+///     its hits to global stable ids. With a `scatter_engine` and more
+///     than one survivor the legs run as `QueryEngine::SubmitWith` jobs
+///     in parallel — under the blocking IO model the shards overlap their
+///     object fetches, which is where the sharded layout's throughput
+///     comes from; otherwise they run sequentially on the caller's
+///     context.
 ///  3. **Gather**: concatenate the per-view hits and sort once (global id
 ///     ranges interleave, and no leg sorts), and merge the per-leg
 ///     `QueryStats` by summation, which preserves the `candidates ==
@@ -64,6 +67,16 @@ struct ShardPolicy {
 ///
 /// `ctx.stats` is reset and filled like any `AreaQuery::Run`. `policy`
 /// sets the per-leg timeout/retry budget and the partial-result mode.
+///
+/// **Result cache.** With a `cache` (null = uncached), each surviving leg
+/// looks up its base pass under (`base_generation()`, `polygon_hash`)
+/// before any leg runs. A hit leg skips the base pass and finishes a copy
+/// of the cached ids against its own snapshot; a miss leg runs the base
+/// pass and offers its ids. Second-hit admission is decided once per
+/// query (`ResultCache::Admit`), only if some leg missed. A leg that
+/// fails offers nothing from an unfinished base pass. Per leg,
+/// `stats.result_cache_hits`/`result_cache_misses` count 1 and merge by
+/// summation; `PlannedAreaQuery` folds them into its one hit or miss.
 ///
 /// **Pool rule**: the scatter engine should be a pool dedicated to shard
 /// legs — a sharded query blocks its calling thread until its legs
@@ -76,7 +89,8 @@ struct ShardPolicy {
 std::vector<PointId> RunShardedSnapshotQuery(
     const ShardedDatabase::Snapshot& snap, DynamicMethod method,
     const Polygon& area, QueryContext& ctx,
-    QueryEngine* scatter_engine = nullptr, const ShardPolicy& policy = {});
+    QueryEngine* scatter_engine = nullptr, const ShardPolicy& policy = {},
+    ResultCache* cache = nullptr, std::uint64_t polygon_hash = 0);
 
 }  // namespace vaq
 

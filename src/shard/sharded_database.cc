@@ -185,7 +185,6 @@ std::optional<PointId> ShardedDatabase::Insert(const Point& p) {
   next->shards_[s].ids = std::move(ids);
   next->shards_[s].mbr = mbrs_[s];
   next->stable_limit_ = next_global_;
-  next->version_ = next_version_++;
   PublishLocked(std::move(next));
   return global;
 }
@@ -203,7 +202,6 @@ bool ShardedDatabase::Erase(PointId id) {
   // The MBR stays conservative across deletes; Compact() re-tightens it.
   next->shards_[loc.shard].mbr = mbrs_[loc.shard];
   next->stable_limit_ = next_global_;
-  next->version_ = next_version_++;
   PublishLocked(std::move(next));
   return true;
 }
@@ -222,7 +220,6 @@ void ShardedDatabase::Compact() {
     next->shards_[s].mbr = mbrs_[s];
   }
   next->stable_limit_ = next_global_;
-  next->version_ = next_version_++;
   PublishLocked(std::move(next));
 }
 
@@ -254,7 +251,6 @@ ShardedDatabase::Snapshot::Single(
     std::shared_ptr<const DynamicPointDatabase::Snapshot> snap) {
   auto single = std::make_shared<Snapshot>();
   single->stable_limit_ = snap->stable_limit();
-  single->version_ = snap->version();
   const Box mbr = snap->base().bounds();
   single->shards_.push_back(ShardView{std::move(snap), nullptr, mbr});
   return single;

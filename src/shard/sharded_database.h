@@ -121,11 +121,6 @@ class ShardedDatabase {
     const std::vector<ShardView>& shards() const { return shards_; }
     /// Exclusive upper bound of every global stable id in this version.
     PointId stable_limit() const { return stable_limit_; }
-    /// Monotonic publication counter: 0 for the initial version, +1 per
-    /// published mutation/compaction — mirrors
-    /// `DynamicPointDatabase::Snapshot::version()` and keys the planner's
-    /// result cache, so any mutation of any shard invalidates for free.
-    std::uint64_t version() const { return version_; }
     /// Live points across all shards in this version.
     std::size_t live_size() const {
       std::size_t n = 0;
@@ -147,7 +142,6 @@ class ShardedDatabase {
     friend class ShardedDatabase;
     std::vector<ShardView> shards_;
     PointId stable_limit_ = 0;
-    std::uint64_t version_ = 0;
   };
 
   /// Partitions `points` into `options.num_shards` Hilbert-range shards.
@@ -189,8 +183,8 @@ class ShardedDatabase {
   /// Runs one area query through the adaptive planner (see
   /// `PlannedAreaQuery`): the cost model picks the method per query *and*
   /// whether to fan the surviving shards out onto
-  /// `Options::scatter_engine` or run them inline; the snapshot-keyed
-  /// result cache serves repeated identical polygons. Fixed-method
+  /// `Options::scatter_engine` or run them inline; the result cache
+  /// serves each shard leg's base pass for repeated identical polygons. Fixed-method
   /// callers pass `PlanHints::force_method`, or call
   /// `RunShardedSnapshotQuery` on `snapshot()`. Thread-safe like
   /// `snapshot()`.
@@ -238,8 +232,6 @@ class ShardedDatabase {
   /// Conservative live-point MBR per shard, mirrored into the views.
   std::vector<Box> mbrs_;
   PointId next_global_ = 0;
-  /// Next snapshot version to publish (guarded by `writer_mu_`).
-  std::uint64_t next_version_ = 1;
 
   /// Lazily built planner behind `Query` (see `DynamicPointDatabase`).
   mutable std::once_flag planned_once_;

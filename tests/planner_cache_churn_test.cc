@@ -1,10 +1,12 @@
-// Correctness of the snapshot-keyed result cache under churn: the cache
-// may only ever return what a fresh execution against the same pinned
-// snapshot would return, across arbitrary Insert / Erase / Compact
-// interleavings. Every cached answer is compared bit-for-bit against an
-// uncached run of the same planned path AND against brute force over the
-// live set — the differential the bench gates in CI, here exercised with
-// randomized schedules (and concurrently, for the TSan leg).
+// Correctness of the generation-keyed result cache under churn: the cache
+// holds each leg's base pass, and every query patches it with its own
+// snapshot's tombstones and delta, so a hit may only ever return what a
+// fresh execution against the same pinned snapshot would return, across
+// arbitrary Insert / Erase / Compact interleavings. Every cached answer
+// is compared bit-for-bit against an uncached run of the same planned
+// path AND against brute force over the live set — the differential the
+// bench gates in CI, here exercised with randomized schedules (and
+// concurrently, for the TSan leg).
 
 #include <algorithm>
 #include <atomic>
@@ -15,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "core/dynamic_point_database.h"
+#include "engine/query_engine.h"
+#include "geometry/prepared_area.h"
 #include "planner/planned_area_query.h"
 #include "shard/sharded_database.h"
 #include "workload/point_generator.h"
@@ -57,8 +61,8 @@ TEST(PlannerCacheChurnTest, RandomizedChurnNeverServesAStaleResult) {
   DynamicPointDatabase db(GenerateUniformPoints(3000, kUnit, &rng),
                           options);
   // A small fixed polygon set, so the same key repeats often enough to
-  // exercise both hits (no mutation between repeats) and invalidation
-  // (mutation bumped the version in between).
+  // exercise both hits (patched with the mutations since the base was
+  // built) and invalidation (a compaction built a new base in between).
   const std::vector<Polygon> areas = FixedAreas(7, 5, 0.15);
 
   PlanHints uncached;
@@ -96,21 +100,68 @@ TEST(PlannerCacheChurnTest, RandomizedChurnNeverServesAStaleResult) {
           << "planned result diverged from brute force at step " << step;
     }
   }
-  // The schedule leaves quiet stretches between mutations, so repeats of
-  // the small polygon set must actually hit; and mutations must actually
-  // re-miss. Both counters being live is what makes the differential
-  // above a cache test rather than a no-op.
+  // Repeats of the small polygon set between compactions must actually
+  // hit, and compactions must actually re-miss. Both counters being live
+  // is what makes the differential above a cache test rather than a
+  // no-op.
   EXPECT_GT(hits, 0u);
   EXPECT_GT(misses, static_cast<std::uint64_t>(areas.size()));
 }
 
-/// Primes the cache with `area`, then makes each mutation kind and
-/// requires a re-miss with the updated answer. Second-hit admission means
-/// the first execution of a never-seen polygon is declined (its hash is
-/// merely recorded), the second execution is stored, the third hits.
+/// The pinned views of either database type, as the planner sees them.
+std::shared_ptr<const ShardedDatabase::Snapshot> PinViews(
+    const DynamicPointDatabase& db) {
+  return ShardedDatabase::Snapshot::Single(db.snapshot());
+}
+std::shared_ptr<const ShardedDatabase::Snapshot> PinViews(
+    const ShardedDatabase& db) {
+  return db.snapshot();
+}
+
+/// Whether a leg the executor runs for `area` on `after` reads a base
+/// that `before` did not: the only way a repeated, admitted polygon can
+/// miss. Mirrors the executor's prune (a single view always runs).
+bool SurvivingLegRebuilt(const ShardedDatabase::Snapshot& before,
+                         const ShardedDatabase::Snapshot& after,
+                         const Polygon& area) {
+  const PreparedArea prep(area);
+  const std::vector<ShardedDatabase::ShardView>& views = after.shards();
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const bool runs =
+        views.size() == 1 ||
+        (views[i].snap->live_size() > 0 &&
+         prep.ClassifyBox(views[i].mbr) != PreparedArea::Region::kOutside);
+    if (runs && views[i].snap->base_generation() !=
+                    before.shards()[i].snap->base_generation()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// A point strictly inside `area`, found on a fixed grid over its MBR.
+Point InteriorPoint(const Polygon& area) {
+  const Box mbr = area.Bounds();
+  for (int i = 1; i < 64; ++i) {
+    for (int j = 1; j < 64; ++j) {
+      const Point p{mbr.min.x + (mbr.max.x - mbr.min.x) * i / 64.0,
+                    mbr.min.y + (mbr.max.y - mbr.min.y) * j / 64.0};
+      if (area.Contains(p)) return p;
+    }
+  }
+  ADD_FAILURE() << "no interior grid point";
+  return mbr.min;
+}
+
+/// Primes the cache with `area`, then makes each mutation kind. Second-hit
+/// admission means the first execution of a never-seen polygon is
+/// declined (its hash is merely recorded), the second is stored, the
+/// third hits. Inserts and erases keep the base, so they hit, with the
+/// cached base pass patched to the current answer; a compaction misses
+/// exactly when it rebuilt the base of a leg the query runs.
 template <typename Database>
-void ExpectEveryMutationKindInvalidates(Database& db, const Polygon& area,
-                                        QueryContext& ctx) {
+void ExpectMutationsPatchAndRebuildsMiss(Database& db, const Polygon& area,
+                                         QueryContext& ctx) {
   std::vector<PointId> before = db.Query(area, ctx);
   EXPECT_EQ(ctx.stats.result_cache_misses, 1u);
   EXPECT_EQ(before, LiveBruteForce(db, area));
@@ -120,28 +171,33 @@ void ExpectEveryMutationKindInvalidates(Database& db, const Polygon& area,
   db.Query(area, ctx);
   EXPECT_EQ(ctx.stats.result_cache_hits, 1u);
 
-  // Insert inside the query's MBR: the cached answer is now wrong.
-  const Box mbr = area.Bounds();
-  const auto id = db.Insert({(mbr.min.x + mbr.max.x) / 2.0,
-                             (mbr.min.y + mbr.max.y) / 2.0});
+  // Insert inside the area: the cached base pass no longer is the
+  // answer, and the hit's delta scan must add the new point.
+  const auto id = db.Insert(InteriorPoint(area));
   ASSERT_TRUE(id.has_value());
   std::vector<PointId> after_insert = db.Query(area, ctx);
-  EXPECT_EQ(ctx.stats.result_cache_misses, 1u)
-      << "insert published a new version; the old entry must not hit";
+  EXPECT_EQ(ctx.stats.result_cache_hits, 1u)
+      << "an insert keeps the base; its base pass must still hit";
   EXPECT_EQ(after_insert, LiveBruteForce(db, area));
+  EXPECT_TRUE(std::binary_search(after_insert.begin(), after_insert.end(),
+                                 *id));
 
   db.Erase(*id);
   std::vector<PointId> after_erase = db.Query(area, ctx);
-  EXPECT_EQ(ctx.stats.result_cache_misses, 1u);
+  EXPECT_EQ(ctx.stats.result_cache_hits, 1u);
   EXPECT_EQ(after_erase, before)
       << "erasing the inserted point restores the original answer";
 
-  // An effective compaction (non-empty delta) publishes a new version
-  // and re-misses; ids and answers are stable across the rebuild.
+  // An effective compaction (non-empty delta) builds a new base; the
+  // query misses when a leg it runs reads one. Ids and answers are
+  // stable across the rebuild.
   ASSERT_TRUE(db.Insert({2.0, 2.0}).has_value());  // Outside the area.
+  const auto pinned_before = PinViews(db);
   db.Compact();
+  const bool rebuilt = SurvivingLegRebuilt(*pinned_before, *PinViews(db),
+                                           area);
   std::vector<PointId> after_compact = db.Query(area, ctx);
-  EXPECT_EQ(ctx.stats.result_cache_misses, 1u);
+  EXPECT_EQ(ctx.stats.result_cache_misses, rebuilt ? 1u : 0u);
   EXPECT_EQ(after_compact, before);
 }
 
@@ -154,19 +210,24 @@ TEST(PlannerCacheChurnTest, EveryMutationKindInvalidates) {
 
   DynamicPointDatabase db(points, options);
   QueryContext ctx;
-  ExpectEveryMutationKindInvalidates(db, area, ctx);
-  // A no-op compaction (nothing to merge) publishes nothing: same
-  // version, and serving the cached entry is exactly right.
+  const std::uint64_t generation = db.snapshot()->base_generation();
+  ExpectMutationsPatchAndRebuildsMiss(db, area, ctx);
+  EXPECT_NE(db.snapshot()->base_generation(), generation)
+      << "the unsharded compaction must have rebuilt its one base";
+  // A no-op compaction (nothing to merge) builds no base: same
+  // generation, and serving the cached entry is exactly right.
   db.Compact();
   db.Query(area, ctx);
   EXPECT_EQ(ctx.stats.result_cache_hits, 1u)
-      << "a no-op compact must not invalidate (version unchanged)";
+      << "a no-op compact must not invalidate (generation unchanged)";
 
-  // The sharded planned path keys its cache on the cross-shard version.
+  // The sharded planned path keys each leg on its own shard's base
+  // generation: compacting one shard re-misses only the queries that
+  // run a leg on it.
   ShardedDatabase::Options sharded_options;
   sharded_options.shard = options;
   ShardedDatabase sharded(points, sharded_options);
-  ExpectEveryMutationKindInvalidates(sharded, area, ctx);
+  ExpectMutationsPatchAndRebuildsMiss(sharded, area, ctx);
 }
 
 TEST(PlannerCacheChurnTest, ConcurrentReadersAndMutatorStayExact) {
@@ -214,11 +275,13 @@ TEST(PlannerCacheChurnTest, ConcurrentReadersAndMutatorStayExact) {
         const std::vector<PointId> ids = db.Query(area, ctx);
         hits += ctx.stats.result_cache_hits;
         // Internal exactness holds even mid-churn: one hit or one miss,
-        // and a hit short-circuits all execution counters to zero.
+        // and a hit skips the base pass, so it loads no geometry and its
+        // only candidates are the delta scan.
         EXPECT_EQ(
             ctx.stats.result_cache_hits + ctx.stats.result_cache_misses, 1u);
         if (ctx.stats.result_cache_hits == 1) {
-          EXPECT_EQ(ctx.stats.candidates, 0u);
+          EXPECT_EQ(ctx.stats.geometry_loads, 0u);
+          EXPECT_EQ(ctx.stats.candidates, ctx.stats.delta_candidates);
         }
       }
       total_hits.fetch_add(hits);
@@ -239,6 +302,118 @@ TEST(PlannerCacheChurnTest, ConcurrentReadersAndMutatorStayExact) {
   // Readers loop far more often than the mutator publishes, so the cache
   // must have served real hits mid-churn for this to have tested anything.
   EXPECT_GT(total_hits.load(), 0u);
+}
+
+/// Runs `area` with `hints` through the cache and uncached, and requires
+/// a hit equal to both the uncached run and brute force over the live set.
+template <typename Database>
+void ExpectPatchedHit(const Database& db, const Polygon& area,
+                      const PlanHints& hints, const char* step) {
+  SCOPED_TRACE(step);
+  QueryContext ctx;
+  const std::vector<PointId> cached = db.Query(area, ctx, hints);
+  EXPECT_EQ(ctx.stats.result_cache_hits, 1u);
+  EXPECT_EQ(ctx.stats.geometry_loads, 0u);
+  EXPECT_EQ(ctx.stats.candidates, ctx.stats.delta_candidates);
+  PlanHints uncached = hints;
+  uncached.use_cache = false;
+  EXPECT_EQ(cached, db.Query(area, ctx, uncached));
+  EXPECT_EQ(cached, LiveBruteForce(db, area));
+}
+
+TEST(PlannerCacheChurnTest, PatchedHitsMatchFreshRuns) {
+  // Every mutation kind that keeps the base is served from the cached
+  // base pass, patched per query — for one view and for four, inline and
+  // scattered, under every forced method (the brute-force leg finishes
+  // with its own exact delta scan).
+  Rng rng(77);
+  const std::vector<Point> points = GenerateUniformPoints(2000, kUnit, &rng);
+  const Polygon area = FixedAreas(13, 1, 0.3)[0];
+  // Inside/outside base points; stable and global ids are input positions.
+  std::vector<PointId> inside;
+  std::vector<PointId> outside;
+  for (PointId id = 0; id < points.size(); ++id) {
+    (area.Contains(points[id]) ? inside : outside).push_back(id);
+  }
+  ASSERT_GE(inside.size(), 2u);
+  ASSERT_FALSE(outside.empty());
+  // Inserts sit a hair off a live base point: same routing cell, so the
+  // point lands in a shard whose pruning verdict the insert cannot flip.
+  const auto Near = [&](PointId id) {
+    return Point{points[id].x + 1e-9, points[id].y + 1e-9};
+  };
+  ASSERT_TRUE(area.Contains(Near(inside[1])));
+  ASSERT_FALSE(area.Contains(Near(outside[0])));
+
+  QueryEngine engine({.num_threads = 2});
+  const DynamicMethod kMethods[] = {
+      DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+  struct Config {
+    std::size_t shards;
+    QueryEngine* scatter;
+  };
+  for (const Config config : {Config{1, nullptr}, Config{4, nullptr},
+                              Config{4, &engine}}) {
+    for (const DynamicMethod method : kMethods) {
+      SCOPED_TRACE(testing::Message()
+                   << "K=" << config.shards
+                   << (config.scatter != nullptr ? " scatter" : " inline")
+                   << " method=" << static_cast<int>(method));
+      ShardedDatabase::Options options;
+      options.num_shards = config.shards;
+      options.shard.auto_compact = false;
+      // Object IO makes every leg worth a scatter.
+      options.shard.simulated_fetch_ns = 1000.0;
+      options.scatter_engine = config.scatter;
+      ShardedDatabase db(points, options);
+      PlanHints hints;
+      hints.force_method = method;
+      if (config.scatter != nullptr) {
+        ASSERT_TRUE(db.PlannedQuery()->PlanFor(area, hints).scatter);
+      }
+      QueryContext ctx;
+      db.Query(area, ctx, hints);  // Declined: first sighting.
+      db.Query(area, ctx, hints);  // Admitted.
+      ASSERT_EQ(ctx.stats.result_cache_misses, 1u);
+
+      ASSERT_TRUE(db.Erase(inside[0]));
+      ExpectPatchedHit(db, area, hints, "erase a base point inside");
+      const std::optional<PointId> added = db.Insert(Near(inside[1]));
+      ASSERT_TRUE(added.has_value());
+      ExpectPatchedHit(db, area, hints, "insert inside");
+      ASSERT_TRUE(db.Erase(*added));
+      ExpectPatchedHit(db, area, hints, "erase the delta point");
+      ASSERT_TRUE(db.Insert(Near(outside[0])).has_value());
+      ExpectPatchedHit(db, area, hints, "insert outside");
+    }
+  }
+}
+
+TEST(PlannerCacheChurnTest, FirstSeenPolygonIsDeclinedOnEveryLeg) {
+  // Second-hit admission is per polygon, not per leg: the legs of a
+  // first-seen query must not count each other's offers as sightings.
+  Rng rng(31);
+  ShardedDatabase::Options options;
+  options.num_shards = 4;
+  ShardedDatabase db(GenerateUniformPoints(2000, kUnit, &rng), options);
+  const Polygon area(std::vector<Point>{
+      {0.05, 0.05}, {0.95, 0.05}, {0.95, 0.95}, {0.05, 0.95}});
+  const ResultCache& cache = db.PlannedQuery()->cache();
+
+  QueryContext ctx;
+  db.Query(area, ctx);
+  const std::uint64_t legs = ctx.stats.shards_hit;
+  ASSERT_GT(legs, 1u);
+  EXPECT_EQ(ctx.stats.result_cache_misses, 1u);
+  EXPECT_EQ(cache.admitted(), 0u) << "a one-shot polygon took a slot";
+  EXPECT_EQ(cache.declined(), legs);
+
+  db.Query(area, ctx);
+  EXPECT_EQ(ctx.stats.result_cache_misses, 1u);
+  EXPECT_EQ(cache.admitted(), legs) << "a repeated polygon is admitted";
+  db.Query(area, ctx);
+  EXPECT_EQ(ctx.stats.result_cache_hits, 1u);
 }
 
 }  // namespace

@@ -18,12 +18,18 @@ Polygon Square(double x0, double y0, double side) {
       {{x0, y0}, {x0 + side, y0}, {x0 + side, y0 + side}, {x0, y0 + side}}};
 }
 
+/// One single-leg query's offer: its admission verdict, then the offer.
+void Offer(ResultCache& cache, const ResultCache::Key& key,
+           const std::vector<PointId>& ids) {
+  cache.Insert(key, ids, cache.Admit(key.polygon_hash));
+}
+
 /// Stores an entry past second-hit admission: the first offer of a hash
 /// is declined by design, the second is admitted.
 void Admit(ResultCache& cache, const ResultCache::Key& key,
            const std::vector<PointId>& ids) {
-  cache.Insert(key, ids);
-  cache.Insert(key, ids);
+  Offer(cache, key, ids);
+  Offer(cache, key, ids);
 }
 
 TEST(HashPolygonBitsTest, StableAndSensitiveToEveryBit) {
@@ -63,12 +69,12 @@ TEST(ResultCacheTest, FirstOfferIsDeclinedSecondIsAdmitted) {
   const ResultCache::Key key{7, 42};
   EXPECT_EQ(cache.Lookup(key), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
-  cache.Insert(key, Ids({1, 2, 3}));
+  Offer(cache, key, Ids({1, 2, 3}));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.declined(), 1u);
   EXPECT_EQ(cache.Lookup(key), nullptr)
       << "a first-seen polygon must not be cached";
-  cache.Insert(key, Ids({1, 2, 3}));
+  Offer(cache, key, Ids({1, 2, 3}));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.admitted(), 1u);
   const auto found = cache.Lookup(key);
@@ -92,7 +98,7 @@ TEST(ResultCacheTest, DeclinedOfferLeavesCacheAndCountersUntouched) {
   const std::uint64_t declined = cache.declined();
 
   const std::vector<PointId> big(10000, 3);
-  cache.Insert({1, 8}, big);  // First offer of hash 8: declined.
+  Offer(cache, {1, 8}, big);  // First offer of hash 8: declined.
 
   EXPECT_EQ(cache.size(), size);
   EXPECT_EQ(cache.hits(), hits);
@@ -120,22 +126,23 @@ TEST(ResultCacheTest, AdmittedEntryOwnsACopyOfTheOfferedIds) {
 
 TEST(ResultCacheTest, SeenHashesSpanVersions) {
   // The admission memory is keyed on the polygon hash alone: a polygon
-  // that repeats across mutations re-misses (new version) but is admitted
-  // on that version's *first* execution — it already proved it repeats.
+  // that repeats across compactions re-misses (new base generation) but
+  // is admitted on that generation's *first* execution — it already
+  // proved it repeats.
   ResultCache cache(4);
   Admit(cache, {1, 99}, Ids({10}));
   ASSERT_NE(cache.Lookup({1, 99}), nullptr);
-  cache.Insert({2, 99}, Ids({10, 11}));  // New version, known hash.
+  Offer(cache, {2, 99}, Ids({10, 11}));  // New generation, known hash.
   const auto v2 = cache.Lookup({2, 99});
   ASSERT_NE(v2, nullptr) << "a known hash must be admitted on first offer "
-                            "under a new version";
+                            "under a new generation";
   EXPECT_EQ(v2->size(), 2u);
 }
 
 TEST(ResultCacheTest, VersionIsPartOfTheKey) {
-  // The whole invalidation story: a bumped snapshot version misses even
-  // for the same polygon hash, and the old entry keeps serving readers
-  // still pinned on the old version.
+  // The whole invalidation story: a new base generation misses even for
+  // the same polygon hash, and the old entry keeps serving readers still
+  // pinned on a snapshot of the old base.
   ResultCache cache(4);
   Admit(cache, {1, 99}, Ids({10}));
   EXPECT_EQ(cache.Lookup({2, 99}), nullptr);
@@ -171,7 +178,7 @@ TEST(ResultCacheTest, OneShotScanDoesNotEvictRepeaters) {
   for (std::uint64_t i = 0; i < 8; ++i) {
     const ResultCache::Key one_shot{1, 100 + i};
     EXPECT_EQ(cache.Lookup(one_shot), nullptr);
-    cache.Insert(one_shot, Ids({static_cast<PointId>(i)}));
+    Offer(cache, one_shot, Ids({static_cast<PointId>(i)}));
   }
   EXPECT_EQ(cache.size(), 1u) << "one-shot offers must not occupy slots";
   ASSERT_NE(cache.Lookup({1, 7000}), nullptr)
@@ -185,32 +192,32 @@ TEST(ResultCacheTest, SeenSetIsBoundedUnderUnboundedScan) {
   // entry evicted from the seen set loses its admission credit — its
   // next offer is a (declined) first offer again.
   ResultCache cache(2);  // seen capacity = 16.
-  cache.Insert({1, 5555}, Ids({9}));  // Hash 5555 recorded.
+  Offer(cache, {1, 5555}, Ids({9}));  // Hash 5555 recorded.
   for (std::uint64_t i = 0; i < 64; ++i) {
-    cache.Insert({1, 10000 + i}, Ids({static_cast<PointId>(i)}));
+    Offer(cache, {1, 10000 + i}, Ids({static_cast<PointId>(i)}));
   }
   // 5555's credit was swept out by 64 distinct hashes through a 16-slot
   // set; this offer is declined (recorded again), not admitted.
-  cache.Insert({1, 5555}, Ids({9}));
+  Offer(cache, {1, 5555}, Ids({9}));
   EXPECT_EQ(cache.Lookup({1, 5555}), nullptr);
   EXPECT_EQ(cache.admitted(), 0u);
   // And the very next offer is the second hit: admitted.
-  cache.Insert({1, 5555}, Ids({9}));
+  Offer(cache, {1, 5555}, Ids({9}));
   EXPECT_NE(cache.Lookup({1, 5555}), nullptr);
 }
 
 TEST(ResultCacheTest, ReinsertRefreshesInsteadOfDuplicating) {
   ResultCache cache(2);
   Admit(cache, {1, 1}, Ids({1}));
-  cache.Insert({1, 1}, Ids({1, 2}));  // Resident key: refresh, not dup.
+  Offer(cache, {1, 1}, Ids({1, 2}));  // Resident key: refresh, not dup.
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.Lookup({1, 1})->size(), 2u);
 }
 
 TEST(ResultCacheTest, ZeroCapacityDisablesEverything) {
   ResultCache cache(0);
-  cache.Insert({1, 1}, Ids({1}));
-  cache.Insert({1, 1}, Ids({1}));
+  Offer(cache, {1, 1}, Ids({1}));
+  Offer(cache, {1, 1}, Ids({1}));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.Lookup({1, 1}), nullptr);
 }

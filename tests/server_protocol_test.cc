@@ -199,6 +199,8 @@ TEST(ProtocolPayloadTest, StatsAndErrorAndMutationPayloadsRoundTrip) {
   ss.connections_active = 3;
   ss.queries_shed = 2;
   ss.drains_completed = 1;
+  ss.result_cache_hits = 5;
+  ss.result_cache_misses = 13;
   ss.client_requests = 11;
   const WireServerStats ss2 =
       DecodeServerStatsPayload(EncodeServerStatsPayload(ss));
@@ -208,6 +210,8 @@ TEST(ProtocolPayloadTest, StatsAndErrorAndMutationPayloadsRoundTrip) {
   EXPECT_EQ(ss2.connections_active, 3u);
   EXPECT_EQ(ss2.queries_shed, 2u);
   EXPECT_EQ(ss2.drains_completed, 1u);
+  EXPECT_EQ(ss2.result_cache_hits, 5u);
+  EXPECT_EQ(ss2.result_cache_misses, 13u);
   EXPECT_EQ(ss2.client_requests, 11u);
 
   const WireError err{WireErrorCode::kRetryLater, "queue full (capacity 64)"};

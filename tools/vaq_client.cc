@@ -162,6 +162,8 @@ int main(int argc, char** argv) {
                 << s.queries_aborted << " aborted"
                 << "\nmutations_total: " << s.mutations_total
                 << "\ndrains_completed: " << s.drains_completed
+                << "\nresult_cache: " << s.result_cache_hits << " hits, "
+                << s.result_cache_misses << " misses"
                 << "\nthis_connection: " << s.client_requests << " requests, "
                 << s.client_errors << " errors\n";
     } else if (command == "ping") {
