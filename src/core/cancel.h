@@ -9,10 +9,10 @@ namespace vaq {
 
 /// Thrown by a query that observed its `CancelToken` expired — either an
 /// explicit `Cancel()` or a missed deadline. A *typed* abort: the engine
-/// delivers it through the query's future, the sharded gather can switch
-/// on it for retry/degraded handling, and the CLI maps it to its own exit
-/// code. Carries no partial results by design — an aborted query's output
-/// is undefined, so callers only ever see all-or-nothing.
+/// delivers it through the query's future, the sharded gather rethrows
+/// it over any leg error, and the CLI maps it to its own exit code.
+/// Carries no partial results by design — an aborted query's output is
+/// undefined, so callers only ever see all-or-nothing.
 class QueryAbortedError : public std::runtime_error {
  public:
   enum class Reason { kCancelled, kDeadline };

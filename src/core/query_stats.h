@@ -48,10 +48,10 @@ struct QueryStats {
   /// Scatter-gather accounting of a query run by `RunShardedSnapshotQuery`
   /// (every planned query): views whose leg actually ran vs. views
   /// skipped because their MBR was classified outside the area (or they
-  /// held no live points). Without failed legs, `shards_hit +
-  /// shards_pruned` equals the snapshot's view count: K for a
-  /// `ShardedDatabase`, 1 for a `DynamicPointDatabase`. Always 0 for a
-  /// method run directly (a base query, `RunDynamicSnapshotQuery`).
+  /// held no live points). `shards_hit + shards_pruned` equals the
+  /// snapshot's view count: K for a `ShardedDatabase`, 1 for a
+  /// `DynamicPointDatabase`. Always 0 for a method run directly (a base
+  /// query, `RunDynamicSnapshotQuery`).
   std::uint64_t shards_hit = 0;
   std::uint64_t shards_pruned = 0;
   /// Page-granular object IO of the out-of-core backends (see
@@ -82,17 +82,6 @@ struct QueryStats {
   /// is disabled.
   std::uint64_t io_retries = 0;
   std::uint64_t pages_quarantined = 0;
-  /// Scatter legs of a sharded query that exhausted their retry/timeout
-  /// policy. In strict mode a failed leg rethrows, so completed queries
-  /// always report 0; in partial mode the gather proceeds with
-  ///   `shards_hit + shards_pruned + shards_failed == K`
-  /// and `degraded` set — the caller's signal that the result set covers
-  /// only the surviving shards.
-  std::uint64_t shards_failed = 0;
-  /// Flag (0/1), OR-merged like `kernel_kind`: the result is partial
-  /// because at least one shard leg failed under the partial-result
-  /// policy. Never set on strict-mode or unsharded queries.
-  std::uint64_t degraded = 0;
   /// Planner accounting (src/planner). `plan_method` is the OR of
   /// `MethodBit(m)` for every method a planned execution ran (a mask like
   /// `kernel_kind`, so sharded legs and engine totals merge losslessly);
@@ -114,7 +103,7 @@ struct QueryStats {
   /// is a uint64 or double), so adding a field without teaching the merge
   /// about it fails the build instead of silently dropping counters in
   /// engine aggregation and sharded gathers.
-  static constexpr std::size_t kFieldCount = 25;
+  static constexpr std::size_t kFieldCount = 23;
 
   /// Candidates that failed refinement — the waste both methods try to
   /// minimise. For the window-filter and Voronoi methods every result is a
@@ -129,10 +118,10 @@ struct QueryStats {
   /// The one merge of two stats records, used everywhere partial stats
   /// combine: the engine's per-method aggregation, the sharded gather's
   /// per-leg summation, the experiment runner's repetition averages.
-  /// Counters add; the mask/flag fields (`kernel_kind`, `degraded`,
-  /// `plan_method`, `plan_reason`) OR, so the merge is lossless for them
-  /// too. Preserves the `candidates == candidate_hits + visited_rejected`
-  /// invariant when both operands satisfy it.
+  /// Counters add; the mask fields (`kernel_kind`, `plan_method`,
+  /// `plan_reason`) OR, so the merge is lossless for them too. Preserves
+  /// the `candidates == candidate_hits + visited_rejected` invariant when
+  /// both operands satisfy it.
   QueryStats& MergeFrom(const QueryStats& o) {
     static_assert(sizeof(QueryStats) == kFieldCount * sizeof(std::uint64_t),
                   "QueryStats gained/lost a field: update MergeFrom (and "
@@ -156,8 +145,6 @@ struct QueryStats {
     kernel_kind |= o.kernel_kind;  // Mask of kernels that ran, not a sum.
     io_retries += o.io_retries;
     pages_quarantined += o.pages_quarantined;
-    shards_failed += o.shards_failed;
-    degraded |= o.degraded;  // Flag: any degraded leg degrades the merge.
     plan_method |= o.plan_method;  // Masks, like kernel_kind.
     plan_reason |= o.plan_reason;
     result_cache_hits += o.result_cache_hits;

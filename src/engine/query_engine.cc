@@ -301,7 +301,6 @@ QueryResult QueryEngine::RunInSlot(const Job& job, bool run_caller) {
   MethodEngineStats& m = slot->methods[job.method];
   if (m.name.empty()) m.name = std::string(job.query->Name());
   ++m.queries;
-  m.degraded_queries += result.stats.degraded;
   m.totals.MergeFrom(result.stats);
   return result;
 }
@@ -322,7 +321,6 @@ EngineStats QueryEngine::Stats() const {
       MethodEngineStats& agg = out.methods[i];
       if (agg.name.empty()) agg.name = m.name;
       agg.queries += m.queries;
-      agg.degraded_queries += m.degraded_queries;
       agg.totals.MergeFrom(m.totals);
     }
   }

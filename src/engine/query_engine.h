@@ -73,15 +73,11 @@ struct QueryResult {
 /// merge the sharded gather uses — so every stats field (including ones
 /// added later) aggregates here without a hand-written summation to keep
 /// in sync. `totals.elapsed_ms` is the summed per-query execution time;
-/// the mask fields (`kernel_kind`, `degraded`, `plan_method`,
-/// `plan_reason`) OR across queries.
+/// the mask fields (`kernel_kind`, `plan_method`, `plan_reason`) OR
+/// across queries.
 struct MethodEngineStats {
   std::string name;
   std::uint64_t queries = 0;
-  /// Queries that completed degraded (partial results after leg failure).
-  /// Counted per *query*, unlike `totals.degraded` which is the OR'd
-  /// flag — an engine window needs "how many", not "whether any".
-  std::uint64_t degraded_queries = 0;
   /// Merged per-query stats of every completed query of this method.
   QueryStats totals;
 };

@@ -77,8 +77,8 @@ std::vector<PointId> PlannedAreaQuery::RunPlanned(
   // The executor serves each leg's base pass from the cache when it can.
   std::vector<PointId> ids = RunShardedSnapshotQuery(
       *pinned.snap, plan.method, area, ctx,
-      plan.scatter ? scatter_engine_ : nullptr, ShardPolicy{},
-      caching ? &cache_ : nullptr, caching ? HashPolygonBits(area) : 0);
+      plan.scatter ? scatter_engine_ : nullptr, caching ? &cache_ : nullptr,
+      caching ? HashPolygonBits(area) : 0);
 
   // The executor counts cache outcomes per leg; the query is one hit when
   // every leg that ran hit, and one miss otherwise.

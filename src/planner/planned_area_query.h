@@ -37,9 +37,8 @@ namespace vaq {
 ///  4. Fold the per-leg cache outcomes into one hit (every leg that ran
 ///     hit) or one miss, and feed the measured `QueryStats` back into the
 ///     planner's EWMAs when no leg hit (a leg served from the cache skipped
-///     the work the model predicts). Degraded-partial answers need no
-///     special case: a failed leg offers nothing, a surviving leg's base
-///     pass is exact.
+///     the work the model predicts). A failed leg fails the query and
+///     offers nothing to the cache; a completed base pass is exact.
 ///
 /// `ctx.stats` always carries `plan_method` / `plan_reason`, and exactly
 /// one of `result_cache_hits` / `result_cache_misses` when caching is on.

@@ -312,7 +312,6 @@ WireQueryStats SummarizeQueryStats(const QueryStats& stats) {
   s.result_cache_misses = stats.result_cache_misses;
   s.shards_hit = stats.shards_hit;
   s.shards_pruned = stats.shards_pruned;
-  s.degraded = stats.degraded;
   s.elapsed_ms = stats.elapsed_ms;
   return s;
 }
@@ -328,7 +327,6 @@ std::vector<std::uint8_t> EncodeQueryStatsPayload(const WireQueryStats& s) {
   PutInt<std::uint64_t>(out, s.result_cache_misses);
   PutInt<std::uint64_t>(out, s.shards_hit);
   PutInt<std::uint64_t>(out, s.shards_pruned);
-  PutInt<std::uint64_t>(out, s.degraded);
   PutDouble(out, s.elapsed_ms);
   return out;
 }
@@ -346,7 +344,6 @@ WireQueryStats DecodeQueryStatsPayload(
   s.result_cache_misses = r.GetInt<std::uint64_t>("result_cache_misses");
   s.shards_hit = r.GetInt<std::uint64_t>("shards_hit");
   s.shards_pruned = r.GetInt<std::uint64_t>("shards_pruned");
-  s.degraded = r.GetInt<std::uint64_t>("degraded");
   s.elapsed_ms = r.GetDouble("elapsed_ms");
   r.ExpectDone("query-stats");
   return s;

@@ -181,7 +181,6 @@ struct WireQueryStats {
   std::uint64_t result_cache_misses = 0;
   std::uint64_t shards_hit = 0;
   std::uint64_t shards_pruned = 0;
-  std::uint64_t degraded = 0;
   double elapsed_ms = 0.0;
 };
 

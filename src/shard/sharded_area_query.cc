@@ -88,8 +88,7 @@ class ShardLegQuery final : public AreaQuery {
 std::vector<PointId> RunShardedSnapshotQuery(
     const ShardedDatabase::Snapshot& snap, DynamicMethod method,
     const Polygon& area, QueryContext& ctx, QueryEngine* scatter_engine,
-    const ShardPolicy& policy, ResultCache* cache,
-    std::uint64_t polygon_hash) {
+    ResultCache* cache, std::uint64_t polygon_hash) {
   const auto t0 = std::chrono::steady_clock::now();
 
   // Prune: O(1) conservative box test per shard. Empty shards are counted
@@ -126,53 +125,19 @@ std::vector<PointId> RunShardedSnapshotQuery(
   }
 
   // Scatter + gather. Per-leg stats merge by summation — `QueryStats`
-  // counters are all additive, so the epilogue invariant survives. A
-  // failed leg contributes neither ids nor stats (an aborted query's
-  // output is undefined, all-or-nothing per leg).
+  // counters are all additive, so the epilogue invariant survives. Any
+  // leg failure fails the whole query: the answer is exact or a typed
+  // error, never a subset of the truth.
   QueryStats merged;
   std::vector<PointId> result;
-
-  // A leg's cancel token: fresh per attempt (each gets a full timeout
-  // budget), chained under the parent query's token so cancelling the
-  // parent aborts every leg. Null when the leg needs none of its own: no
-  // leg timeout and no parent, or an inline leg, which polls the parent
-  // token already installed on `ctx`.
-  const CancelToken* parent = ctx.cancel();
-  const auto MakeLegToken =
-      [&](bool inline_leg) -> std::shared_ptr<CancelToken> {
-    if (policy.leg_timeout_ms <= 0.0 && (inline_leg || parent == nullptr)) {
-      return nullptr;
+  const auto Gather = [&](std::vector<PointId> ids, const QueryStats& stats) {
+    merged += stats;
+    if (result.empty()) {
+      result = std::move(ids);
+    } else {
+      result.insert(result.end(), ids.begin(), ids.end());
     }
-    auto token = std::make_shared<CancelToken>();
-    if (policy.leg_timeout_ms > 0.0) {
-      token->SetDeadlineAfterMs(policy.leg_timeout_ms);
-    }
-    token->set_parent(parent);
-    return token;
   };
-  // One inline leg attempt on the caller's context (the sequential path
-  // and every retry). Returns null on success, the error otherwise.
-  const auto TryLegInline =
-      [&](const ShardLegQuery& leg) -> std::exception_ptr {
-    const std::shared_ptr<CancelToken> token = MakeLegToken(true);
-    if (token != nullptr) ctx.set_cancel(token.get());
-    std::exception_ptr error;
-    try {
-      std::vector<PointId> ids = leg.Run(area, ctx);
-      merged += ctx.stats;
-      if (result.empty()) {
-        result = std::move(ids);
-      } else {
-        result.insert(result.end(), ids.begin(), ids.end());
-      }
-    } catch (...) {
-      error = std::current_exception();
-    }
-    if (token != nullptr) ctx.set_cancel(parent);
-    return error;
-  };
-
-  std::vector<std::exception_ptr> leg_errors(legs.size());
 
   // Self-submission guard: if this query is itself executing on a worker
   // of its scatter engine (it was registered with the same pool — the
@@ -181,76 +146,59 @@ std::vector<PointId> RunShardedSnapshotQuery(
   // parents. Degrade to inline legs instead of hanging.
   const bool scatter = scatter_engine != nullptr && legs.size() > 1 &&
                        !scatter_engine->OnWorkerThread();
+  std::exception_ptr first_error;
   if (scatter) {
     // Every submitted leg must be drained before this frame can unwind:
-    // the pool executes legs through pointers into `legs`, the per-leg
-    // tokens (parented to a token on this frame) and the pinned
-    // snapshot, so propagating an exception with futures outstanding
-    // would turn the remaining queued legs into use-after-frees. Record
-    // per-leg outcomes, finish the gather, then decide.
+    // the pool executes legs through pointers into `legs`, the leg
+    // tokens (parented to the token on `ctx`) and the pinned snapshot,
+    // so propagating an exception with futures outstanding would turn
+    // the remaining queued legs into use-after-frees. Keep the first
+    // error, drain, then decide.
+    const CancelToken* parent = ctx.cancel();
     std::vector<std::future<QueryResult>> futures;
     futures.reserve(legs.size());
-    for (std::size_t i = 0; i < legs.size(); ++i) {
+    for (ShardLegQuery& leg : legs) {
+      // A leg polls a child of the parent's token, so cancelling the
+      // parent aborts every leg at its next block boundary.
+      std::shared_ptr<CancelToken> token;
+      if (parent != nullptr) {
+        token = std::make_shared<CancelToken>();
+        token->set_parent(parent);
+      }
       try {
-        futures.push_back(
-            scatter_engine->SubmitWith(&legs[i], area, MakeLegToken(false)));
+        futures.push_back(scatter_engine->SubmitWith(&leg, area, token));
       } catch (...) {
         // Submit no further legs (the engine is stopping or shedding);
-        // the unsubmitted tail is marked failed and the in-flight legs
-        // are drained below.
-        for (std::size_t j = i; j < legs.size(); ++j) {
-          leg_errors[j] = std::current_exception();
-        }
+        // the in-flight legs are drained below.
+        first_error = std::current_exception();
         break;
       }
     }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
+    for (std::future<QueryResult>& future : futures) {
       try {
-        QueryResult r = futures[i].get();
-        merged += r.stats;
-        result.insert(result.end(), r.ids.begin(), r.ids.end());
+        QueryResult r = future.get();
+        Gather(std::move(r.ids), r.stats);
       } catch (...) {
-        leg_errors[i] = std::current_exception();
+        if (first_error == nullptr) first_error = std::current_exception();
       }
     }
   } else {
-    for (std::size_t i = 0; i < legs.size(); ++i) {
-      leg_errors[i] = TryLegInline(legs[i]);
-    }
+    // Inline legs poll the parent token already installed on `ctx`; the
+    // first leg error propagates from here.
+    for (const ShardLegQuery& leg : legs) Gather(leg.Run(area, ctx), ctx.stats);
   }
 
-  // The parent expiring is not a shard failure: it aborts the whole
-  // query in either mode (retrying or returning partial results against
-  // a cancelled deadline would be answering a question nobody is still
-  // asking). Checked only after every leg is drained.
+  // The parent expiring aborts the query with `QueryAbortedError` rather
+  // than with whichever leg error it caused. Checked only after every leg
+  // is drained.
   ctx.CheckCancelled();
-
-  // Failed legs get their retry budget inline, each attempt under a
-  // fresh timeout.
-  std::uint64_t failed = 0;
-  std::exception_ptr first_error;
-  for (std::size_t i = 0; i < legs.size(); ++i) {
-    for (int attempt = 0;
-         leg_errors[i] != nullptr && attempt < policy.max_leg_retries;
-         ++attempt) {
-      leg_errors[i] = TryLegInline(legs[i]);
-    }
-    if (leg_errors[i] != nullptr) {
-      ++failed;
-      if (first_error == nullptr) first_error = leg_errors[i];
-    }
-  }
-  if (failed > 0 && !policy.allow_partial) {
-    std::rethrow_exception(first_error);
-  }
+  if (first_error != nullptr) std::rethrow_exception(first_error);
 
   // Per-view results are disjoint global-id sets and no leg sorted its
   // own; this is the query's one sort.
   ctx.SortIds(result, snap.stable_limit());
-  merged.shards_hit = legs.size() - failed;
+  merged.shards_hit = legs.size();
   merged.shards_pruned = pruned;
-  merged.shards_failed = failed;
-  merged.degraded = failed > 0 ? 1 : 0;
   merged.results = result.size();
   merged.elapsed_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)

@@ -10,32 +10,6 @@ namespace vaq {
 
 class ResultCache;
 
-/// Failure policy of one sharded scatter-gather (DESIGN.md §12).
-///
-/// Defaults preserve the strict contract: no per-leg deadline, no
-/// retries, and any leg failure fails the whole query (the gather still
-/// drains every in-flight leg first — never a silent partial answer).
-struct ShardPolicy {
-  /// Per-leg deadline in ms, measured from that leg's dispatch (scatter
-  /// submit or inline start); each retry attempt gets a fresh budget.
-  /// 0 = none. Legs also inherit the parent query's token: cancelling
-  /// the parent aborts every leg at its next block boundary.
-  double leg_timeout_ms = 0.0;
-  /// Extra attempts for a failed leg, run inline on the gathering thread
-  /// after every first-round leg has been drained (retrying while other
-  /// legs are still in flight would just contend with them).
-  int max_leg_retries = 0;
-  /// Degraded partial-result mode: when legs still fail after retries,
-  /// return the surviving shards' results instead of throwing, with
-  /// `QueryStats::shards_failed` counting the losses and
-  /// `QueryStats::degraded` set — the caller explicitly opted into an
-  /// answer that may be a subset of the truth, and the flags make that
-  /// visible end to end (engine aggregation, experiment JSON). A parent
-  /// cancellation/deadline is *not* a shard failure: it aborts the whole
-  /// query with `QueryAbortedError` in either mode.
-  bool allow_partial = false;
-};
-
 /// The one area-query executor: runs `method` against an already-pinned
 /// snapshot — the K views of a `ShardedDatabase`, or the single view a
 /// `DynamicPointDatabase` pins as (`Snapshot::Single`). The planner
@@ -61,12 +35,18 @@ struct ShardPolicy {
 ///     ranges interleave, and no leg sorts), and merge the per-leg
 ///     `QueryStats` by summation, which preserves the `candidates ==
 ///     candidate_hits + visited_rejected` invariant.
-///     `stats.shards_hit`/`shards_pruned`/`shards_failed` record the
-///     fan-out (they always sum to the view count); `elapsed_ms` is the
-///     end-to-end wall time, not the sum of the legs.
+///     `stats.shards_hit`/`shards_pruned` record the fan-out (they sum
+///     to the view count); `elapsed_ms` is the end-to-end wall time, not
+///     the sum of the legs.
 ///
-/// `ctx.stats` is reset and filled like any `AreaQuery::Run`. `policy`
-/// sets the per-leg timeout/retry budget and the partial-result mode.
+/// `ctx.stats` is reset and filled like any `AreaQuery::Run`.
+///
+/// **Failures are all-or-nothing** (DESIGN.md §12): the answer is exact,
+/// or the query throws a typed error. Inline legs run in order and the
+/// first error propagates. Scattered legs are all drained before the
+/// first leg error is rethrown; each polls a child of the parent's
+/// cancel token, and a cancelled parent throws `QueryAbortedError`
+/// whatever the legs threw.
 ///
 /// **Result cache.** With a `cache` (null = uncached), each surviving leg
 /// looks up its base pass under (`base_generation()`, `polygon_hash`)
@@ -89,8 +69,8 @@ struct ShardPolicy {
 std::vector<PointId> RunShardedSnapshotQuery(
     const ShardedDatabase::Snapshot& snap, DynamicMethod method,
     const Polygon& area, QueryContext& ctx,
-    QueryEngine* scatter_engine = nullptr, const ShardPolicy& policy = {},
-    ResultCache* cache = nullptr, std::uint64_t polygon_hash = 0);
+    QueryEngine* scatter_engine = nullptr, ResultCache* cache = nullptr,
+    std::uint64_t polygon_hash = 0);
 
 }  // namespace vaq
 

@@ -50,6 +50,11 @@ class QueryEngine;
 /// pins one `Snapshot` and therefore sees *one version of every shard*:
 /// no cross-shard skew, however the mutation stream interleaves with it.
 ///
+/// **All-or-nothing answers.** A query over K shards fails like a query
+/// over one: a failing shard leg fails the whole query with its typed
+/// error (`PageReadError`, `QueryAbortedError`, ...), never a partial
+/// answer from the surviving shards (DESIGN.md §12).
+///
 /// Thread safety mirrors `DynamicPointDatabase`: any number of concurrent
 /// readers via `snapshot()`; mutations serialize on an internal mutex.
 class ShardedDatabase {

@@ -38,9 +38,7 @@ void Accumulate(MethodAverages* avg, const QueryStats& stats) {
   avg->page_cache_misses += static_cast<double>(stats.page_cache_misses);
   avg->io_retries += static_cast<double>(stats.io_retries);
   avg->pages_quarantined += static_cast<double>(stats.pages_quarantined);
-  avg->shards_failed += static_cast<double>(stats.shards_failed);
   avg->kernel_kind |= stats.kernel_kind;  // Mask of kernels that ran.
-  avg->degraded |= stats.degraded;        // Flag: any repetition degraded.
 }
 
 void Finish(MethodAverages* avg, int reps) {
@@ -57,7 +55,6 @@ void Finish(MethodAverages* avg, int reps) {
   avg->page_cache_misses /= reps;
   avg->io_retries /= reps;
   avg->pages_quarantined /= reps;
-  avg->shards_failed /= reps;
   if (avg->batch_wall_ms > 0.0) {
     avg->throughput_qps = reps / (avg->batch_wall_ms / 1000.0);
   }
@@ -255,9 +252,7 @@ void WriteMethodJson(const MethodAverages& m, std::ostream& os) {
      << ", \"page_cache_misses\": " << m.page_cache_misses
      << ", \"io_retries\": " << m.io_retries
      << ", \"pages_quarantined\": " << m.pages_quarantined
-     << ", \"shards_failed\": " << m.shards_failed
      << ", \"kernel_kind\": " << m.kernel_kind
-     << ", \"degraded\": " << m.degraded
      << ", \"batch_wall_ms\": " << m.batch_wall_ms
      << ", \"throughput_qps\": " << m.throughput_qps << "}";
 }

@@ -68,20 +68,16 @@ struct MethodAverages {
   double page_cache_hits = 0.0;
   double page_cache_misses = 0.0;
   /// Failure-domain averages (see `QueryStats::io_retries` etc.): storage
-  /// read retries, quarantined pages and failed scatter legs per query.
+  /// read retries and quarantined pages per query.
   /// All exactly 0 without fault injection — the perf-smoke gate pins
   /// them to zero so fault hooks can never silently fire on the happy
   /// path.
   double io_retries = 0.0;
   double pages_quarantined = 0.0;
-  double shards_failed = 0.0;
   /// OR of the `QueryStats::kernel_kind` bitmasks across repetitions —
   /// which batch classification kernels (and arm) the method's refine
   /// steps executed. A mask, not an average: Finish does not divide it.
   std::uint64_t kernel_kind = 0;
-  /// OR of `QueryStats::degraded` across repetitions: 1 if any repetition
-  /// returned a degraded partial result. A flag, not an average.
-  std::uint64_t degraded = 0;
   /// Wall-clock of the whole batch through the engine and the resulting
   /// queries/second (equals repetitions / wall when the pool is saturated).
   double batch_wall_ms = 0.0;

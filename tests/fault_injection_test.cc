@@ -1,7 +1,7 @@
 // Failure-domain hardening (DESIGN.md §12): the deterministic fault
 // layer, the storage retry/backoff/quarantine policy, engine deadlines,
-// cancellation and shutdown semantics, and the sharded degraded
-// partial-result mode. The permanent-vs-transient error classification is
+// cancellation and shutdown semantics, and the sharded all-or-nothing
+// failure contract. The permanent-vs-transient error classification is
 // pinned here by exact `io_retries` counts: open-time `PageFileError`
 // kinds must never be retried, injected read faults must be retried
 // exactly as many times as the policy says.
@@ -865,12 +865,12 @@ TEST(FaultEnvTest, EnvSpecArmsPagedDatabases) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded degraded partial-result mode
+// Sharded all-or-nothing failures
 // ---------------------------------------------------------------------------
 
-class ShardDegradedTest : public ::testing::Test {
+class ShardFailureTest : public ::testing::Test {
  protected:
-  ShardDegradedTest() {
+  ShardFailureTest() {
     Rng rng(321);
     points_ = GenerateUniformPoints(2400, kUnit, &rng);
     oracle_ = std::make_unique<PointDatabase>(points_);
@@ -904,125 +904,74 @@ class ShardDegradedTest : public ::testing::Test {
   Polygon area_;
 };
 
-TEST_F(ShardDegradedTest, AllLegsFailingStrictThrowsPartialReturnsFlagged) {
+TEST_F(ShardFailureTest, AllLegsFailingThrowsTypedError) {
   FaultSpec fault;
   fault.enabled = true;
   fault.seed = 2;
   fault.read_error_rate = 1.0;  // Every page read of every shard fails.
   fault.max_read_retries = 1;
   const ShardedDatabase sharded(points_, FaultyShardOptions(fault));
-  QueryContext ctx;
-
-  // Strict (default): typed error, never a silent partial answer.
-  EXPECT_THROW(RunShardedSnapshotQuery(*sharded.snapshot(),
-                                       DynamicMethod::kBruteForce, area_, ctx),
-               PageReadError);
-
-  // Partial: empty result (every leg lost), loudly flagged.
-  ShardPolicy policy;
-  policy.allow_partial = true;
-  const std::vector<PointId> got =
-      RunShardedSnapshotQuery(*sharded.snapshot(), DynamicMethod::kBruteForce,
-                              area_, ctx, nullptr, policy);
-  EXPECT_TRUE(got.empty());
-  EXPECT_EQ(ctx.stats.degraded, 1u);
-  EXPECT_GT(ctx.stats.shards_failed, 0u);
-  EXPECT_EQ(ctx.stats.shards_hit + ctx.stats.shards_pruned +
-                ctx.stats.shards_failed,
-            8u);
+  QueryEngine scatter({.num_threads = 2});
+  for (QueryEngine* engine : {static_cast<QueryEngine*>(nullptr), &scatter}) {
+    QueryContext ctx;
+    EXPECT_THROW(RunShardedSnapshotQuery(*sharded.snapshot(),
+                                         DynamicMethod::kBruteForce, area_,
+                                         ctx, engine),
+                 PageReadError)
+        << (engine == nullptr ? "inline" : "scattered");
+  }
 }
 
-TEST_F(ShardDegradedTest, PartialResultsAreOracleSubsetWithFlags) {
+TEST_F(ShardFailureTest, SomeLegsFailingNeverReturnsASubset) {
   // A corrupt rate calibrated so *some* shards lose a page and others
   // stay clean (each shard streams ~19 pages, so at 2% per attempt a
   // shard fails with p ~ 0.3; which ones is deterministic in the seed).
+  // The surviving shards' hits are a subset of the truth; the query must
+  // throw rather than return them.
   FaultSpec fault;
   fault.enabled = true;
   fault.seed = 11;
   fault.corrupt_rate = 0.02;
   fault.max_read_retries = 0;
   const ShardedDatabase sharded(points_, FaultyShardOptions(fault));
-  QueryContext ctx;
-  const std::vector<PointId> truth = OracleIds(ctx);
+  QueryContext oracle_ctx;
+  const std::vector<PointId> truth = OracleIds(oracle_ctx);
+  QueryEngine scatter({.num_threads = 2});
 
-  ShardPolicy policy;
-  policy.allow_partial = true;
+  int threw = 0;
   for (const DynamicMethod method :
        {DynamicMethod::kBruteForce, DynamicMethod::kTraditional}) {
-    const std::vector<PointId> got = RunShardedSnapshotQuery(
-        *sharded.snapshot(), method, area_, ctx, nullptr, policy);
-    // Sorted subset of the oracle: degraded mode may lose shards, it may
-    // never invent or duplicate ids.
-    EXPECT_TRUE(std::includes(truth.begin(), truth.end(), got.begin(),
-                              got.end()));
-    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-    EXPECT_EQ(ctx.stats.shards_hit + ctx.stats.shards_pruned +
-                  ctx.stats.shards_failed,
-              8u);
-    // The flag and the counter move together.
-    EXPECT_EQ(ctx.stats.degraded == 1, ctx.stats.shards_failed > 0);
-    if (ctx.stats.shards_failed == 0) {
-      EXPECT_EQ(got, truth);  // No losses => exact, flag clear.
+    for (QueryEngine* engine :
+         {static_cast<QueryEngine*>(nullptr), &scatter}) {
+      QueryContext ctx;
+      try {
+        EXPECT_EQ(RunShardedSnapshotQuery(*sharded.snapshot(), method, area_,
+                                          ctx, engine),
+                  truth)
+            << "method=" << MethodName(method)
+            << (engine == nullptr ? " inline" : " scattered");
+      } catch (const PageReadError&) {
+        ++threw;
+      }
     }
   }
+  EXPECT_GT(threw, 0) << "the fault seed no longer fails any shard leg";
 }
 
-TEST_F(ShardDegradedTest, LegTimeoutRetriesRecoverViaWarmedCache) {
-  // Every page is slow (10 ms per miss): a cold leg blows its 60 ms
-  // budget long before its shard's ~19 pages are in, and aborts at the
-  // next block boundary. But the pages it did load stay cached, so each
-  // retry starts warmer and pays for fewer misses — the retry budget
-  // converts a hard per-leg deadline into progress instead of a livelock.
-  // (Injected read errors could never be rescued this way: the injector
-  // is a pure hash of (page, attempt), so a page that fails its storage
-  // attempts fails them identically on every leg retry — by design, for
-  // replayability. Cache warming is the one genuinely transient axis.)
-  FaultSpec fault;
-  fault.enabled = true;
-  fault.seed = 77;
-  fault.slow_page_rate = 1.0;
-  fault.spike_ms = 10.0;
-  ShardedDatabase::Options options = FaultyShardOptions(fault);
-  options.shard.base.storage.cache_pages = 64;  // Hold a whole shard.
-  const ShardedDatabase sharded(points_, options);
-  QueryContext ctx;
-  const std::vector<PointId> truth = OracleIds(ctx);
-
-  ShardPolicy policy;
-  policy.leg_timeout_ms = 60.0;
-  policy.max_leg_retries = 8;
-  const std::vector<PointId> got =
-      RunShardedSnapshotQuery(*sharded.snapshot(), DynamicMethod::kBruteForce,
-                              area_, ctx, nullptr, policy);
-  EXPECT_EQ(got, truth);
-  EXPECT_EQ(ctx.stats.degraded, 0u);
-  EXPECT_EQ(ctx.stats.shards_failed, 0u);
-
-  // Same budget, no retries, strict: the cold legs' timeouts surface as
-  // the typed abort. (Caches are warm now, so rerun against a fresh
-  // database.)
-  const ShardedDatabase cold(points_, options);
-  EXPECT_THROW(
-      RunShardedSnapshotQuery(*cold.snapshot(), DynamicMethod::kBruteForce,
-                              area_, ctx, nullptr, ShardPolicy{60.0, 0, false}),
-      QueryAbortedError);
-}
-
-TEST_F(ShardDegradedTest, ParentCancellationAbortsWholeQueryEvenPartial) {
+TEST_F(ShardFailureTest, ParentCancellationAbortsWholeQuery) {
   const ShardedDatabase sharded(points_, FaultyShardOptions(FaultSpec{}));
-  ShardPolicy policy;
-  policy.allow_partial = true;
+  QueryEngine scatter({.num_threads = 2});
   CancelToken token;
   token.Cancel();
-  QueryContext ctx;
-  ctx.set_cancel(&token);
-  // A cancelled parent is an abort, not a "every shard failed" degraded
-  // answer — partial mode must not swallow it.
-  EXPECT_THROW(
-      RunShardedSnapshotQuery(*sharded.snapshot(), DynamicMethod::kBruteForce,
-                              area_, ctx, nullptr, policy),
-      QueryAbortedError);
-  ctx.set_cancel(nullptr);
+  for (QueryEngine* engine : {static_cast<QueryEngine*>(nullptr), &scatter}) {
+    QueryContext ctx;
+    ctx.set_cancel(&token);
+    EXPECT_THROW(RunShardedSnapshotQuery(*sharded.snapshot(),
+                                         DynamicMethod::kBruteForce, area_,
+                                         ctx, engine),
+                 QueryAbortedError)
+        << (engine == nullptr ? "inline" : "scattered");
+  }
 }
 
 }  // namespace

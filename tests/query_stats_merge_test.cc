@@ -36,9 +36,8 @@ QueryStats Filled(std::uint64_t base) {
   s.page_cache_misses = base + 13;
   s.io_retries = base + 14;
   s.pages_quarantined = base + 15;
-  s.shards_failed = base + 16;
-  s.result_cache_hits = base + 17;
-  s.result_cache_misses = base + 18;
+  s.result_cache_hits = base + 16;
+  s.result_cache_misses = base + 17;
   s.elapsed_ms = static_cast<double>(base) + 0.5;
   return s;
 }
@@ -64,26 +63,22 @@ TEST(QueryStatsMergeTest, AdditiveFieldsSum) {
   EXPECT_EQ(a.page_cache_misses, 23u + 113u);
   EXPECT_EQ(a.io_retries, 24u + 114u);
   EXPECT_EQ(a.pages_quarantined, 25u + 115u);
-  EXPECT_EQ(a.shards_failed, 26u + 116u);
-  EXPECT_EQ(a.result_cache_hits, 27u + 117u);
-  EXPECT_EQ(a.result_cache_misses, 28u + 118u);
+  EXPECT_EQ(a.result_cache_hits, 26u + 116u);
+  EXPECT_EQ(a.result_cache_misses, 27u + 117u);
   EXPECT_DOUBLE_EQ(a.elapsed_ms, 10.5 + 100.5);
 }
 
 TEST(QueryStatsMergeTest, MaskFieldsOrInsteadOfAdding) {
   QueryStats a;
   a.kernel_kind = 0b0101;
-  a.degraded = 1;
   a.plan_method = MethodBit(DynamicMethod::kTraditional);
   a.plan_reason = 1u << 0;
   QueryStats b;
-  b.kernel_kind = 0b0110;
-  b.degraded = 1;  // Adding would yield 2 and break the 0/1 flag contract.
+  b.kernel_kind = 0b0110;  // Adding would carry the shared bit.
   b.plan_method = MethodBit(DynamicMethod::kVoronoi);
   b.plan_reason = 1u << 4;
   a.MergeFrom(b);
   EXPECT_EQ(a.kernel_kind, 0b0111u);
-  EXPECT_EQ(a.degraded, 1u);
   EXPECT_EQ(a.plan_method, MethodBit(DynamicMethod::kTraditional) |
                                MethodBit(DynamicMethod::kVoronoi));
   EXPECT_EQ(a.plan_reason, (1u << 0) | (1u << 4));

@@ -184,13 +184,19 @@ TEST(ProtocolPayloadTest, StatsAndErrorAndMutationPayloadsRoundTrip) {
   qs.plan_reason = 0b1010;
   qs.result_cache_hits = 1;
   qs.elapsed_ms = 1.75;
-  const WireQueryStats qs2 = DecodeQueryStatsPayload(EncodeQueryStatsPayload(qs));
+  std::vector<std::uint8_t> qs_bytes = EncodeQueryStatsPayload(qs);
+  // Nine u64 counters and the elapsed double; a trailing word is
+  // rejected.
+  EXPECT_EQ(qs_bytes.size(), 10u * 8u);
+  const WireQueryStats qs2 = DecodeQueryStatsPayload(qs_bytes);
   EXPECT_EQ(qs2.results, 42u);
   EXPECT_EQ(qs2.candidates, 99u);
   EXPECT_EQ(qs2.plan_method, 0b0100u);
   EXPECT_EQ(qs2.plan_reason, 0b1010u);
   EXPECT_EQ(qs2.result_cache_hits, 1u);
   EXPECT_DOUBLE_EQ(qs2.elapsed_ms, 1.75);
+  qs_bytes.resize(qs_bytes.size() + 8);
+  EXPECT_THROW(DecodeQueryStatsPayload(qs_bytes), ProtocolError);
 
   WireServerStats ss;
   ss.queries_completed = 7;
