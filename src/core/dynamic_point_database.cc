@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <utility>
 
 #include "planner/planned_area_query.h"
@@ -69,10 +68,12 @@ bool DynamicPointDatabase::IsLiveDuplicateLocked(const Point& p) const {
 }
 
 std::optional<PointId> DynamicPointDatabase::Insert(const Point& p) {
-  // Non-finite coordinates poison every downstream structure (NaN breaks
-  // the ordering the distinctness check sorts by, and NaN != NaN would
-  // admit duplicates); reject them at the mutation boundary.
-  if (!std::isfinite(p.x) || !std::isfinite(p.y)) return std::nullopt;
+  // Coordinates outside `InCoordinateRange` poison every downstream
+  // structure (NaN breaks the ordering the distinctness check sorts by,
+  // NaN != NaN would admit duplicates, and finite extremes overflow or
+  // underflow the exact predicates of the next compaction's build);
+  // reject them at the mutation boundary.
+  if (!InCoordinateRange(p)) return std::nullopt;
   std::lock_guard<std::mutex> lock(writer_mu_);
   // Stable ids are never reused; kInvalidPointId caps the lifetime space.
   if (current_->stable_limit_ == kInvalidPointId) return std::nullopt;

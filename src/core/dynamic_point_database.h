@@ -55,8 +55,9 @@ class PlannedAreaQuery;
 /// internal Hilbert ids are reassigned by every rebuild. Query results and
 /// `Erase` speak stable ids.
 ///
-/// **Distinctness.** The live point set stays pairwise distinct:
-/// `Insert` of a point equal to a live point is rejected (returns
+/// **Distinctness and range.** The live point set stays pairwise distinct
+/// and inside `InCoordinateRange`: `Insert` of a point equal to a live
+/// point, or with a coordinate out of range, is rejected (returns
 /// `std::nullopt`), so every `Compact()` feeds the Delaunay builder valid
 /// input. Re-inserting an erased point is allowed and yields a fresh id.
 ///
@@ -259,7 +260,9 @@ class DynamicPointDatabase {
   /// Inserts `p` and returns its stable id, or `std::nullopt` if the
   /// point is rejected: an equal point is already live (the
   /// pairwise-distinct invariant — callers that want dedup semantics can
-  /// simply ignore the rejection), a coordinate is non-finite, or the
+  /// simply ignore the rejection), a coordinate is outside
+  /// `InCoordinateRange` (non-finite, or finite but too large or too
+  /// small for the exact predicates of the next compaction), or the
   /// stable id space is exhausted (ids are never reused, so a database
   /// supports 2^32 - 1 successful inserts over its lifetime).
   std::optional<PointId> Insert(const Point& p);

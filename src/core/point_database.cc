@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
-#include <numeric>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -34,9 +33,11 @@ std::string DuplicateMessage(const Point& p, std::size_t first,
 /// scan finds any duplicate pair — and reports it in the caller's frame of
 /// reference (input positions), before the Hilbert permutation renames
 /// everything. O(n log n), same complexity class as the build itself.
-/// Non-finite coordinates are rejected first: NaN breaks the strict weak
-/// ordering the sort needs (and NaN != NaN would let duplicates through),
-/// and infinities collapse the Hilbert/bounding-box arithmetic.
+/// Non-finite and out-of-range coordinates are rejected first: NaN breaks
+/// the strict weak ordering the sort needs (and NaN != NaN would let
+/// duplicates through), infinities collapse the Hilbert/bounding-box
+/// arithmetic, and finite values outside `InCoordinateRange` overflow or
+/// underflow the exact predicates.
 std::vector<Point> CheckPairwiseDistinct(std::vector<Point> points) {
   CheckFiniteAndDistinct(points);
   return points;
@@ -58,24 +59,41 @@ std::vector<Point> HilbertCluster(std::vector<Point> points,
 }  // namespace
 
 void CheckFiniteAndDistinct(const std::vector<Point>& points) {
+  // Contiguous (point, position) records keep the sort's comparisons in
+  // cache; position breaks ties, so the first adjacent equal pair is the
+  // smallest duplicated point at its two lowest input positions.
+  struct Record {
+    Point p;
+    std::uint32_t index;
+  };
+  std::vector<Record> records(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!std::isfinite(points[i].x) || !std::isfinite(points[i].y)) {
+    const Point& p = points[i];
+    if (!InCoordinateRange(p)) {
       std::ostringstream os;
-      os << "PointDatabase: non-finite coordinate at input position " << i
-         << " (coordinates must be finite)";
+      if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+        os << "PointDatabase: non-finite coordinate at input position " << i
+           << " (coordinates must be finite)";
+      } else {
+        os.precision(17);
+        os << "PointDatabase: coordinate out of range at input position "
+           << i << " " << p
+           << " (each coordinate must be 0 or have magnitude in "
+              "[2^-100, 2^100])";
+      }
       throw std::invalid_argument(os.str());
     }
+    records[i] = {p, static_cast<std::uint32_t>(i)};
   }
-  std::vector<std::uint32_t> order(points.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (points[a] != points[b]) return points[a] < points[b];
-              return a < b;  // Deterministic report: lowest pair first.
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) {
+              if (a.p != b.p) return a.p < b.p;
+              return a.index < b.index;
             });
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    if (points[order[i - 1]] == points[order[i]]) {
-      throw DuplicatePointError(points[order[i]], order[i - 1], order[i]);
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    if (records[i - 1].p == records[i].p) {
+      throw DuplicatePointError(records[i].p, records[i - 1].index,
+                                records[i].index);
     }
   }
 }

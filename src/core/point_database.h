@@ -40,10 +40,44 @@ class DuplicatePointError : public std::invalid_argument {
   std::size_t second_index_;
 };
 
+/// The coordinate range every database layer accepts: each coordinate is
+/// 0 or has a magnitude in [2^-100, 2^100]. The Delaunay builder's
+/// predicates are exact only while no intermediate value overflows or
+/// underflows, and this range rules out both:
+///  * Magnitude. The data extent is at most 2^101, so the super triangle
+///    (1e5 extents out, 1e5 < 2^17) keeps every vertex below 2^121 and
+///    every coordinate difference below 2^122. The in-circle determinant
+///    and every term of its exact expansion are degree 4 in those
+///    differences: below 2^488 times a small constant, far from the
+///    2^1024 overflow threshold.
+///  * Resolution. A double of magnitude >= 2^-100 is an integer multiple
+///    of 2^-152, its smallest possible ulp; the super vertices are
+///    multiples of 2^-153 (their centre halves a sum). A correctly
+///    rounded sum, difference or product of multiples of q1 and q2 is a
+///    multiple of q1 * q2 (or of the common quantum, for sums), so every
+///    nonzero difference is at least 2^-153 and every nonzero degree-4
+///    term or expansion component is at least 2^-612 — a normal double,
+///    never a subnormal that drops bits.
+/// NaN and infinities fail the test too.
+inline constexpr double kMinCoordinateMagnitude = 0x1p-100;
+inline constexpr double kMaxCoordinateMagnitude = 0x1p100;
+
+constexpr bool InCoordinateRange(double c) {
+  const double magnitude = c < 0.0 ? -c : c;
+  return c == 0.0 || (magnitude >= kMinCoordinateMagnitude &&
+                      magnitude <= kMaxCoordinateMagnitude);
+}
+
+constexpr bool InCoordinateRange(const Point& p) {
+  return InCoordinateRange(p.x) && InCoordinateRange(p.y);
+}
+
 /// Enforces the construction preconditions every database layer shares:
-/// all coordinates finite (`std::invalid_argument` otherwise) and points
-/// pairwise distinct (`DuplicatePointError` naming both input positions
-/// otherwise). O(n log n). `PointDatabase` runs it at construction; the
+/// all coordinates in range (`InCoordinateRange`; `std::invalid_argument`
+/// naming the input position otherwise) and points pairwise distinct
+/// (`DuplicatePointError` naming both input positions otherwise; with
+/// several duplicates, the smallest duplicated point at its two lowest
+/// positions). O(n log n). `PointDatabase` runs it at construction; the
 /// sharded layer runs it once over the whole input *before* partitioning,
 /// so a duplicate pair that would be split across shard boundaries is
 /// still reported in the caller's frame of reference.
@@ -76,8 +110,8 @@ void CheckFiniteAndDistinct(const std::vector<Point>& points);
 class PointDatabase {
  public:
   struct Options {
-    /// Skip the O(n) finiteness and O(n log n) pairwise-distinct
-    /// enforcement: the caller asserts the points are finite and
+    /// Skip the O(n) range and O(n log n) pairwise-distinct
+    /// enforcement: the caller asserts the points are in range and
     /// distinct. Only for internal rebuild paths that maintain the
     /// invariants themselves (the dynamic layer's compaction); external
     /// construction should keep the checks.
@@ -94,10 +128,11 @@ class PointDatabase {
 
   /// Builds the database: Hilbert-relabels the points, bulk-loads the
   /// R-tree from the clustered array and triangulates.
-  /// The points must be finite and pairwise distinct; a duplicate pair
-  /// raises `DuplicatePointError` naming both input positions and a
-  /// non-finite coordinate raises `std::invalid_argument` (the
-  /// preconditions are enforced, not assumed).
+  /// The points must be in range (`InCoordinateRange`) and pairwise
+  /// distinct; a duplicate pair raises `DuplicatePointError` naming both
+  /// input positions and a non-finite or out-of-range coordinate raises
+  /// `std::invalid_argument` (the preconditions are enforced, not
+  /// assumed).
   explicit PointDatabase(std::vector<Point> points)
       : PointDatabase(std::move(points), Options{}) {}
   PointDatabase(std::vector<Point> points, Options options);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 #include "delaunay/hilbert.h"
 #include "geometry/box.h"
@@ -37,6 +36,15 @@ DelaunayTriangulation::DelaunayTriangulation(std::vector<Point> points,
   points_.push_back({c.x + 3.0 * d, c.y - d});
   points_.push_back({c.x, c.y + 3.0 * d});
 
+  // Every insertion retires its cavity of c triangles and creates c + 2
+  // in their slots plus two fresh ones, so the slot count ends at exactly
+  // 2n + 1 and `tris_` never reallocates.
+  const std::size_t max_tris = 2 * num_real_ + 1;
+  tris_.reserve(max_tris);
+  InsertScratch scratch;
+  scratch.in_cavity.assign(max_tris, 0);
+  scratch.edge_from.assign(points_.size(), 0);
+
   const auto s0 = static_cast<std::uint32_t>(num_real_);
   tris_.push_back(Tri{{s0, s0 + 1, s0 + 2}, {-1, -1, -1}, true});
   last_triangle_ = 0;
@@ -44,13 +52,13 @@ DelaunayTriangulation::DelaunayTriangulation(std::vector<Point> points,
   if (hilbert_sorted) {
     // Input order is already spatially coherent: insert as-is.
     for (std::uint32_t vid = 0; vid < num_real_; ++vid) {
-      InsertPoint(vid, last_triangle_);
+      InsertPoint(vid, last_triangle_, scratch);
     }
   } else {
     const std::vector<std::uint32_t> order = HilbertOrder(
         std::vector<Point>(points_.begin(), points_.begin() + num_real_));
     for (const std::uint32_t vid : order) {
-      InsertPoint(vid, last_triangle_);
+      InsertPoint(vid, last_triangle_, scratch);
     }
   }
   BuildAdjacency();
@@ -92,7 +100,8 @@ bool DelaunayTriangulation::InCavity(const Tri& t, const Point& p) const {
 }
 
 void DelaunayTriangulation::InsertPoint(std::uint32_t vid,
-                                        std::uint32_t hint) {
+                                        std::uint32_t hint,
+                                        InsertScratch& scratch) {
   const Point& p = points_[vid];
   const std::uint32_t t0 = Locate(p, hint);
 
@@ -103,12 +112,11 @@ void DelaunayTriangulation::InsertPoint(std::uint32_t vid,
   }
 #endif
 
-  in_cavity_mark_.resize(tris_.size(), 0);
-  cavity_.clear();
+  scratch.cavity.clear();
   auto seed = [&](std::uint32_t t) {
-    if (!in_cavity_mark_[t]) {
-      in_cavity_mark_[t] = 1;
-      cavity_.push_back(t);
+    if (!scratch.in_cavity[t]) {
+      scratch.in_cavity[t] = 1;
+      scratch.cavity.push_back(t);
     }
   };
   seed(t0);
@@ -124,11 +132,11 @@ void DelaunayTriangulation::InsertPoint(std::uint32_t vid,
     }
   }
   // Grow the cavity over neighbours whose circumcircle contains p.
-  for (std::size_t head = 0; head < cavity_.size(); ++head) {
-    const Tri tri = tris_[cavity_[head]];
+  for (std::size_t head = 0; head < scratch.cavity.size(); ++head) {
+    const Tri tri = tris_[scratch.cavity[head]];
     for (int i = 0; i < 3; ++i) {
       const std::int32_t nb = tri.nbr[i];
-      if (nb >= 0 && !in_cavity_mark_[nb] &&
+      if (nb >= 0 && !scratch.in_cavity[nb] &&
           InCavity(tris_[nb], p)) {
         seed(static_cast<std::uint32_t>(nb));
       }
@@ -137,72 +145,61 @@ void DelaunayTriangulation::InsertPoint(std::uint32_t vid,
 
   // Collect the boundary edges (CCW around the cavity) with their outer
   // neighbours.
-  struct BoundaryEdge {
-    std::uint32_t a, b;
-    std::int32_t outer;
-  };
-  std::vector<BoundaryEdge> boundary;
-  boundary.reserve(cavity_.size() + 2);
-  for (const std::uint32_t t : cavity_) {
+  scratch.boundary.clear();
+  for (const std::uint32_t t : scratch.cavity) {
     const Tri& tri = tris_[t];
     for (int i = 0; i < 3; ++i) {
       const std::int32_t nb = tri.nbr[i];
-      if (nb < 0 || !in_cavity_mark_[nb]) {
-        boundary.push_back(
-            BoundaryEdge{tri.v[(i + 1) % 3], tri.v[(i + 2) % 3], nb});
+      if (nb < 0 || !scratch.in_cavity[nb]) {
+        scratch.boundary.push_back(
+            BoundaryEdge{tri.v[(i + 1) % 3], tri.v[(i + 2) % 3], nb, 0});
       }
     }
   }
 
   // Retire the cavity triangles.
-  for (const std::uint32_t t : cavity_) {
+  for (const std::uint32_t t : scratch.cavity) {
     tris_[t].alive = false;
-    in_cavity_mark_[t] = 0;
-    free_tris_.push_back(t);
+    scratch.in_cavity[t] = 0;
+    scratch.free_tris.push_back(t);
   }
 
-  // Create one new triangle (a, b, vid) per boundary edge.
-  std::unordered_map<std::uint32_t, std::uint32_t> start_of;  // a -> tri
-  std::unordered_map<std::uint32_t, std::uint32_t> end_of;    // b -> tri
-  start_of.reserve(boundary.size() * 2);
-  end_of.reserve(boundary.size() * 2);
-  std::vector<std::uint32_t> new_tris;
-  new_tris.reserve(boundary.size());
-  for (const BoundaryEdge& e : boundary) {
-    std::uint32_t nt;
-    if (!free_tris_.empty()) {
-      nt = free_tris_.back();
-      free_tris_.pop_back();
-      tris_[nt] = Tri{{e.a, e.b, vid}, {-1, -1, -1}, true};
+  // Create one new triangle (a, b, vid) per boundary edge, reusing the
+  // retired slots last-in first-out.
+  for (std::uint32_t k = 0; k < scratch.boundary.size(); ++k) {
+    BoundaryEdge& e = scratch.boundary[k];
+    if (!scratch.free_tris.empty()) {
+      e.tri = scratch.free_tris.back();
+      scratch.free_tris.pop_back();
+      tris_[e.tri] = Tri{{e.a, e.b, vid}, {-1, -1, -1}, true};
     } else {
-      nt = static_cast<std::uint32_t>(tris_.size());
+      e.tri = static_cast<std::uint32_t>(tris_.size());
       tris_.push_back(Tri{{e.a, e.b, vid}, {-1, -1, -1}, true});
     }
     // Neighbour across (a, b) — opposite vid which is at index 2.
-    tris_[nt].nbr[2] = e.outer;
+    tris_[e.tri].nbr[2] = e.outer;
     if (e.outer >= 0) {
       Tri& out = tris_[e.outer];
       for (int j = 0; j < 3; ++j) {
         if (out.v[(j + 1) % 3] == e.b && out.v[(j + 2) % 3] == e.a) {
-          out.nbr[j] = static_cast<std::int32_t>(nt);
+          out.nbr[j] = static_cast<std::int32_t>(e.tri);
           break;
         }
       }
     }
-    start_of[e.a] = nt;
-    end_of[e.b] = nt;
-    new_tris.push_back(nt);
+    scratch.edge_from[e.a] = k;
   }
   // Ring-link the new fan: triangle (a, b, vid) meets (b, c, vid) across
-  // edge (b, vid) (opposite a = index 0) and meets (z, a, vid) across edge
-  // (vid, a) (opposite b = index 1).
-  for (const std::uint32_t nt : new_tris) {
-    Tri& tri = tris_[nt];
-    tri.nbr[0] = static_cast<std::int32_t>(start_of.at(tri.v[1]));
-    tri.nbr[1] = static_cast<std::int32_t>(end_of.at(tri.v[0]));
+  // edge (b, vid) (opposite a = index 0), and (b, c, vid) meets it back
+  // across edge (vid, b) (opposite c = index 1). The boundary is a simple
+  // cycle, so every vertex starts exactly one edge.
+  for (const BoundaryEdge& e : scratch.boundary) {
+    const BoundaryEdge& next = scratch.boundary[scratch.edge_from[e.b]];
+    assert(next.a == e.b && "cavity boundary is not a simple cycle");
+    tris_[e.tri].nbr[0] = static_cast<std::int32_t>(next.tri);
+    tris_[next.tri].nbr[1] = static_cast<std::int32_t>(e.tri);
   }
-  in_cavity_mark_.resize(tris_.size(), 0);
-  last_triangle_ = new_tris.front();
+  last_triangle_ = scratch.boundary.front().tri;
 }
 
 void DelaunayTriangulation::BuildAdjacency() {

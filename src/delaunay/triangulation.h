@@ -101,8 +101,25 @@ class DelaunayTriangulation {
     bool alive = true;
   };
 
+  // Scratch of one build, reused across its insertions so that inserting
+  // a point allocates nothing once the buffers have grown to the largest
+  // cavity; it dies with the constructor.
+  struct BoundaryEdge {
+    std::uint32_t a, b;  // CCW around the cavity.
+    std::int32_t outer;  // Triangle across (a, b); -1 on the outer hull.
+    std::uint32_t tri;   // The new triangle (a, b, vid).
+  };
+  struct InsertScratch {
+    std::vector<std::uint32_t> cavity;
+    std::vector<std::uint8_t> in_cavity;  // Indexed by triangle id.
+    std::vector<BoundaryEdge> boundary;
+    std::vector<std::uint32_t> edge_from;  // Vertex -> `boundary` index.
+    std::vector<std::uint32_t> free_tris;
+  };
+
   std::uint32_t Locate(const Point& p, std::uint32_t hint) const;
-  void InsertPoint(std::uint32_t vid, std::uint32_t hint);
+  void InsertPoint(std::uint32_t vid, std::uint32_t hint,
+                   InsertScratch& scratch);
   int IndexOfVertex(const Tri& t, std::uint32_t v) const;
   bool InCavity(const Tri& t, const Point& p) const;
   void BuildAdjacency();
@@ -110,17 +127,12 @@ class DelaunayTriangulation {
   std::vector<Point> points_;  // Real points then 3 super vertices.
   std::size_t num_real_ = 0;
   std::vector<Tri> tris_;
-  std::vector<std::uint32_t> free_tris_;
   std::uint32_t last_triangle_ = 0;  // Walk hint.
 
   // CSR adjacency over real vertices (built once after construction).
   std::vector<std::uint32_t> adj_offsets_;
   std::vector<PointId> adj_;
   std::vector<std::uint32_t> incident_triangle_;
-
-  // Scratch buffers reused across insertions.
-  std::vector<std::uint32_t> cavity_;
-  std::vector<std::uint8_t> in_cavity_mark_;
 };
 
 template <typename Fn>

@@ -56,7 +56,8 @@ inline constexpr std::size_t kIdsPerFrame = 1024;
 enum class Opcode : std::uint8_t {
   // Requests.
   kQuery = 0x01,    // WKT polygon + hints -> id frames + a stats frame.
-  kInsert = 0x02,   // One point -> kMutated.
+  kInsert = 0x02,   // One point -> kMutated (ok = false for a duplicate
+                    // or out-of-range point; see `InCoordinateRange`).
   kErase = 0x03,    // One stable id -> kMutated.
   kCompact = 0x04,  // Drain in-flight queries, compact -> kMutated.
   kStats = 0x05,    // -> kStatsReply.
@@ -189,7 +190,9 @@ std::vector<std::uint8_t> EncodeQueryStatsPayload(const WireQueryStats& s);
 WireQueryStats DecodeQueryStatsPayload(std::span<const std::uint8_t> payload);
 
 /// `kMutated` payload: u8 ok, 7 reserved bytes, u64 value (assigned id
-/// for inserts; 0 otherwise).
+/// for inserts; 0 otherwise). An INSERT answers ok = 0 when the point
+/// equals a live one or has a coordinate outside the database's range
+/// (0, or a magnitude in [2^-100, 2^100]).
 struct WireMutationResult {
   bool ok = false;
   std::uint64_t value = 0;

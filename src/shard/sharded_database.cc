@@ -1,7 +1,6 @@
 #include "shard/sharded_database.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -146,7 +145,7 @@ std::size_t ShardedDatabase::RouteShard(const Point& p) const {
 }
 
 std::optional<PointId> ShardedDatabase::Insert(const Point& p) {
-  if (!std::isfinite(p.x) || !std::isfinite(p.y)) return std::nullopt;
+  if (!InCoordinateRange(p)) return std::nullopt;
   std::lock_guard<std::mutex> lock(writer_mu_);
   if (next_global_ == kInvalidPointId) return std::nullopt;
   const std::size_t s = RouteShard(p);

@@ -150,7 +150,7 @@ class ShardedDatabase {
   };
 
   /// Partitions `points` into `options.num_shards` Hilbert-range shards.
-  /// The input must be finite and pairwise distinct — validated *before*
+  /// The input must be in range and pairwise distinct — validated *before*
   /// partitioning, so a `DuplicatePointError` names the offending input
   /// positions even when the pair would have landed in different shards.
   /// An empty input is valid: the routing grid defaults to the unit
@@ -166,8 +166,8 @@ class ShardedDatabase {
 
   /// Inserts `p` into the shard owning its curve key and returns the
   /// global stable id, or `std::nullopt` when the shard rejects it (an
-  /// equal point is live, a coordinate is non-finite, id space
-  /// exhausted). See `DynamicPointDatabase::Insert`.
+  /// equal point is live, a coordinate is outside `InCoordinateRange`,
+  /// id space exhausted). See `DynamicPointDatabase::Insert`.
   std::optional<PointId> Insert(const Point& p);
 
   /// Deletes the point with global stable id `id`. Returns false if the

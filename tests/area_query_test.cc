@@ -8,6 +8,7 @@
 #include "core/voronoi_area_query.h"
 #include "index/kdtree.h"
 #include "workload/point_generator.h"
+#include "workload/polygon_generator.h"
 #include "workload/rng.h"
 
 namespace vaq {
@@ -130,6 +131,49 @@ TEST_F(AreaQueryTest, AlternativeSeedIndexGivesSameResult) {
   const VoronoiAreaQuery with_kdtree(db_.get(), VoronoiAreaQuery::Options{},
                                      &kdtree);
   EXPECT_EQ(with_rtree.Run(area, nullptr), with_kdtree.Run(area, nullptr));
+}
+
+TEST(AreaQueryRangeTest, ExactAtTheCoordinateRangeLimits) {
+  // The accepted range is [2^-100, 2^100] in magnitude. Near each end,
+  // every method must still match brute force: scaling by a power of two
+  // is exact, so the data and the polygons keep their unit-scale shape.
+  struct Scale {
+    Box domain;
+    double factor;
+  };
+  const Scale scales[] = {
+      {Box::FromExtents(-1, -1, 1, 1), 0x1p100},  // Extent 2^101.
+      {Box::FromExtents(1, 1, 2, 2), 0x1p-100},   // Quantum 2^-152.
+  };
+  for (const Scale& scale : scales) {
+    Rng rng(4242);
+    std::vector<Point> points = GenerateUniformPoints(3000, scale.domain, &rng);
+    for (Point& p : points) p = {p.x * scale.factor, p.y * scale.factor};
+    const PointDatabase db(points);
+    std::string why;
+    EXPECT_TRUE(db.delaunay().CheckStructure(&why)) << why;
+    const BruteForceAreaQuery brute(&db);
+    const TraditionalAreaQuery traditional(&db);
+    const VoronoiAreaQuery segment_rule(&db);
+    VoronoiAreaQuery::Options overlap;
+    overlap.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
+    const VoronoiAreaQuery overlap_rule(&db, overlap);
+    for (int q = 0; q < 30; ++q) {
+      PolygonSpec spec;
+      spec.query_size_fraction = 0.01 * (1 + q % 5);
+      std::vector<Point> ring =
+          GenerateQueryPolygon(spec, scale.domain, &rng).vertices();
+      for (Point& v : ring) v = {v.x * scale.factor, v.y * scale.factor};
+      const Polygon area(std::move(ring));
+      const auto expected = brute.Run(area, nullptr);
+      EXPECT_EQ(traditional.Run(area, nullptr), expected)
+          << "scale " << scale.factor << " query " << q;
+      EXPECT_EQ(segment_rule.Run(area, nullptr), expected)
+          << "scale " << scale.factor << " query " << q;
+      EXPECT_EQ(overlap_rule.Run(area, nullptr), expected)
+          << "scale " << scale.factor << " query " << q;
+    }
+  }
 }
 
 TEST(AreaQuerySmallDbTest, SinglePointDatabase) {

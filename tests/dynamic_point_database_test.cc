@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -98,6 +99,34 @@ TEST(DynamicPointDatabaseTest, InsertRejectsNonFiniteCoordinates) {
   EXPECT_EQ(db.Insert({nan, 0.5}), std::nullopt);
   EXPECT_EQ(db.Insert({0.5, -inf}), std::nullopt);
   EXPECT_EQ(db.Size(), 2u);
+}
+
+TEST(DynamicPointDatabaseTest, OutOfRangeInsertIsRejectedBeforeCompaction) {
+  // A finite point far from 1 used to enter the delta and corrupt the
+  // next compaction's triangulation: the in-circle terms overflowed (or,
+  // for tiny coordinates, underflowed) and most Voronoi answers went
+  // wrong. The insert boundary now applies the construction range.
+  Rng rng(3);
+  DynamicPointDatabase::Options options;
+  options.auto_compact = false;
+  DynamicPointDatabase db(GenerateUniformPoints(10000, kUnit, &rng), options);
+  for (const double bad : {1e200, 1e150, 0x1p101, -1e200, 1e-200, 0x1p-101}) {
+    EXPECT_EQ(db.Insert({bad, bad}), std::nullopt) << bad;
+    EXPECT_EQ(db.Insert({0.5, bad}), std::nullopt) << bad;
+  }
+  EXPECT_EQ(db.Size(), 10000u);
+  ASSERT_TRUE(db.Insert({0.123, 0.456}).has_value());
+  db.Compact();
+  std::string why;
+  EXPECT_TRUE(db.snapshot()->base().delaunay().CheckStructure(&why)) << why;
+  for (std::uint64_t q = 0; q < 200; ++q) {
+    const Polygon area = TestArea(1000 + q, 0.02);
+    QueryContext ctx;
+    EXPECT_EQ(RunDynamicSnapshotQuery(*db.snapshot(), DynamicMethod::kVoronoi,
+                                      area, ctx),
+              LiveBruteForce(db, area))
+        << "query " << q;
+  }
 }
 
 TEST(DynamicPointDatabaseTest, ErasedPointCanBeReinserted) {

@@ -8,6 +8,48 @@
 namespace vaq {
 namespace {
 
+// The textbook bit loop (one quadrant rotation per level): the oracle for
+// the table-driven `HilbertD`.
+std::uint64_t HilbertDBitLoop(std::uint32_t order, std::uint32_t x,
+                              std::uint32_t y) {
+  std::uint64_t rx, ry, d = 0;
+  for (std::uint64_t s = 1ULL << (order - 1); s > 0; s >>= 1) {
+    rx = (x & s) > 0 ? 1 : 0;
+    ry = (y & s) > 0 ? 1 : 0;
+    d += s * s * ((3 * rx) ^ ry);
+    if (ry == 0) {
+      if (rx == 1) {
+        x = static_cast<std::uint32_t>(s - 1 - x);
+        y = static_cast<std::uint32_t>(s - 1 - y);
+      }
+      std::swap(x, y);
+    }
+  }
+  return d;
+}
+
+TEST(HilbertTest, TableKeyMatchesBitLoop) {
+  for (std::uint32_t order = 1; order <= 8; ++order) {
+    const std::uint32_t side = 1u << order;
+    for (std::uint32_t x = 0; x < side; ++x) {
+      for (std::uint32_t y = 0; y < side; ++y) {
+        ASSERT_EQ(HilbertD(order, x, y), HilbertDBitLoop(order, x, y))
+            << "order " << order << " cell (" << x << ", " << y << ")";
+      }
+    }
+  }
+  std::uint64_t state = 0x2545F4914F6CDD1DULL;
+  for (int i = 0; i < 1000000; ++i) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    const auto x = static_cast<std::uint32_t>(state & 0xFFFF);
+    const auto y = static_cast<std::uint32_t>((state >> 16) & 0xFFFF);
+    ASSERT_EQ(HilbertD(16, x, y), HilbertDBitLoop(16, x, y))
+        << "order 16 cell (" << x << ", " << y << ")";
+  }
+}
+
 TEST(HilbertTest, Order1IsTheBasicUShape) {
   // 2x2 curve visits (0,0) -> (0,1) -> (1,1) -> (1,0).
   EXPECT_EQ(HilbertD(1, 0, 0), 0u);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pinned_inputs.h"
 #include "workload/point_generator.h"
 #include "workload/rng.h"
 
@@ -108,6 +109,31 @@ TEST(PointDatabaseTest, DuplicatePointsThrowWithInputPositions) {
     EXPECT_NE(std::string(e.what()).find("pairwise distinct"),
               std::string::npos);
   }
+  // Several duplicates: the report is the lexicographically smallest
+  // duplicated point at its two lowest positions — here (0.25, 0.75) at 3
+  // and 9, although the triple (0.5, 0.5) at 1, 5 and 8 starts earlier.
+  const std::vector<Point> several{
+      {0.9, 0.1}, {0.5, 0.5}, {0.7, 0.3}, {0.25, 0.75}, {0.6, 0.6},
+      {0.5, 0.5}, {0.1, 0.9}, {0.3, 0.3}, {0.5, 0.5},   {0.25, 0.75}};
+  try {
+    PointDatabase db(several);
+    FAIL() << "duplicate input must throw";
+  } catch (const DuplicatePointError& e) {
+    EXPECT_EQ(e.point(), Point(0.25, 0.75));
+    EXPECT_EQ(e.first_index(), 3u);
+    EXPECT_EQ(e.second_index(), 9u);
+  }
+  // With only the triple left, its two lowest positions are reported.
+  std::vector<Point> triple = several;
+  triple[9] = {0.8, 0.8};
+  try {
+    PointDatabase db(triple);
+    FAIL() << "duplicate input must throw";
+  } catch (const DuplicatePointError& e) {
+    EXPECT_EQ(e.point(), Point(0.5, 0.5));
+    EXPECT_EQ(e.first_index(), 1u);
+    EXPECT_EQ(e.second_index(), 5u);
+  }
 }
 
 TEST(PointDatabaseTest, DuplicateDetectionSeesNonAdjacentPairs) {
@@ -133,12 +159,58 @@ TEST(PointDatabaseTest, NonFiniteCoordinatesThrow) {
       std::invalid_argument);
 }
 
+TEST(PointDatabaseTest, OutOfRangeCoordinatesThrowWithInputPosition) {
+  // Finite but extreme coordinates overflow or underflow the exact
+  // predicates, so construction rejects them and names the position.
+  for (const double bad : {1e200, 0x1p101, -1e150, 1e-200, 0x1p-101,
+                           -0x1p-120, 5e-324}) {
+    for (const Point p : {Point{bad, 0.5}, Point{0.5, bad}}) {
+      try {
+        PointDatabase db(std::vector<Point>{{0.1, 0.1}, {0.9, 0.2}, p});
+        FAIL() << p << " must be rejected";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("input position 2"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The range is closed, and zero of either sign is in it.
+  EXPECT_NO_THROW(PointDatabase db(std::vector<Point>{{0x1p100, 0x1p-100},
+                                                      {-0x1p100, -0x1p-100},
+                                                      {0.0, -0.0},
+                                                      {0.5, 0.25}}));
+}
+
 TEST(PointDatabaseTest, DistinctPointsDoNotThrow) {
   // Near-duplicates (distinct in the last ulp) are legal input.
   const double x = 0.5;
   const double next = std::nextafter(x, 1.0);
   EXPECT_NO_THROW(PointDatabase db(
       std::vector<Point>{{x, 0.5}, {next, 0.5}, {x, next}, {0.1, 0.9}}));
+}
+
+TEST(PointDatabaseTest, HilbertPermutationIsPinned) {
+  // The internal id space is the Hilbert permutation of the input; every
+  // stored id, cached answer and page offset depends on it, so a faster
+  // key or sort must reproduce it exactly (ties break on input position).
+  struct Case {
+    const char* name;
+    std::vector<Point> points;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"uniform", pinned::UniformPoints(50000, 1), 0xf648b7aee52c19d1ULL},
+      {"clustered", pinned::ClusteredPoints(50000, 2), 0x1f53b99c83bcd3d9ULL},
+      {"grid", pinned::GridPoints(100), 0xa0e6c02b762c76b9ULL},
+  };
+  for (const Case& c : cases) {
+    const PointDatabase db(c.points);
+    pinned::Fnv1a h;
+    for (const PointId id : db.original_ids()) h.Add(id);
+    EXPECT_EQ(h.value(), c.digest)
+        << c.name << std::hex << " 0x" << h.value();
+  }
 }
 
 }  // namespace

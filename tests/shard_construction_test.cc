@@ -134,6 +134,14 @@ TEST(ShardConstructionTest, NonFiniteInputIsRejected) {
                std::invalid_argument);
 }
 
+TEST(ShardConstructionTest, OutOfRangeInputIsRejected) {
+  Rng rng(5);
+  std::vector<Point> points = GenerateUniformPoints(8, kUnit, &rng);
+  points[5].x = 1e200;
+  EXPECT_THROW(ShardedDatabase(points, ShardOptions(4)),
+               std::invalid_argument);
+}
+
 TEST(ShardConstructionTest, InsertEnforcesLiveDistinctnessAcrossShards) {
   Rng rng(6);
   const std::vector<Point> points = GenerateUniformPoints(200, kUnit, &rng);
@@ -147,6 +155,9 @@ TEST(ShardConstructionTest, InsertEnforcesLiveDistinctnessAcrossShards) {
   EXPECT_FALSE(
       sharded.Insert({std::numeric_limits<double>::infinity(), 0.5})
           .has_value());
+  // So are finite coordinates outside the construction range.
+  EXPECT_FALSE(sharded.Insert({1e200, 1e200}).has_value());
+  EXPECT_FALSE(sharded.Insert({0.5, 1e-200}).has_value());
   // Erase, then re-insert: allowed, with a fresh id.
   ASSERT_TRUE(sharded.Erase(10));
   EXPECT_FALSE(sharded.Erase(10));

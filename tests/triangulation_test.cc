@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "delaunay/hilbert.h"
+#include "pinned_inputs.h"
 #include "workload/point_generator.h"
 #include "workload/rng.h"
 
@@ -201,6 +203,65 @@ TEST(TriangulationTest, CirculationVisitsAllIncidentTriangles) {
     // least the real-neighbour degree.
     EXPECT_GE(fan, dt.NeighborsOf(v).size())
         << "fan smaller than degree at " << v;
+  }
+}
+
+// Digest of everything a query can observe of the build: each CSR
+// neighbour row (length and order), each vertex's incident triangle id and
+// the real triangles in id order.
+std::uint64_t BuildDigest(const DelaunayTriangulation& dt) {
+  pinned::Fnv1a h;
+  for (PointId v = 0; v < dt.num_points(); ++v) {
+    const auto row = dt.NeighborsOf(v);
+    h.Add(static_cast<std::uint32_t>(row.size()));
+    for (const PointId u : row) h.Add(u);
+  }
+  for (PointId v = 0; v < dt.num_points(); ++v) h.Add(dt.IncidentTriangle(v));
+  for (const auto& t : dt.Triangles()) {
+    h.Add(t.a);
+    h.Add(t.b);
+    h.Add(t.c);
+  }
+  return h.value();
+}
+
+TEST(TriangulationTest, BuildOutputIsPinned) {
+  // Speed work on the builder must not change a single id: triangle ids,
+  // incident triangles and neighbour order are all pinned. The inputs are
+  // built from integers and powers of two, and the build decides every
+  // step with exact predicates, so the digests do not depend on the
+  // compiler or the build type. `hilbert_sorted` runs get the input
+  // permuted the way `PointDatabase` permutes it.
+  struct Case {
+    const char* name;
+    std::vector<Point> points;
+    std::uint64_t unsorted_digest;
+    std::uint64_t sorted_digest;
+  };
+  const Case cases[] = {
+      {"uniform", pinned::UniformPoints(50000, 1), 0xc400374022c3acfaULL,
+       0xa9f11bd85474d530ULL},
+      {"clustered", pinned::ClusteredPoints(50000, 2), 0x7cda7f664c247d83ULL,
+       0xe60aed1e492870aeULL},
+      {"grid", pinned::GridPoints(100), 0x1673b2ea25fac3b5ULL,
+       0x16af68b55a3035dfULL},
+  };
+  for (const Case& c : cases) {
+    const DelaunayTriangulation unsorted(c.points);
+    std::vector<Point> sorted;
+    sorted.reserve(c.points.size());
+    for (const std::uint32_t i : HilbertOrder(c.points)) {
+      sorted.push_back(c.points[i]);
+    }
+    const DelaunayTriangulation presorted(std::move(sorted),
+                                          /*hilbert_sorted=*/true);
+    std::string why;
+    EXPECT_TRUE(unsorted.CheckStructure(&why)) << c.name << ": " << why;
+    EXPECT_TRUE(presorted.CheckStructure(&why)) << c.name << ": " << why;
+    EXPECT_EQ(BuildDigest(unsorted), c.unsorted_digest)
+        << c.name << std::hex << " unsorted 0x" << BuildDigest(unsorted);
+    EXPECT_EQ(BuildDigest(presorted), c.sorted_digest)
+        << c.name << std::hex << " sorted 0x" << BuildDigest(presorted);
   }
 }
 

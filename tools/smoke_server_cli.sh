@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke test of the server CLIs: starts vaq_server on an ephemeral port,
-# drives every vaq_client command against it, checks that malformed
-# operands and flags exit 2 without touching the data, and stops the
-# server with SIGTERM (which must exit 0).
+# drives every vaq_client command against it (an out-of-range INSERT must
+# be rejected and the COMPACT after it must keep the live count), checks
+# that malformed operands and flags exit 2 without touching the data, and
+# stops the server with SIGTERM (which must exit 0).
 #
 # Usage: tools/smoke_server_cli.sh <build-dir>
 set -euo pipefail
@@ -46,6 +47,12 @@ client insert 0.5 1.5
 [ "$(live)" = 1001 ] || fail "live count after insert"
 client erase 0
 [ "$(live)" = 1000 ] || fail "live count after erase"
+# A finite point outside the coordinate range is rejected, so the next
+# compaction rebuilds from in-range points only.
+client insert 1e200 1e200 | grep -q '^rejected' ||
+  fail "out-of-range insert was not rejected"
+client compact
+[ "$(live)" = 1000 ] || fail "live count after compact"
 
 expect_usage_error "$bin/vaq_client" --port "$port" erase foo
 expect_usage_error "$bin/vaq_client" --port "$port" erase 4294967296
