@@ -68,7 +68,7 @@ int main() {
   // from the Voronoi diagram (paper Property 3: its cell is exactly the
   // region it serves).
   const PointId central = db.rtree().NearestNeighbor(city.Center());
-  const VoronoiDiagram& vd = db.voronoi();
+  const VoronoiDiagram vd(db.delaunay(), city);
   std::printf(
       "\nPOI nearest to city centre: #%u at (%.3f, %.3f); its service cell "
       "covers %.4f km^2 across %zu corners\n",

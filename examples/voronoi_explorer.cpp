@@ -85,14 +85,14 @@ int main() {
               static_cast<unsigned long long>(stats.segment_tests));
 
   // Voronoi cell summary of the densest corner.
-  const VoronoiDiagram& vd = db.voronoi();
+  const VoronoiDiagram vd(db.delaunay(), domain);
   double min_cell = 1e300, max_cell = 0.0;
   for (PointId v = 0; v < vd.size(); ++v) {
     min_cell = std::min(min_cell, vd.CellArea(v));
     max_cell = std::max(max_cell, vd.CellArea(v));
   }
   std::printf("voronoi cells: %zu, area min %.5f / max %.5f (sum %.3f over "
-              "clip box)\n",
+              "the domain)\n",
               vd.size(), min_cell, max_cell, vd.TotalArea());
   return 0;
 }

@@ -26,8 +26,7 @@ DynamicPointDatabase::DynamicPointDatabase(std::vector<Point> initial,
                                            Options options)
     : options_(options) {
   auto mutable_bundle =
-      std::make_shared<BaseBundle>(std::move(initial), options_.base,
-                                   options_.voronoi);
+      std::make_shared<BaseBundle>(std::move(initial), options_.base);
   mutable_bundle->db.set_simulated_fetch_ns(options_.simulated_fetch_ns);
   mutable_bundle->db.set_fetch_latency_model(options_.fetch_latency_model);
   std::shared_ptr<const BaseBundle> bundle = std::move(mutable_bundle);
@@ -208,8 +207,7 @@ void DynamicPointDatabase::CompactLocked() {
   PointDatabase::Options rebuild_options = options_.base;
   rebuild_options.skip_distinctness_check = true;
   auto mutable_bundle =
-      std::make_shared<BaseBundle>(std::move(merged), rebuild_options,
-                                   options_.voronoi);
+      std::make_shared<BaseBundle>(std::move(merged), rebuild_options);
   mutable_bundle->db.set_simulated_fetch_ns(options_.simulated_fetch_ns);
   mutable_bundle->db.set_fetch_latency_model(options_.fetch_latency_model);
   std::shared_ptr<const BaseBundle> bundle = std::move(mutable_bundle);

@@ -27,7 +27,9 @@ class PlannedAreaQuery;
 /// `PointDatabase`, following the classic log-structured pattern:
 ///
 ///  * the **base** — a `PointDatabase` plus the four query objects built
-///    over it — is immutable and rebuilt only by `Compact()`;
+///    over it — is immutable and rebuilt only by `Compact()`. Its Voronoi
+///    object runs the exact `kCellOverlap` rule, so every planned, served
+///    and sharded Voronoi answer is complete for any connected area;
 ///  * **inserts** land in a small in-memory *delta buffer* (SoA, scanned
 ///    linearly by queries — it is bounded by the compaction threshold);
 ///  * **deletes** of base points set a bit in a *tombstone* bitmap
@@ -84,22 +86,16 @@ class DynamicPointDatabase {
     double simulated_fetch_ns = 0.0;
     PointDatabase::FetchLatencyModel fetch_latency_model =
         PointDatabase::FetchLatencyModel::kBusyWait;
-    /// Configuration of the voronoi query object bundled with every base.
-    /// The sharded layer overrides the expansion rule here: the paper's
-    /// segment rule has a completeness caveat that partitioning amplifies
-    /// (see `ShardedDatabase`).
-    VoronoiAreaQuery::Options voronoi;
   };
 
   /// The immutable base plus the query objects bound to it. Shared by
   /// every snapshot between two compactions; rebuilt as a unit so the
   /// query objects' database pointers can never dangle.
   struct BaseBundle {
-    BaseBundle(std::vector<Point> points, const PointDatabase::Options& o,
-               const VoronoiAreaQuery::Options& voronoi_options = {})
+    BaseBundle(std::vector<Point> points, const PointDatabase::Options& o)
         : db(std::move(points), o),
           traditional(&db),
-          voronoi(&db, voronoi_options),
+          voronoi(&db, {VoronoiAreaQuery::ExpansionRule::kCellOverlap}),
           grid_sweep(&db),
           brute(&db),
           generation(NextGeneration()) {}

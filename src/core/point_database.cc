@@ -211,20 +211,4 @@ void PointDatabase::InitPagedStorage() {
   ::unlink(path.c_str());
 }
 
-const VoronoiDiagram& PointDatabase::voronoi() const {
-  std::call_once(voronoi_once_, [this] {
-    // Inflate the clip box a little so border cells keep a margin around
-    // their generators.
-    Box clip = bounds_;
-    const double dx = std::max(bounds_.Width(), 1e-9) * 0.05;
-    const double dy = std::max(bounds_.Height(), 1e-9) * 0.05;
-    clip.min.x -= dx;
-    clip.min.y -= dy;
-    clip.max.x += dx;
-    clip.max.y += dy;
-    voronoi_ = std::make_unique<VoronoiDiagram>(delaunay_, clip);
-  });
-  return *voronoi_;
-}
-
 }  // namespace vaq

@@ -3,14 +3,12 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/query_stats.h"
 #include "delaunay/triangulation.h"
-#include "delaunay/voronoi.h"
 #include "geometry/box.h"
 #include "geometry/point.h"
 #include "index/rtree.h"
@@ -160,13 +158,6 @@ class PointDatabase {
   const RTree& rtree() const { return rtree_; }
   const DelaunayTriangulation& delaunay() const { return delaunay_; }
 
-  /// The explicit Voronoi diagram (cells clipped to a slightly inflated
-  /// data bounding box). Built lazily on first use — only the cell-overlap
-  /// expansion ablation and the examples/tests need it. The lazy build is
-  /// guarded by a `std::once_flag`, so concurrent first calls from engine
-  /// worker threads are safe.
-  const VoronoiDiagram& voronoi() const;
-
   /// Fetches the geometry of point `id`, charging one geometry load to
   /// `stats` (if non-null) and paying the simulated fetch latency, if
   /// any. On a paged backend the read goes through the page cache (one
@@ -312,8 +303,6 @@ class PointDatabase {
   Box bounds_;
   RTree rtree_;
   DelaunayTriangulation delaunay_;
-  mutable std::once_flag voronoi_once_;
-  mutable std::unique_ptr<VoronoiDiagram> voronoi_;
   StorageOptions options_storage_;
   std::unique_ptr<PageStore> page_store_;
   double simulated_fetch_ns_ = 0.0;

@@ -133,6 +133,10 @@ class QueryContext {
     return delta_hits_;
   }
 
+  /// One Voronoi cell's vertex ring, for the cell-overlap rule's cell
+  /// tests (see `FanCellRing`, which clears it before filling).
+  std::vector<Point>& ScratchRing() { return ring_; }
+
   /// Per-query index IO counters, reset and ready to pass to index calls.
   IndexStats& ScratchIndexStats() {
     index_stats_.Reset();
@@ -249,6 +253,7 @@ class QueryContext {
   PolygonKernel kernel_;
   bool kernel_ready_ = false;
   std::vector<std::uint64_t> sort_bitmap_;
+  std::vector<Point> ring_;
 };
 
 }  // namespace vaq

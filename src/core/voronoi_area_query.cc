@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <span>
 
 #include "core/batch_refine.h"
+#include "delaunay/voronoi.h"
 #include "geometry/prepared_area.h"
 #include "geometry/segment.h"
 
@@ -14,23 +16,26 @@ VoronoiAreaQuery::VoronoiAreaQuery(const PointDatabase* db, Options options,
                                    const SpatialIndex* seed_index)
     : db_(db),
       options_(options),
-      seed_index_(seed_index != nullptr ? seed_index : &db->rtree()) {
-  if (options_.expansion == ExpansionRule::kCellOverlap) {
-    db_->voronoi();  // Force construction up front, outside timed queries.
-  }
-}
+      seed_index_(seed_index != nullptr ? seed_index : &db->rtree()) {}
 
-bool VoronoiAreaQuery::CellIntersectsArea(PointId v,
-                                          const PreparedArea& area) const {
-  const VoronoiDiagram& vd = db_->voronoi();
-  const std::vector<Point>& ring = vd.cell(v);
-  if (ring.size() < 3) return false;
+bool VoronoiAreaQuery::CellIntersectsArea(PointId v, const PreparedArea& area,
+                                          bool area_leaves_data_box,
+                                          std::vector<Point>& ring) const {
+  // The fan's cell is bounded by the super triangle; only a hull-side
+  // cell's true extent reaches the parts of A beyond the data box.
+  if (FanCellRing(db_->delaunay(), v, ring) && area_leaves_data_box) {
+    return true;
+  }
   // O(1) screen: classify the cell's bounding box against the prepared
   // grid. An outside box is disjoint from A (the cell cannot intersect);
   // an inside box is wholly contained in A (the cell certainly does).
-  // Only boxes near the boundary fall through to the exact edge loop.
+  // Only boxes near the boundary fall through to the exact edge loop. A
+  // non-finite circumcentre leaves the cell unknown, so it is followed.
   Box cell_bounds;
-  for (const Point& p : ring) cell_bounds.ExpandToInclude(p);
+  for (const Point& p : ring) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return true;
+    cell_bounds.ExpandToInclude(p);
+  }
   switch (area.ClassifyBox(cell_bounds)) {
     case PreparedArea::Region::kOutside:
       return false;
@@ -43,7 +48,7 @@ bool VoronoiAreaQuery::CellIntersectsArea(PointId v,
   // polygon, a polygon vertex is inside the cell, or boundaries cross. The
   // edge test below covers all three but full mutual containment, which the
   // two point-in checks handle.
-  if (vd.CellContains(v, area.polygon().vertex(0))) return true;
+  if (ConvexRingContains(ring, area.polygon().vertex(0))) return true;
   for (std::size_t i = 0; i < ring.size(); ++i) {
     const Segment cell_edge{ring[i], ring[(i + 1) % ring.size()]};
     if (area.Intersects(cell_edge)) return true;
@@ -124,19 +129,21 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
   const double* ys = db_->ys();
   const bool paper_rule =
       options_.expansion == ExpansionRule::kPaperSegment;
-  // Cell-overlap completeness rests on cells tiling the *plane*, but the
-  // materialised cells only tile the clip box. When A sticks out of the
-  // box (a query against one shard of a partitioned database, or a query
-  // hugging the data boundary), the parts of A outside the box are
-  // covered by no materialised cell, and A ∩ box may even be
-  // disconnected — the flood would stall at the box border. Restoring
-  // the tiling argument: a *clipped* cell's true extent reaches beyond
-  // the box, so treat every clipped cell as intersecting the escaped
-  // part of A. The clipped cells form a connected ring (they include the
-  // whole hull), so every lobe of A re-entering the box is reachable.
-  const VoronoiDiagram* vd = paper_rule ? nullptr : &db_->voronoi();
-  const bool area_escapes_clip_box =
-      vd != nullptr && !vd->clip_box().Contains(area.Bounds());
+  // Cell-overlap completeness rests on cells tiling the plane. The fan
+  // cells of the real points tile everything but the three super
+  // vertices' cells, which lie far beyond the data box inflated by 5%.
+  // When A leaves that box, a part of A may lie in a super cell only; the
+  // hull-side cells that border the super cells then count as meeting A.
+  // They form one connected ring, so every lobe of A is still reachable.
+  Box data_box = db_->bounds();
+  const double dx = std::max(data_box.Width(), 1e-9) * 0.05;
+  const double dy = std::max(data_box.Height(), 1e-9) * 0.05;
+  data_box.min.x -= dx;
+  data_box.min.y -= dy;
+  data_box.max.x += dx;
+  data_box.max.y += dy;
+  const bool area_leaves_data_box = !data_box.Contains(area.Bounds());
+  std::vector<Point>& ring = ctx.ScratchRing();
 
   const PointId* rows[kRefineBlock];
   std::uint32_t lens[kRefineBlock];
@@ -221,8 +228,8 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
                 }
               }
             } else {
-              follow = CellIntersectsArea(pn, prep) ||
-                       (area_escapes_clip_box && vd->CellWasClipped(pn));
+              follow =
+                  CellIntersectsArea(pn, prep, area_leaves_data_box, ring);
             }
             if (follow) {
               visit.MarkIfUnvisited(pn);

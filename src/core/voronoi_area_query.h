@@ -14,31 +14,37 @@ namespace vaq {
 ///        * a candidate inside A joins the result and expands to all its
 ///          neighbours (paper Property 7: they are internal or boundary
 ///          points);
-///        * a candidate outside A expands only along Delaunay edges that
-///          intersect A (paper Property 9 — this is what keeps the flood
-///          from leaking into the rest of the MBR).
+///        * a candidate outside A expands only to the neighbours that the
+///          expansion rule admits — this is what keeps the flood from
+///          leaking into the rest of the MBR.
 ///
 /// Candidates are therefore the internal points plus a thin shell of
 /// boundary points — proportional to the boundary length of A rather than
 /// to area(MBR(A)) - area(A).
+///
+/// Two expansion rules exist. `kCellOverlap` is exact for any connected
+/// area and is what every planned, served and sharded Voronoi run uses
+/// (the query objects `DynamicPointDatabase` bundles with each base).
+/// `kPaperSegment` is the paper's literal rule, kept as this class's
+/// default for the Table I/II reproduction and the expansion ablation.
 class VoronoiAreaQuery : public AreaQuery {
  public:
   /// How the flood expands out of a candidate that is *outside* A.
   enum class ExpansionRule {
     /// Paper Algorithm 1, line 21: follow edge (p, pn) iff the segment
-    /// intersects A. Minimal candidates; can (rarely) miss points beyond
-    /// point-free corridors of extremely concave polygons (see DESIGN.md).
+    /// intersects A. Minimal candidates; can miss points beyond
+    /// point-free parts of concave areas (DESIGN.md §1).
     kPaperSegment,
-    /// Follow the edge iff the Voronoi cell of `pn` intersects A. Provably
-    /// complete for any connected query area (cells tile the plane, so the
-    /// cells meeting A form a connected patch of the dual graph), at the
-    /// cost of cell-vs-polygon tests. The materialised cells only tile the
-    /// diagram's clip box, so when A extends beyond it — a shard of a
-    /// partitioned database answering a cross-shard area, or a query
-    /// hugging the data boundary — clipped cells are additionally treated
-    /// as intersecting A, which restores the plane-tiling argument (see
-    /// `VoronoiDiagram::CellWasClipped`). Benchmarked as an ablation; the
-    /// sharded layer forces this rule for its legs.
+    /// Follow the edge iff the Voronoi cell of `pn` intersects A.
+    /// Provably complete for any connected query area (cells tile the
+    /// plane, so the cells meeting A form a connected patch of the dual
+    /// graph), at the cost of cell-vs-polygon tests. A cell is computed
+    /// when it is tested, from the circumcentres of `pn`'s Delaunay fan
+    /// (`FanCellRing`); no diagram is stored. The fan cells tile all of
+    /// the plane but the super vertices' cells, so when A leaves the data
+    /// box inflated by 5%, a cell whose fan touches a super vertex also
+    /// counts as meeting A; a cell with a non-finite circumcentre is
+    /// always followed.
     kCellOverlap,
   };
 
@@ -65,7 +71,9 @@ class VoronoiAreaQuery : public AreaQuery {
   }
 
  private:
-  bool CellIntersectsArea(PointId v, const PreparedArea& area) const;
+  bool CellIntersectsArea(PointId v, const PreparedArea& area,
+                          bool area_leaves_data_box,
+                          std::vector<Point>& ring) const;
 
   // Stateless beyond construction-time configuration: the epoch-marked
   // visited set and candidate queue live in the caller's `QueryContext`,

@@ -51,7 +51,8 @@ class DelaunayTriangulation {
   /// Number of real points.
   std::size_t num_points() const { return num_real_; }
 
-  /// The coordinates of point `v`. Precondition: `v < num_points()`.
+  /// The coordinates of point `v`. Precondition: `v < num_points() + 3`;
+  /// the last three ids are the super vertices `TriangleVertices` yields.
   const Point& point(PointId v) const { return points_[v]; }
 
   /// The Voronoi neighbours of `v` (= Delaunay-adjacent vertices), i.e.

@@ -1,39 +1,50 @@
 #include "delaunay/voronoi.h"
 
-#include <algorithm>
+#include <cmath>
 
 #include "geometry/clip.h"
 #include "geometry/predicates.h"
 
 namespace vaq {
 
+bool FanCellRing(const DelaunayTriangulation& dt, PointId v,
+                 std::vector<Point>& ring) {
+  ring.clear();
+  const std::size_t n = dt.num_points();
+  bool touches_super = false;
+  dt.CirculateCell(v, [&](std::uint32_t t) {
+    const auto verts = dt.TriangleVertices(t);
+    touches_super |= verts[0] >= n || verts[1] >= n || verts[2] >= n;
+    ring.push_back(Circumcenter(dt.point(verts[0]), dt.point(verts[1]),
+                                dt.point(verts[2])));
+  });
+  return touches_super;
+}
+
+bool ConvexRingContains(std::span<const Point> ring, const Point& q) {
+  if (ring.size() < 3) return false;
+  int expected = 0;
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const int s = Orient2DSign(ring[i], ring[(i + 1) % ring.size()], q);
+    if (s == 0) continue;
+    if (expected == 0) {
+      expected = s;
+    } else if (s != expected) {
+      return false;
+    }
+  }
+  return true;
+}
+
 VoronoiDiagram::VoronoiDiagram(const DelaunayTriangulation& dt,
-                               const Box& clip_box)
-    : clip_box_(clip_box) {
+                               const Box& clip_box) {
   const std::size_t n = dt.num_points();
   generators_.reserve(n);
   cells_.resize(n);
-  clipped_.assign(n, 0);
+  std::vector<Point> ring;
   for (PointId v = 0; v < n; ++v) {
     generators_.push_back(dt.point(v));
-    std::vector<Point> ring;
-    dt.CirculateCell(v, [&](std::uint32_t t) {
-      const auto verts = dt.TriangleVertices(t);
-      ring.push_back(Circumcenter(dt.point(verts[0]), dt.point(verts[1]),
-                                  dt.point(verts[2])));
-    });
-    // A raw circumcenter outside the box means the true cell reaches
-    // beyond it (hull cells via the far super-triangle circumcenters,
-    // interior cells via sliver-triangle circumcenters), so the clip
-    // below trims it. Recorded before clipping destroys the evidence.
-    for (const Point& c : ring) {
-      if (!clip_box.Contains(c)) {
-        clipped_[v] = 1;
-        break;
-      }
-    }
-    // CirculateCell yields triangles in CCW order around the generator, so
-    // the circumcenters already form a CCW convex ring.
+    FanCellRing(dt, v, ring);
     cells_[v] = ClipRingToBox(ring, clip_box);
   }
 }
@@ -46,25 +57,6 @@ double VoronoiDiagram::CellArea(PointId v) const {
     twice += ring[i].Cross(ring[(i + 1) % ring.size()]);
   }
   return std::abs(twice) * 0.5;
-}
-
-bool VoronoiDiagram::CellContains(PointId v, const Point& q) const {
-  const std::vector<Point>& ring = cells_[v];
-  if (ring.size() < 3) return false;
-  // Convex containment: q must not be strictly right of any CCW edge.
-  // (Cell rings are convex; clipping preserves convexity.)
-  int expected = 0;
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    const int s =
-        Orient2DSign(ring[i], ring[(i + 1) % ring.size()], q);
-    if (s == 0) continue;
-    if (expected == 0) {
-      expected = s;
-    } else if (s != expected) {
-      return false;
-    }
-  }
-  return true;
 }
 
 double VoronoiDiagram::TotalArea() const {

@@ -424,6 +424,7 @@ WireServerStats DecodeServerStatsPayload(
 
 std::vector<std::uint8_t> EncodeErrorPayload(const WireError& e) {
   std::vector<std::uint8_t> out;
+  out.reserve(8 + e.detail.size());
   out.push_back(static_cast<std::uint8_t>(e.code));
   for (int i = 0; i < 3; ++i) out.push_back(0);
   PutInt<std::uint32_t>(out, static_cast<std::uint32_t>(e.detail.size()));

@@ -63,15 +63,6 @@ ShardedDatabase::ShardedDatabase(std::vector<Point> points, Options options)
 
   DynamicPointDatabase::Options shard_options = options_.shard;
   shard_options.base.skip_distinctness_check = true;
-  // The paper's segment-expansion rule can fail to cross point-free
-  // corridors of concave query areas. Unsharded, the corridors are
-  // vanishingly rare at benchmark densities — but partitioning hands each
-  // shard only 1/K of the points, widening every corridor by exactly the
-  // factor the shard is sparser. The sharded voronoi legs therefore
-  // always run the provably complete cell-overlap rule (the sharded
-  // differential bench caught real misses at K=8 without it).
-  shard_options.voronoi.expansion =
-      VoronoiAreaQuery::ExpansionRule::kCellOverlap;
 
   start_keys_.assign(k, 0);
   std::vector<char> empty_shard(k, 0);

@@ -65,14 +65,13 @@ class ShardedDatabase {
     /// fill through inserts routed into their key ranges.
     std::size_t num_shards = 4;
     /// Options applied to every shard (compaction thresholds, simulated
-    /// IO). Two fields are overridden internally: the construction
+    /// IO). One field is overridden internally: the construction
     /// distinctness check is skipped (the sharded constructor proves
     /// distinctness globally first, which per-shard checks could not — a
-    /// duplicate pair may split across shard boundaries), and the voronoi
-    /// expansion rule is forced to the provably complete `kCellOverlap`
-    /// (each shard holds only 1/K of the points, so the point-free
-    /// corridors that the paper's segment rule can fail to cross are K
-    /// times wider at shard level; see DESIGN.md §9).
+    /// duplicate pair may split across shard boundaries). The shard legs'
+    /// Voronoi runs use the exact cell-overlap rule like every
+    /// `DynamicPointDatabase`; a cross-shard area leaves a shard's data
+    /// box, which that rule handles (DESIGN.md §9).
     DynamicPointDatabase::Options shard;
     /// Pool the planned path (`Query`, `PlannedQuery`) may fan shard legs
     /// onto when the plan scatters; null = every plan runs its legs

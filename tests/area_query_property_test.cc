@@ -5,7 +5,9 @@
 // correctness property behind every number in EXPERIMENTS.md.
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <numbers>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -13,11 +15,13 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force_area_query.h"
+#include "core/dynamic_point_database.h"
 #include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
 #include "geometry/wkt.h"
+#include "pinned_inputs.h"
 #include "planner/query_plan.h"
 #include "shard/sharded_database.h"
 #include "workload/point_generator.h"
@@ -134,54 +138,12 @@ TEST(AreaQueryStarPolygonTest, PentagramMethodsMatchBruteForce) {
 }
 
 TEST(AreaQueryStarPolygonTest, ThinSpikeStarExactPaths) {
-  // A simple 36-vertex star of nine ~0.005-wide spikes. Its interior
-  // point lies in a spike, and the nearest site to it lies outside the
-  // area with no Delaunay edge crossing a spike, so the paper's segment
-  // rule never starts its flood and returns nothing. The paths below
-  // are exact on it. The vertices are the full-precision text: rounding
-  // them hides the miss.
-  constexpr const char* kStarWkt =
-      "POLYGON ((0.68896177615586496 0.46135927480470768, "
-      "0.86811906778459647 0.46135927480470768, "
-      "0.86811906778459647 0.46650164168540414, "
-      "0.68896177615586496 0.46650164168540414, "
-      "0.6849778759673425 0.47744731749473079, "
-      "0.8222203236637784 0.59260740473867723, "
-      "0.81891487394840423 0.59654668631211394, "
-      "0.68167242625196833 0.48138659906816739, "
-      "0.67158483686072912 0.4872106715186737, "
-      "0.70269517406780124 0.66364616132331755, "
-      "0.6976309312948582 0.6645391239610452, "
-      "0.66652059408778608 0.48810363415640146, "
-      "0.65504941068105926 0.48608095502114024, "
-      "0.56547076486669356 0.64123572084483882, "
-      "0.56101734451243057 0.6386645374044907, "
-      "0.65059599032679627 0.483509771580792, "
-      "0.64310870710859191 0.47458677490672657, "
-      "0.474755922205084 0.53586217746742393, "
-      "0.47299712914751502 0.53102993325625958, "
-      "0.64134991405102304 0.46975453069556222, "
-      "0.64134991405102304 0.4581063857945496, "
-      "0.47299712914751502 0.39683098323385224, "
-      "0.474755922205084 0.39199873902268789, "
-      "0.64310870710859191 0.45327414158338525, "
-      "0.65059599032679638 0.44435114490931982, "
-      "0.56101734451243057 0.28919637908562129, "
-      "0.56547076486669334 0.28662519564527306, "
-      "0.65504941068105915 0.44177996146897158, "
-      "0.66652059408778608 0.43975728233371036, "
-      "0.69763093129485809 0.26332179252906646, "
-      "0.70269517406780113 0.26421475516679421, "
-      "0.67158483686072912 0.44065024497143812, "
-      "0.68167242625196833 0.44647431742194443, "
-      "0.81891487394840423 0.33131423017799788, "
-      "0.8222203236637784 0.33525351175143447, "
-      "0.6849778759673425 0.45041359899538103, "
-      "0.68896177615586496 0.46135927480470768))";
+  // The paper's segment rule returns none of the star's 21 points (see
+  // `pinned::kThinSpikeStarWkt`); every path below is exact on it.
   Rng rng(2000);
   const std::vector<Point> points = GenerateUniformPoints(2000, kUnit, &rng);
   const PointDatabase db(points);
-  const Polygon star = ParseWktPolygon(kStarWkt);
+  const Polygon star = ParseWktPolygon(pinned::kThinSpikeStarWkt);
   ASSERT_EQ(star.size(), 36u);
   const auto truth = BruteForceAreaQuery(&db).Run(star, nullptr);
   EXPECT_EQ(truth.size(), 21u);
@@ -191,18 +153,94 @@ TEST(AreaQueryStarPolygonTest, ThinSpikeStarExactPaths) {
   cell_overlap.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
   EXPECT_EQ(VoronoiAreaQuery(&db, cell_overlap).Run(star, nullptr), truth);
 
-  // Sharded answers speak input positions.
+  // The dynamic and sharded layers speak input positions.
   std::vector<PointId> truth_ids;
   for (const PointId id : truth) truth_ids.push_back(db.OriginalId(id));
   std::sort(truth_ids.begin(), truth_ids.end());
+  const DynamicPointDatabase dynamic(points);
+  PlanHints planned;
+  planned.use_cache = false;
+  QueryContext ctx;
+  EXPECT_EQ(dynamic.Query(star, ctx, planned), truth_ids) << "planned";
+  for (const DynamicMethod m :
+       {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+        DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
+    PlanHints forced = planned;
+    forced.force_method = m;
+    EXPECT_EQ(dynamic.Query(star, ctx, forced), truth_ids)
+        << "forced " << MethodName(m);
+  }
   PlanHints voronoi;
   voronoi.force_method = DynamicMethod::kVoronoi;
   for (const std::size_t k : {1u, 4u}) {
     ShardedDatabase::Options options;
     options.num_shards = k;
     const ShardedDatabase sharded(points, options);
-    QueryContext ctx;
     EXPECT_EQ(sharded.Query(star, ctx, voronoi), truth_ids) << "K=" << k;
+  }
+}
+
+// A simple star of `spikes` rectangular spikes of width `width` around a
+// small central polygon: the shape family of `pinned::kThinSpikeStarWkt`.
+// Spike i leaves the centre at angle phase + 2*pi*i/spikes with its own
+// length; the spikes' bases sit on a circle just wide enough that
+// neighbouring bases never touch, so the ring is simple.
+Polygon ThinSpikeStar(const Point& centre, int spikes, double width,
+                      Rng* rng) {
+  const double step = 2.0 * std::numbers::pi / spikes;
+  const double base = 0.75 * width / std::sin(step / 2.0);
+  const double phase = rng->Uniform(0.0, step);
+  std::vector<Point> ring;
+  for (int i = 0; i < spikes; ++i) {
+    const double angle = phase + step * i;
+    const Point dir{std::cos(angle), std::sin(angle)};
+    const Point side{-dir.y * width / 2.0, dir.x * width / 2.0};
+    const double length = base + rng->Uniform(0.05, 0.25);
+    const Point root{centre.x + dir.x * base, centre.y + dir.y * base};
+    const Point tip{centre.x + dir.x * length, centre.y + dir.y * length};
+    ring.push_back({root.x - side.x, root.y - side.y});
+    ring.push_back({tip.x - side.x, tip.y - side.y});
+    ring.push_back({tip.x + side.x, tip.y + side.y});
+    ring.push_back({root.x + side.x, root.y + side.y});
+  }
+  return Polygon(std::move(ring));
+}
+
+TEST(AreaQueryStarPolygonTest, ThinSpikeStarSweepMatchesBruteForce) {
+  // Seeded stars of 3-12 spikes, 5e-4 to 1e-2 wide, over sparse uniform
+  // data: the regime where a spike holds the interior point but no site.
+  // The cell-overlap rule, and so every Voronoi run of the dynamic layer,
+  // must equal brute force on every one (the paper's segment rule misses
+  // 6 of these 1200 stars under libstdc++'s distributions).
+  VoronoiAreaQuery::Options cell_overlap;
+  cell_overlap.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
+  PlanHints voronoi;
+  voronoi.force_method = DynamicMethod::kVoronoi;
+  voronoi.use_cache = false;
+  QueryContext ctx;
+  for (const std::size_t n : {300u, 1000u, 2000u, 5000u}) {
+    Rng rng(6000 + n);
+    const std::vector<Point> points = GenerateUniformPoints(n, kUnit, &rng);
+    const PointDatabase db(points);
+    const DynamicPointDatabase dynamic(points);
+    const VoronoiAreaQuery vaq(&db, cell_overlap);
+    const BruteForceAreaQuery brute(&db);
+    Rng qrng(7000 + n);
+    for (int rep = 0; rep < 300; ++rep) {
+      const int spikes = static_cast<int>(qrng.UniformInt(3, 12));
+      const double width = std::exp(
+          qrng.Uniform(std::log(5e-4), std::log(1e-2)));
+      const Point centre{qrng.Uniform(0.3, 0.7), qrng.Uniform(0.3, 0.7)};
+      const Polygon star = ThinSpikeStar(centre, spikes, width, &qrng);
+      ASSERT_TRUE(star.IsSimple()) << "n=" << n << " rep " << rep;
+      const auto truth = brute.Run(star, nullptr);
+      EXPECT_EQ(vaq.Run(star, nullptr), truth) << "n=" << n << " rep " << rep;
+      std::vector<PointId> truth_ids;
+      for (const PointId id : truth) truth_ids.push_back(db.OriginalId(id));
+      std::sort(truth_ids.begin(), truth_ids.end());
+      EXPECT_EQ(dynamic.Query(star, ctx, voronoi), truth_ids)
+          << "n=" << n << " rep " << rep;
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
+#include "delaunay/voronoi.h"
 #include "index/rtree.h"
 #include "workload/dataset_io.h"
 #include "workload/experiment.h"
@@ -150,7 +151,7 @@ TEST(IntegrationTest, VoronoiCellsReflectDensity) {
     points.push_back({x, y});
   }
   PointDatabase db(std::move(points));
-  const VoronoiDiagram& vd = db.voronoi();
+  const VoronoiDiagram vd(db.delaunay(), kUnit);
   double blob_area = 0.0, bg_area = 0.0;
   int blob_n = 0, bg_n = 0;
   for (PointId v = 0; v < vd.size(); ++v) {

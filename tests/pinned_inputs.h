@@ -2,7 +2,8 @@
 #define VAQ_TESTS_PINNED_INPUTS_H_
 
 // Point sets and a digest for tests that pin the *exact* output of the
-// base build (triangle ids, CSR neighbour order, Hilbert permutation).
+// base build (triangle ids, CSR neighbour order, Hilbert permutation),
+// and the query polygon that pins the exactness of the served paths.
 // Everything here is integer arithmetic plus exact integer-to-double
 // conversions and power-of-two scalings, so the inputs — and therefore
 // the digests — are bit-identical on every compiler, standard library and
@@ -111,6 +112,52 @@ inline std::vector<Point> GridPoints(int side) {
   }
   return out;
 }
+
+/// A simple 36-vertex star of nine ~0.005-wide spikes. Over
+/// `GenerateUniformPoints(2000, unit square, Rng(2000))` (what `vaq_server
+/// --points 2000 --seed 2000` serves) it holds 21 points, and the paper's
+/// segment rule returns none of them: the seed, the nearest site to the
+/// star's interior point, lies outside the star with no Delaunay edge
+/// crossing a spike. The vertices are the full-precision text: rounding
+/// them hides the miss.
+inline constexpr const char* kThinSpikeStarWkt =
+    "POLYGON ((0.68896177615586496 0.46135927480470768, "
+    "0.86811906778459647 0.46135927480470768, "
+    "0.86811906778459647 0.46650164168540414, "
+    "0.68896177615586496 0.46650164168540414, "
+    "0.6849778759673425 0.47744731749473079, "
+    "0.8222203236637784 0.59260740473867723, "
+    "0.81891487394840423 0.59654668631211394, "
+    "0.68167242625196833 0.48138659906816739, "
+    "0.67158483686072912 0.4872106715186737, "
+    "0.70269517406780124 0.66364616132331755, "
+    "0.6976309312948582 0.6645391239610452, "
+    "0.66652059408778608 0.48810363415640146, "
+    "0.65504941068105926 0.48608095502114024, "
+    "0.56547076486669356 0.64123572084483882, "
+    "0.56101734451243057 0.6386645374044907, "
+    "0.65059599032679627 0.483509771580792, "
+    "0.64310870710859191 0.47458677490672657, "
+    "0.474755922205084 0.53586217746742393, "
+    "0.47299712914751502 0.53102993325625958, "
+    "0.64134991405102304 0.46975453069556222, "
+    "0.64134991405102304 0.4581063857945496, "
+    "0.47299712914751502 0.39683098323385224, "
+    "0.474755922205084 0.39199873902268789, "
+    "0.64310870710859191 0.45327414158338525, "
+    "0.65059599032679638 0.44435114490931982, "
+    "0.56101734451243057 0.28919637908562129, "
+    "0.56547076486669334 0.28662519564527306, "
+    "0.65504941068105915 0.44177996146897158, "
+    "0.66652059408778608 0.43975728233371036, "
+    "0.69763093129485809 0.26332179252906646, "
+    "0.70269517406780113 0.26421475516679421, "
+    "0.67158483686072912 0.44065024497143812, "
+    "0.68167242625196833 0.44647431742194443, "
+    "0.81891487394840423 0.33131423017799788, "
+    "0.8222203236637784 0.33525351175143447, "
+    "0.6849778759673425 0.45041359899538103, "
+    "0.68896177615586496 0.46135927480470768))";
 
 }  // namespace vaq::pinned
 

@@ -55,21 +55,6 @@ TEST(PointDatabaseTest, SimulatedFetchLatencySlowsLoads) {
   EXPECT_LT(fast, slow);
 }
 
-TEST(PointDatabaseTest, VoronoiDiagramLazyButConsistent) {
-  Rng rng(13);
-  const auto points = GenerateUniformPoints(200, kUnit, &rng);
-  PointDatabase db(points);
-  const VoronoiDiagram& vd = db.voronoi();
-  EXPECT_EQ(vd.size(), 200u);
-  // Every generator sits in its own cell (ids are internal, so the
-  // generator of cell v is the v-th *stored* point).
-  for (PointId v = 0; v < vd.size(); ++v) {
-    EXPECT_TRUE(vd.CellContains(v, db.points()[v]));
-  }
-  // Same object on second access.
-  EXPECT_EQ(&db.voronoi(), &vd);
-}
-
 TEST(QueryStatsTest, AccumulateAndRedundancy) {
   QueryStats a;
   a.candidates = 10;

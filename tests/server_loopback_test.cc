@@ -17,6 +17,7 @@
 
 #include "core/dynamic_point_database.h"
 #include "geometry/wkt.h"
+#include "pinned_inputs.h"
 #include "server/client.h"
 #include "server/query_server.h"
 #include "workload/point_generator.h"
@@ -41,8 +42,9 @@ std::vector<Polygon> FixedAreas(std::uint64_t seed, int count, double size) {
 
 class ServerLoopbackTest : public ::testing::Test {
  protected:
-  void StartServer(std::size_t points, QueryServer::Options options = {}) {
-    Rng rng(20260807);
+  void StartServer(std::size_t points, QueryServer::Options options = {},
+                   std::uint64_t seed = 20260807) {
+    Rng rng(seed);
     db_ = std::make_unique<DynamicPointDatabase>(
         GenerateUniformPoints(points, kUnit, &rng));
     server_ = std::make_unique<QueryServer>(db_.get(), options);
@@ -139,6 +141,23 @@ TEST_F(ServerLoopbackTest, HintsTravelTheWire) {
   EXPECT_EQ(fresh.stats.result_cache_hits, 0u);
   EXPECT_EQ(fresh.stats.result_cache_misses, 0u);
   EXPECT_EQ(fresh.ids, expected);
+}
+
+TEST_F(ServerLoopbackTest, ThinSpikeStarForcedVoronoiIsExact) {
+  // The served Voronoi method must find the star's 21 points; the paper's
+  // segment rule finds none (see `pinned::kThinSpikeStarWkt`).
+  StartServer(2000, {}, 2000);
+  QueryClient client(server_->port());
+  WireQueryRequest req;
+  req.wkt = pinned::kThinSpikeStarWkt;
+  req.use_cache = false;
+  req.force_method = DynamicMethod::kBruteForce;
+  const std::vector<PointId> truth = client.Query(req).ids;
+  EXPECT_EQ(truth.size(), 21u);
+  req.force_method = DynamicMethod::kVoronoi;
+  const QueryClient::QueryOutcome outcome = client.Query(req);
+  EXPECT_EQ(outcome.stats.plan_method, MethodBit(DynamicMethod::kVoronoi));
+  EXPECT_EQ(outcome.ids, truth);
 }
 
 TEST_F(ServerLoopbackTest, MutationsChangeAnswers) {

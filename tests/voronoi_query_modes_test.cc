@@ -137,14 +137,14 @@ TEST(VoronoiQueryModesTest, BothRulesValidateSimilarCandidateCounts) {
 }
 
 TEST(VoronoiQueryModesTest, CellOverlapCompleteWhenAreaEscapesClipBox) {
-  // Regression for the clipped-cell escape hatch (found by the sharded
-  // differential bench): the materialised cells tile only the diagram's
-  // clip box, so a query polygon reaching beyond it can have a
-  // *disconnected* intersection with the box — here a U whose two prongs
-  // dip into the data's extent while the connecting bridge passes
-  // underneath it. Without treating clipped cells as intersecting the
-  // escaped part of A, the flood stalls at the box border and returns
-  // only the seed's prong.
+  // Regression for the super-vertex escape (found by the sharded
+  // differential bench): the fan cells of the real points tile everything
+  // but the super vertices' cells, so a query polygon reaching far beyond
+  // the data can pass through those cells only — here a U whose two
+  // prongs dip into the data's extent while the connecting bridge passes
+  // underneath it. Without treating the cells whose fan touches a super
+  // vertex as meeting A once A leaves the 5%-inflated data box, the flood
+  // stalls at the data's border and returns only the seed's prong.
   Rng rng(93);
   // Uniform data (a jittered grid's near-collinear hull rows grow long
   // sliver Delaunay edges that can bridge the prong gap in one hop and
@@ -160,7 +160,7 @@ TEST(VoronoiQueryModesTest, CellOverlapCompleteWhenAreaEscapesClipBox) {
                                            {0.45, 0.64},
                                            {0.40, 0.64}});
   ASSERT_TRUE(u_shape.IsSimple());
-  // The bridge lies below the (5%-inflated) clip box of the data.
+  // The bridge lies below the 5%-inflated data box.
   ASSERT_LT(u_shape.Bounds().min.y, db.bounds().min.y - 0.1);
 
   const std::vector<PointId> truth =
@@ -170,6 +170,44 @@ TEST(VoronoiQueryModesTest, CellOverlapCompleteWhenAreaEscapesClipBox) {
   VoronoiAreaQuery::Options options;
   options.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
   EXPECT_EQ(VoronoiAreaQuery(&db, options).Run(u_shape, nullptr), truth);
+}
+
+TEST(VoronoiQueryModesTest, CellOverlapCompleteWhenAreaLoopsThroughSuperCells) {
+  // Two bars reach into the data from the left and from the right and
+  // meet only through a loop 1e7 away, where every point is nearer to a
+  // super vertex than to any data point. The fan cells meeting A then
+  // form two components, joined only through the super vertices' cells;
+  // the cells whose fan touches a super vertex must count as meeting A,
+  // or the flood finds just one bar.
+  Rng rng(94);
+  PointDatabase db(GenerateUniformPoints(
+      600, Box::FromExtents(0.40, 0.35, 0.60, 0.65), &rng));
+  constexpr double kFar = 1e7;
+  constexpr double kWide = 1e6;
+  const Polygon loop(std::vector<Point>{{0.56, 0.48},
+                                        {kFar, 0.48},
+                                        {kFar, kFar},
+                                        {-kFar, kFar},
+                                        {-kFar, 0.48},
+                                        {0.44, 0.48},
+                                        {0.44, 0.52},
+                                        {-kFar + kWide, 0.52},
+                                        {-kFar + kWide, kFar - kWide},
+                                        {kFar - kWide, kFar - kWide},
+                                        {kFar - kWide, 0.52},
+                                        {0.56, 0.52}});
+  ASSERT_TRUE(loop.IsSimple());
+
+  const std::vector<PointId> truth =
+      BruteForceAreaQuery(&db).Run(loop, nullptr);
+  std::size_t left = 0;
+  for (const PointId id : truth) left += db.points()[id].x < 0.5 ? 1 : 0;
+  ASSERT_GT(left, 0u);
+  ASSERT_LT(left, truth.size());
+
+  VoronoiAreaQuery::Options options;
+  options.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
+  EXPECT_EQ(VoronoiAreaQuery(&db, options).Run(loop, nullptr), truth);
 }
 
 }  // namespace

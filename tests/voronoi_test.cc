@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/point_database.h"
+
 #include "workload/point_generator.h"
 #include "workload/rng.h"
 
@@ -31,6 +33,20 @@ TEST(VoronoiTest, CellsContainTheirGenerators) {
   VoronoiDiagram vd(dt, kUnit);
   for (PointId v = 0; v < vd.size(); ++v) {
     EXPECT_TRUE(vd.CellContains(v, vd.generator(v))) << "cell " << v;
+  }
+}
+
+TEST(VoronoiTest, DiagramOfDatabaseDelaunayIsConsistent) {
+  Rng rng(13);
+  const auto points = GenerateUniformPoints(200, kUnit, &rng);
+  PointDatabase db(points);
+  const VoronoiDiagram vd(db.delaunay(), kUnit);
+  EXPECT_EQ(vd.size(), 200u);
+  // Every generator sits in its own cell (ids are internal, so the
+  // generator of cell v is the v-th *stored* point).
+  for (PointId v = 0; v < vd.size(); ++v) {
+    EXPECT_EQ(vd.generator(v), db.points()[v]);
+    EXPECT_TRUE(vd.CellContains(v, db.points()[v]));
   }
 }
 
