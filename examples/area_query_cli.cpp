@@ -8,10 +8,12 @@
 //                  [--backend=memory|mmap]
 //                  [--cache-pages=N] [--page-size=B]
 //     method: voronoi (default) | traditional | grid-sweep | brute |
-//       auto | all. `auto` routes through the adaptive planner
-//       (src/planner) of a `DynamicPointDatabase` built from the same
-//       file: the cost model picks the method per query and the CLI
-//       prints the choice and its reasons before the stats line.
+//       auto | all. Every method runs on one `DynamicPointDatabase`
+//       built from the file: a static method runs the base's bundled
+//       query object (`voronoi` is the exact dual-edge rule), and `auto`
+//       routes through its adaptive planner (src/planner): the cost model
+//       picks the method per query and the CLI prints the choice and its
+//       reasons before the stats line.
 //     --ids : print the matching point ids (one per line) after the stats
 //     --backend: what serves the point geometry — in-memory arrays
 //       (default) or an mmap page file behind an LRU cache of N pages of
@@ -38,16 +40,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/brute_force_area_query.h"
 #include "core/cancel.h"
 #include "core/dynamic_point_database.h"
-#include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
-#include "core/traditional_area_query.h"
-#include "core/voronoi_area_query.h"
 #include "engine/errors.h"
 #include "planner/planned_area_query.h"
 #include "storage/page_format.h"
@@ -93,7 +92,7 @@ void RunOne(const PointDatabase& db, const AreaQuery& query,
             const Polygon& area, bool print_ids, bool internal_ids = true) {
   QueryStats stats;
   const std::vector<PointId> result = query.Run(area, &stats);
-  std::printf("%-12s results=%zu candidates=%llu redundant=%llu "
+  std::printf("%-17s results=%zu candidates=%llu redundant=%llu "
               "fetches=%llu index_pages=%llu time=%.3fms\n",
               std::string(query.Name()).c_str(), result.size(),
               static_cast<unsigned long long>(stats.candidates),
@@ -102,7 +101,7 @@ void RunOne(const PointDatabase& db, const AreaQuery& query,
               static_cast<unsigned long long>(stats.index_node_accesses),
               stats.elapsed_ms);
   if (db.storage_backend() != StorageBackend::kInMemory) {
-    std::printf("%-12s pages=%llu cache_hits=%llu cache_misses=%llu\n", "",
+    std::printf("%-17s pages=%llu cache_hits=%llu cache_misses=%llu\n", "",
                 static_cast<unsigned long long>(stats.pages_touched),
                 static_cast<unsigned long long>(stats.page_cache_hits),
                 static_cast<unsigned long long>(stats.page_cache_misses));
@@ -198,26 +197,28 @@ int main(int argc, char** argv) {
   // Failure exits map 1:1 to the exception types caught below; the
   // code table lives in the header comment (and the usage text) only.
   try {
-    if (method != "auto") {
-      const PointDatabase db(points, db_options);
-      const bool ids = print_ids && method != "all";
-      if (method == "voronoi" || method == "all") {
-        RunOne(db, VoronoiAreaQuery(&db), area, ids);
-      }
-      if (method == "traditional" || method == "all") {
-        RunOne(db, TraditionalAreaQuery(&db), area, ids);
-      }
-      if (method == "grid-sweep" || method == "all") {
-        RunOne(db, GridSweepAreaQuery(&db), area, ids);
-      }
-      if (method == "brute" || method == "all") {
-        RunOne(db, BruteForceAreaQuery(&db), area, ids);
+    DynamicPointDatabase::Options options;
+    options.base = db_options;
+    const DynamicPointDatabase db(std::move(points), options);
+    const std::shared_ptr<const DynamicPointDatabase::Snapshot> snapshot =
+        db.snapshot();
+    const PointDatabase& base = snapshot->base();
+    const bool ids = print_ids && method != "all";
+    static constexpr struct {
+      const char* name;
+      DynamicMethod method;
+    } kStatic[] = {
+        {"voronoi", DynamicMethod::kVoronoi},
+        {"traditional", DynamicMethod::kTraditional},
+        {"grid-sweep", DynamicMethod::kGridSweep},
+        {"brute", DynamicMethod::kBruteForce},
+    };
+    for (const auto& m : kStatic) {
+      if (method == m.name || method == "all") {
+        RunOne(base, snapshot->BaseQuery(m.method), area, ids);
       }
     }
     if (method == "auto" || method == "all") {
-      DynamicPointDatabase::Options options;
-      options.base = db_options;
-      const DynamicPointDatabase db(std::move(points), options);
       const PlannedAreaQuery& planned = *db.PlannedQuery();
       const QueryPlan plan = planned.PlanFor(area);
       std::printf(
@@ -226,8 +227,7 @@ int main(int argc, char** argv) {
           std::string(MethodName(plan.method)).c_str(),
           PlanReasonString(plan.reason).c_str(), plan.predicted_candidates,
           plan.predicted_cost_ns / 1e6);
-      RunOne(db.snapshot()->base(), planned, area,
-             print_ids && method != "all", /*internal_ids=*/false);
+      RunOne(base, planned, area, ids, /*internal_ids=*/false);
     }
   } catch (const DuplicatePointError& e) {
     std::fprintf(stderr,

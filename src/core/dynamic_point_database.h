@@ -28,7 +28,7 @@ class PlannedAreaQuery;
 ///
 ///  * the **base** — a `PointDatabase` plus the four query objects built
 ///    over it — is immutable and rebuilt only by `Compact()`. Its Voronoi
-///    object runs the exact `kCellOverlap` rule, so every planned, served
+///    object runs the exact `kDualEdge` rule, so every planned, served
 ///    and sharded Voronoi answer is complete for any connected area;
 ///  * **inserts** land in a small in-memory *delta buffer* (SoA, scanned
 ///    linearly by queries — it is bounded by the compaction threshold);
@@ -95,7 +95,7 @@ class DynamicPointDatabase {
     BaseBundle(std::vector<Point> points, const PointDatabase::Options& o)
         : db(std::move(points), o),
           traditional(&db),
-          voronoi(&db, {VoronoiAreaQuery::ExpansionRule::kCellOverlap}),
+          voronoi(&db, {VoronoiAreaQuery::ExpansionRule::kDualEdge}),
           grid_sweep(&db),
           brute(&db),
           generation(NextGeneration()) {}

@@ -133,10 +133,6 @@ class QueryContext {
     return delta_hits_;
   }
 
-  /// One Voronoi cell's vertex ring, for the cell-overlap rule's cell
-  /// tests (see `FanCellRing`, which clears it before filling).
-  std::vector<Point>& ScratchRing() { return ring_; }
-
   /// Per-query index IO counters, reset and ready to pass to index calls.
   IndexStats& ScratchIndexStats() {
     index_stats_.Reset();
@@ -253,7 +249,6 @@ class QueryContext {
   PolygonKernel kernel_;
   bool kernel_ready_ = false;
   std::vector<std::uint64_t> sort_bitmap_;
-  std::vector<Point> ring_;
 };
 
 }  // namespace vaq

@@ -6,7 +6,7 @@
 #include <span>
 
 #include "core/batch_refine.h"
-#include "delaunay/voronoi.h"
+#include "geometry/predicates.h"
 #include "geometry/prepared_area.h"
 #include "geometry/segment.h"
 
@@ -18,43 +18,80 @@ VoronoiAreaQuery::VoronoiAreaQuery(const PointDatabase* db, Options options,
       options_(options),
       seed_index_(seed_index != nullptr ? seed_index : &db->rtree()) {}
 
-bool VoronoiAreaQuery::CellIntersectsArea(PointId v, const PreparedArea& area,
-                                          bool area_leaves_data_box,
-                                          std::vector<Point>& ring) const {
-  // The fan's cell is bounded by the super triangle; only a hull-side
-  // cell's true extent reaches the parts of A beyond the data box.
-  if (FanCellRing(db_->delaunay(), v, ring) && area_leaves_data_box) {
-    return true;
-  }
-  // O(1) screen: classify the cell's bounding box against the prepared
-  // grid. An outside box is disjoint from A (the cell cannot intersect);
-  // an inside box is wholly contained in A (the cell certainly does).
-  // Only boxes near the boundary fall through to the exact edge loop. A
-  // non-finite circumcentre leaves the cell unknown, so it is followed.
-  Box cell_bounds;
-  for (const Point& p : ring) {
-    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return true;
-    cell_bounds.ExpandToInclude(p);
-  }
-  switch (area.ClassifyBox(cell_bounds)) {
-    case PreparedArea::Region::kOutside:
-      return false;
-    case PreparedArea::Region::kInside:
+namespace {
+
+// The dual-edge rule out of outside candidate `p`: calls `follow(q)` for
+// every unvisited real neighbour `q` whose Voronoi edge — the segment
+// between the circumcentres of the two fan triangles that share `pq` —
+// meets A. One CCW walk of `p`'s fan meets each edge once, between a
+// triangle and the next. The cheap screens run first, and a circumcentre
+// is computed at most once, only when an edge reaches the geometry.
+template <typename Follow>
+void ForEachDualEdgeHit(const DelaunayTriangulation& dt, PointId p,
+                        const PreparedArea& prep, bool area_leaves_data_box,
+                        QueryContext::VisitMarker visit, QueryStats* stats,
+                        Follow&& follow) {
+  const std::size_t n = dt.num_points();
+  struct FanTriangle {  // `q` ends the edge shared with the next triangle.
+    std::uint32_t t, q;
+    bool touches_super, has_centre;
+    Point centre;
+  };
+  const auto centre_of = [&](FanTriangle& f) -> const Point& {
+    if (!f.has_centre) {
+      const auto v = dt.TriangleVertices(f.t);
+      f.centre = Circumcenter(dt.point(v[0]), dt.point(v[1]), dt.point(v[2]));
+      f.has_centre = true;
+    }
+    return f.centre;
+  };
+  // Whether to follow the edge `a` shares with the next fan triangle `b`.
+  const auto admits = [&](FanTriangle& a, FanTriangle& b) {
+    // A neighbour in an inside grid cell is in A, so its cell meets A.
+    const Point& q = dt.point(a.q);
+    if (prep.ClassifyPoint(q.x, q.y) == PreparedArea::kPointInside) {
       return true;
-    case PreparedArea::Region::kStraddling:
-      break;
-  }
-  // The cell intersects the polygon iff a cell vertex is inside the
-  // polygon, a polygon vertex is inside the cell, or boundaries cross. The
-  // edge test below covers all three but full mutual containment, which the
-  // two point-in checks handle.
-  if (ConvexRingContains(ring, area.polygon().vertex(0))) return true;
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    const Segment cell_edge{ring[i], ring[(i + 1) % ring.size()]};
-    if (area.Intersects(cell_edge)) return true;
-  }
-  return false;
+    }
+    // The super-vertex escape keeps the hull ring connected (DESIGN §1).
+    if (area_leaves_data_box && (a.touches_super || b.touches_super)) {
+      return true;
+    }
+    const Segment dual{centre_of(a), centre_of(b)};
+    if (!std::isfinite(dual.a.x) || !std::isfinite(dual.a.y) ||
+        !std::isfinite(dual.b.x) || !std::isfinite(dual.b.y)) {
+      return true;  // The edge is unknown; follow it.
+    }
+    const PreparedArea::Region region = prep.ClassifyBox(dual.Bounds());
+    if (region != PreparedArea::Region::kStraddling) {
+      return region == PreparedArea::Region::kInside;
+    }
+    ++stats->segment_tests;
+    return prep.Intersects(dual);
+  };
+  FanTriangle first{};
+  FanTriangle last{};
+  FanTriangle* prev = nullptr;
+  const auto test = [&](FanTriangle& a, FanTriangle& b) {
+    if (a.q < n && !visit.Visited(a.q) && admits(a, b)) follow(a.q);
+  };
+  dt.CirculateCell(p, [&](std::uint32_t t) {
+    const auto v = dt.TriangleVertices(t);
+    const int i = v[0] == p ? 0 : (v[1] == p ? 1 : 2);
+    FanTriangle cur{t, v[(i + 2) % 3], v[0] >= n || v[1] >= n || v[2] >= n,
+                    false, {}};
+    if (prev != nullptr) {
+      test(*prev, cur);
+      last = cur;
+      prev = &last;
+    } else {
+      first = cur;
+      prev = &first;
+    }
+  });
+  if (prev != nullptr) test(*prev, first);
 }
+
+}  // namespace
 
 std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
                                            QueryContext& ctx) const {
@@ -94,7 +131,7 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
       PreparedArea::EstimateMbrShare(n, db_->bounds(), area.Bounds());
   // The kernel handles the frontier blocks' batch containment; `prep` is
   // still consulted directly for the per-neighbour screens (cell classes,
-  // segment tests) on the boundary shell.
+  // box and segment tests) on the boundary shell.
   const PolygonKernel& kernel = ctx.PreparedKernel(area, expected);
   const PreparedArea& prep = kernel.prep();
   result.reserve(expected);
@@ -129,21 +166,19 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
   const double* ys = db_->ys();
   const bool paper_rule =
       options_.expansion == ExpansionRule::kPaperSegment;
-  // Cell-overlap completeness rests on cells tiling the plane. The fan
-  // cells of the real points tile everything but the three super
+  // The dual-edge rule's completeness rests on cells tiling the plane.
+  // The fan cells of the real points tile everything but the three super
   // vertices' cells, which lie far beyond the data box inflated by 5%.
   // When A leaves that box, a part of A may lie in a super cell only; the
-  // hull-side cells that border the super cells then count as meeting A.
-  // They form one connected ring, so every lobe of A is still reachable.
-  Box data_box = db_->bounds();
-  const double dx = std::max(data_box.Width(), 1e-9) * 0.05;
-  const double dy = std::max(data_box.Height(), 1e-9) * 0.05;
-  data_box.min.x -= dx;
-  data_box.min.y -= dy;
-  data_box.max.x += dx;
-  data_box.max.y += dy;
-  const bool area_leaves_data_box = !data_box.Contains(area.Bounds());
-  std::vector<Point>& ring = ctx.ScratchRing();
+  // flood then also follows every edge with a super-vertex triangle on
+  // either side, which walks the hull ring around the super cells.
+  const Box& data = db_->bounds();
+  const double dx = std::max(data.Width(), 1e-9) * 0.05;
+  const double dy = std::max(data.Height(), 1e-9) * 0.05;
+  const bool area_leaves_data_box =
+      !Box::FromExtents(data.min.x - dx, data.min.y - dy, data.max.x + dx,
+                        data.max.y + dy)
+           .Contains(area.Bounds());
 
   const PointId* rows[kRefineBlock];
   std::uint32_t lens[kRefineBlock];
@@ -183,6 +218,10 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
       }
       PointId* out = next.data() + next_len;
       std::size_t enqueued = 0;
+      const auto enqueue = [&](PointId pn) {
+        visit.MarkIfUnvisited(pn);
+        out[enqueued++] = pn;
+      };
       for (std::size_t j = 0; j < m; ++j) {
         const PointId p = block[j];
         const PointId* row = rows[j];
@@ -199,7 +238,7 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
             out[enqueued] = pn;
             enqueued += visit.MarkIfUnvisited(pn) ? 1 : 0;
           }
-        } else {
+        } else if (paper_rule) {
           // Boundary point: only expand along edges that reach back into
           // A. The O(1) cell class of the neighbour settles the common
           // cases — an inside-cell endpoint is in A (follow, paper line
@@ -211,31 +250,22 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
           for (std::uint32_t k = 0; k < len; ++k) {
             const PointId pn = row[k];
             if (visit.Visited(pn)) continue;
-            bool follow;
-            if (paper_rule) {
-              const double xn = xs[pn];
-              const double yn = ys[pn];
-              const unsigned char ncls = prep.ClassifyPoint(xn, yn);
-              if (ncls == PreparedArea::kPointInside) {
-                follow = true;
-              } else {
-                follow = ncls == PreparedArea::kPointBoundary &&
-                         prep.Contains({xn, yn});
-                if (!follow) {
-                  ++stats->segment_tests;
-                  follow = prep.BoundaryIntersects(
-                      Segment{{bx[j], by[j]}, {xn, yn}});
-                }
-              }
-            } else {
-              follow =
-                  CellIntersectsArea(pn, prep, area_leaves_data_box, ring);
+            const Point q{xs[pn], ys[pn]};
+            const unsigned char ncls = prep.ClassifyPoint(q.x, q.y);
+            bool follow = ncls == PreparedArea::kPointInside ||
+                          (ncls == PreparedArea::kPointBoundary &&
+                           prep.Contains(q));
+            if (!follow) {
+              ++stats->segment_tests;
+              follow = prep.BoundaryIntersects(Segment{{bx[j], by[j]}, q});
             }
-            if (follow) {
-              visit.MarkIfUnvisited(pn);
-              out[enqueued++] = pn;
-            }
+            if (follow) enqueue(pn);
           }
+        } else {
+          // Boundary point under the dual-edge rule: the same screens,
+          // but the segment tested is the Voronoi edge dual to (p, pn).
+          ForEachDualEdgeHit(dt, p, prep, area_leaves_data_box, visit, stats,
+                             enqueue);
         }
       }
       next_len += enqueued;

@@ -22,9 +22,9 @@ namespace vaq {
 /// boundary points — proportional to the boundary length of A rather than
 /// to area(MBR(A)) - area(A).
 ///
-/// Two expansion rules exist. `kCellOverlap` is exact for any connected
-/// area and is what every planned, served and sharded Voronoi run uses
-/// (the query objects `DynamicPointDatabase` bundles with each base).
+/// Two expansion rules exist. `kDualEdge` is exact for any connected area
+/// and is what every planned, served and sharded Voronoi run uses (the
+/// query objects `DynamicPointDatabase` bundles with each base).
 /// `kPaperSegment` is the paper's literal rule, kept as this class's
 /// default for the Table I/II reproduction and the expansion ablation.
 class VoronoiAreaQuery : public AreaQuery {
@@ -35,17 +35,18 @@ class VoronoiAreaQuery : public AreaQuery {
     /// intersects A. Minimal candidates; can miss points beyond
     /// point-free parts of concave areas (DESIGN.md §1).
     kPaperSegment,
-    /// Follow the edge iff the Voronoi cell of `pn` intersects A.
-    /// Provably complete for any connected query area (cells tile the
-    /// plane, so the cells meeting A form a connected patch of the dual
-    /// graph), at the cost of cell-vs-polygon tests. A cell is computed
-    /// when it is tested, from the circumcentres of `pn`'s Delaunay fan
-    /// (`FanCellRing`); no diagram is stored. The fan cells tile all of
-    /// the plane but the super vertices' cells, so when A leaves the data
-    /// box inflated by 5%, a cell whose fan touches a super vertex also
-    /// counts as meeting A; a cell with a non-finite circumcentre is
-    /// always followed.
-    kCellOverlap,
+    /// Follow the edge iff the Voronoi edge dual to it — the segment
+    /// between the circumcentres of the two Delaunay triangles that share
+    /// (p, pn) — intersects A. Provably complete for any connected query
+    /// area (a path in A crosses from cell to cell through a shared
+    /// Voronoi edge or vertex), and it validates exactly the candidates a
+    /// whole-cell test would (DESIGN.md §1). One walk of p's own fan
+    /// yields all its dual edges; no diagram is stored. The fan includes
+    /// the super triangle, so when A leaves the data box inflated by 5%,
+    /// every edge with a super-vertex triangle on either side is also
+    /// followed; an edge with a non-finite circumcentre is always
+    /// followed.
+    kDualEdge,
   };
 
   struct Options {
@@ -67,14 +68,10 @@ class VoronoiAreaQuery : public AreaQuery {
   std::string_view Name() const override {
     return options_.expansion == ExpansionRule::kPaperSegment
                ? "voronoi"
-               : "voronoi-cell-overlap";
+               : "voronoi-dual-edge";
   }
 
  private:
-  bool CellIntersectsArea(PointId v, const PreparedArea& area,
-                          bool area_leaves_data_box,
-                          std::vector<Point>& ring) const;
-
   // Stateless beyond construction-time configuration: the epoch-marked
   // visited set and candidate queue live in the caller's `QueryContext`,
   // so one instance can serve concurrent queries.

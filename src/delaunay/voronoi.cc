@@ -7,21 +7,28 @@
 
 namespace vaq {
 
-bool FanCellRing(const DelaunayTriangulation& dt, PointId v,
-                 std::vector<Point>& ring) {
-  ring.clear();
+VoronoiDiagram::VoronoiDiagram(const DelaunayTriangulation& dt,
+                               const Box& clip_box) {
   const std::size_t n = dt.num_points();
-  bool touches_super = false;
-  dt.CirculateCell(v, [&](std::uint32_t t) {
-    const auto verts = dt.TriangleVertices(t);
-    touches_super |= verts[0] >= n || verts[1] >= n || verts[2] >= n;
-    ring.push_back(Circumcenter(dt.point(verts[0]), dt.point(verts[1]),
-                                dt.point(verts[2])));
-  });
-  return touches_super;
+  generators_.reserve(n);
+  cells_.resize(n);
+  std::vector<Point> ring;
+  for (PointId v = 0; v < n; ++v) {
+    generators_.push_back(dt.point(v));
+    ring.clear();
+    dt.CirculateCell(v, [&](std::uint32_t t) {
+      const auto verts = dt.TriangleVertices(t);
+      ring.push_back(Circumcenter(dt.point(verts[0]), dt.point(verts[1]),
+                                  dt.point(verts[2])));
+    });
+    cells_[v] = ClipRingToBox(ring, clip_box);
+  }
 }
 
-bool ConvexRingContains(std::span<const Point> ring, const Point& q) {
+bool VoronoiDiagram::CellContains(PointId v, const Point& q) const {
+  // The cell is convex, in either orientation: `q` is inside or on it iff
+  // no two of its edges see `q` on opposite sides.
+  const std::vector<Point>& ring = cells_[v];
   if (ring.size() < 3) return false;
   int expected = 0;
   for (std::size_t i = 0; i < ring.size(); ++i) {
@@ -34,19 +41,6 @@ bool ConvexRingContains(std::span<const Point> ring, const Point& q) {
     }
   }
   return true;
-}
-
-VoronoiDiagram::VoronoiDiagram(const DelaunayTriangulation& dt,
-                               const Box& clip_box) {
-  const std::size_t n = dt.num_points();
-  generators_.reserve(n);
-  cells_.resize(n);
-  std::vector<Point> ring;
-  for (PointId v = 0; v < n; ++v) {
-    generators_.push_back(dt.point(v));
-    FanCellRing(dt, v, ring);
-    cells_[v] = ClipRingToBox(ring, clip_box);
-  }
 }
 
 double VoronoiDiagram::CellArea(PointId v) const {

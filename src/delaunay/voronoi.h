@@ -1,7 +1,6 @@
 #ifndef VAQ_DELAUNAY_VORONOI_H_
 #define VAQ_DELAUNAY_VORONOI_H_
 
-#include <span>
 #include <vector>
 
 #include "delaunay/triangulation.h"
@@ -11,33 +10,16 @@
 
 namespace vaq {
 
-/// Writes the Voronoi cell of generator `v` into `ring` (cleared first):
-/// by duality (paper Property 4) it is the polygon of the circumcentres of
-/// the triangles incident to `v`, in CCW fan order. The fan includes the
-/// triangles on the finite super triangle, so every ring is bounded, and
-/// the rings of the real points together with the (unbounded) cells of
-/// the three super vertices tile the plane. Returns true if the fan
-/// touches a super vertex: then `v` is a hull-side generator whose true
-/// cell, in the diagram of the real points alone, extends beyond `ring`.
-/// A circumcentre may be non-finite when a sliver's orientation rounds to
-/// zero; callers that need a sound answer must treat such a ring as
-/// unknown.
-bool FanCellRing(const DelaunayTriangulation& dt, PointId v,
-                 std::vector<Point>& ring);
-
-/// True if `q` lies in the convex `ring` or on its boundary, for either
-/// orientation: `q` must not lie strictly on both sides of the ring's
-/// edges. A ring of fewer than three vertices contains nothing.
-bool ConvexRingContains(std::span<const Point> ring, const Point& q);
-
-/// Explicit Voronoi diagram: every cell from `FanCellRing`, clipped to a
-/// caller-provided box (typically the data domain), which also trims the
-/// far circumcentres the super triangle introduces.
+/// Explicit Voronoi diagram: by duality (paper Property 4) the cell of a
+/// generator is the polygon of the circumcentres of its Delaunay fan, in
+/// CCW order. The fan includes the triangles on the finite super triangle,
+/// so every cell is bounded before it is clipped to a caller-provided box
+/// (typically the data domain), which trims those far circumcentres.
 ///
 /// Algorithm 1 itself never materialises cells — it walks Voronoi
-/// neighbours (see `DelaunayTriangulation::NeighborsOf`) and computes a
-/// neighbour's cell from its fan only when the cell-overlap rule tests it
-/// (see `VoronoiAreaQuery`). The diagram is part of the library's public
+/// neighbours (see `DelaunayTriangulation::NeighborsOf`), and its exact
+/// rule tests single Voronoi edges read off a candidate's fan (see
+/// `VoronoiAreaQuery`). The diagram is part of the library's public
 /// surface for the examples, and lets tests verify the paper's
 /// Properties 1-3 directly.
 class VoronoiDiagram {
@@ -58,12 +40,10 @@ class VoronoiDiagram {
   /// Area of cell `v` after clipping.
   double CellArea(PointId v) const;
 
-  /// True if `q` lies in the (clipped) cell of `v` — i.e. `v` is the
-  /// nearest generator to `q` (paper Property 3), provided `q` is inside
-  /// the clip box.
-  bool CellContains(PointId v, const Point& q) const {
-    return ConvexRingContains(cells_[v], q);
-  }
+  /// True if `q` lies in the (clipped) cell of `v` or on its boundary —
+  /// i.e. `v` is the nearest generator to `q` (paper Property 3), provided
+  /// `q` is inside the clip box.
+  bool CellContains(PointId v, const Point& q) const;
 
   /// Sum of all clipped cell areas; equals the clip-box area when the box
   /// is contained in the diagram's coverage (used as a mass-conservation

@@ -69,7 +69,7 @@ class ShardedDatabase {
     /// distinctness check is skipped (the sharded constructor proves
     /// distinctness globally first, which per-shard checks could not — a
     /// duplicate pair may split across shard boundaries). The shard legs'
-    /// Voronoi runs use the exact cell-overlap rule like every
+    /// Voronoi runs use the exact dual-edge rule like every
     /// `DynamicPointDatabase`; a cross-shard area leaves a shard's data
     /// box, which that rule handles (DESIGN.md §9).
     DynamicPointDatabase::Options shard;

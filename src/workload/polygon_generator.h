@@ -33,7 +33,8 @@ Polygon GenerateQueryPolygon(const PolygonSpec& spec, const Box& domain,
 
 /// A deliberately nasty concave test shape: a "comb" with `teeth` thin
 /// prongs, used to probe the completeness caveat of Algorithm 1's
-/// segment-expansion rule (see VoronoiAreaQuery::ExpansionRule).
+/// segment-expansion rule against the exact dual-edge rule (see
+/// VoronoiAreaQuery::ExpansionRule).
 Polygon GenerateCombPolygon(const Box& bounds, int teeth);
 
 }  // namespace vaq

@@ -66,7 +66,7 @@ TEST_P(AreaQueryPropertyTest, BothMethodsMatchBruteForce) {
 
 TEST_P(AreaQueryPropertyTest, CellOverlapExpansionMatchesToo) {
   VoronoiAreaQuery::Options options;
-  options.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
+  options.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
   const VoronoiAreaQuery vaq(db_.get(), options);
   const BruteForceAreaQuery brute(db_.get());
   Rng qrng(777);
@@ -130,9 +130,9 @@ TEST(AreaQueryStarPolygonTest, PentagramMethodsMatchBruteForce) {
   EXPECT_EQ(truth.size(), 12300u);
   EXPECT_EQ(TraditionalAreaQuery(&db).Run(pentagram, nullptr), truth);
   EXPECT_EQ(VoronoiAreaQuery(&db).Run(pentagram, nullptr), truth);
-  VoronoiAreaQuery::Options cell_overlap;
-  cell_overlap.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
-  EXPECT_EQ(VoronoiAreaQuery(&db, cell_overlap).Run(pentagram, nullptr),
+  VoronoiAreaQuery::Options dual_edge;
+  dual_edge.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
+  EXPECT_EQ(VoronoiAreaQuery(&db, dual_edge).Run(pentagram, nullptr),
             truth);
   EXPECT_EQ(GridSweepAreaQuery(&db).Run(pentagram, nullptr), truth);
 }
@@ -149,9 +149,9 @@ TEST(AreaQueryStarPolygonTest, ThinSpikeStarExactPaths) {
   EXPECT_EQ(truth.size(), 21u);
   EXPECT_EQ(TraditionalAreaQuery(&db).Run(star, nullptr), truth);
   EXPECT_EQ(GridSweepAreaQuery(&db).Run(star, nullptr), truth);
-  VoronoiAreaQuery::Options cell_overlap;
-  cell_overlap.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
-  EXPECT_EQ(VoronoiAreaQuery(&db, cell_overlap).Run(star, nullptr), truth);
+  VoronoiAreaQuery::Options dual_edge;
+  dual_edge.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
+  EXPECT_EQ(VoronoiAreaQuery(&db, dual_edge).Run(star, nullptr), truth);
 
   // The dynamic and sharded layers speak input positions.
   std::vector<PointId> truth_ids;
@@ -209,23 +209,34 @@ Polygon ThinSpikeStar(const Point& centre, int spikes, double width,
 TEST(AreaQueryStarPolygonTest, ThinSpikeStarSweepMatchesBruteForce) {
   // Seeded stars of 3-12 spikes, 5e-4 to 1e-2 wide, over sparse uniform
   // data: the regime where a spike holds the interior point but no site.
-  // The cell-overlap rule, and so every Voronoi run of the dynamic layer,
+  // The dual-edge rule, and so every Voronoi run of the dynamic layer,
   // must equal brute force on every one (the paper's segment rule misses
-  // 6 of these 1200 stars under libstdc++'s distributions).
-  VoronoiAreaQuery::Options cell_overlap;
-  cell_overlap.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
+  // 6 of these 1200 stars under libstdc++'s distributions). Its summed
+  // candidates are pinned per n. They equal the counts of the whole-cell
+  // rule (follow q iff q's Voronoi cell meets A), which the dual-edge rule
+  // reproduces by proof (DESIGN.md §1).
+  struct Row {
+    std::size_t n;
+    std::size_t candidates;
+  };
+  constexpr Row kRows[] = {
+      {300, 7100}, {1000, 14967}, {2000, 25419}, {5000, 41924}};
+  VoronoiAreaQuery::Options dual_edge;
+  dual_edge.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
   PlanHints voronoi;
   voronoi.force_method = DynamicMethod::kVoronoi;
   voronoi.use_cache = false;
   QueryContext ctx;
-  for (const std::size_t n : {300u, 1000u, 2000u, 5000u}) {
+  for (const Row& row : kRows) {
+    const std::size_t n = row.n;
     Rng rng(6000 + n);
     const std::vector<Point> points = GenerateUniformPoints(n, kUnit, &rng);
     const PointDatabase db(points);
     const DynamicPointDatabase dynamic(points);
-    const VoronoiAreaQuery vaq(&db, cell_overlap);
+    const VoronoiAreaQuery vaq(&db, dual_edge);
     const BruteForceAreaQuery brute(&db);
     Rng qrng(7000 + n);
+    std::size_t candidates = 0;
     for (int rep = 0; rep < 300; ++rep) {
       const int spikes = static_cast<int>(qrng.UniformInt(3, 12));
       const double width = std::exp(
@@ -234,12 +245,51 @@ TEST(AreaQueryStarPolygonTest, ThinSpikeStarSweepMatchesBruteForce) {
       const Polygon star = ThinSpikeStar(centre, spikes, width, &qrng);
       ASSERT_TRUE(star.IsSimple()) << "n=" << n << " rep " << rep;
       const auto truth = brute.Run(star, nullptr);
-      EXPECT_EQ(vaq.Run(star, nullptr), truth) << "n=" << n << " rep " << rep;
+      QueryStats stats;
+      EXPECT_EQ(vaq.Run(star, &stats), truth) << "n=" << n << " rep " << rep;
+      candidates += stats.candidates;
       std::vector<PointId> truth_ids;
       for (const PointId id : truth) truth_ids.push_back(db.OriginalId(id));
       std::sort(truth_ids.begin(), truth_ids.end());
       EXPECT_EQ(dynamic.Query(star, ctx, voronoi), truth_ids)
           << "n=" << n << " rep " << rep;
+    }
+    EXPECT_EQ(candidates, row.candidates) << "n=" << n;
+  }
+}
+
+TEST(AreaQueryStarPolygonTest, RoundingFamiliesMatchBruteForce) {
+  // Circumcentres are rounded, so the cells the exact rule tests are only
+  // approximately the true ones. The families that stress that rounding:
+  // an exact grid (every grid square is cocircular, so the Voronoi edge
+  // dual to its diagonal has length zero), a grid jittered by 1e-9 (those
+  // edges are tiny and their direction is noise), and needle spikes down
+  // to 1e-9 wide that fit between the sites. Both decagons and spike stars
+  // run over both grids; the dual-edge rule must equal brute force.
+  VoronoiAreaQuery::Options dual_edge;
+  dual_edge.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
+  for (const double jitter : {0.0, 1e-9}) {
+    Rng rng(8100);
+    const PointDatabase db(GenerateGridPoints(3600, kUnit, jitter, &rng));
+    const VoronoiAreaQuery vaq(&db, dual_edge);
+    const BruteForceAreaQuery brute(&db);
+    Rng qrng(8200);
+    for (int rep = 0; rep < 24; ++rep) {
+      PolygonSpec spec;
+      spec.query_size_fraction = rep % 3 == 0 ? 0.01 : (rep % 3 == 1 ? 0.08 : 0.32);
+      const Polygon decagon = GenerateQueryPolygon(spec, kUnit, &qrng);
+      EXPECT_EQ(vaq.Run(decagon, nullptr), brute.Run(decagon, nullptr))
+          << "jitter " << jitter << " decagon " << rep;
+    }
+    for (int rep = 0; rep < 100; ++rep) {
+      const int spikes = static_cast<int>(qrng.UniformInt(3, 12));
+      const double width =
+          std::exp(qrng.Uniform(std::log(1e-9), std::log(1e-2)));
+      const Point centre{qrng.Uniform(0.3, 0.7), qrng.Uniform(0.3, 0.7)};
+      const Polygon star = ThinSpikeStar(centre, spikes, width, &qrng);
+      ASSERT_TRUE(star.IsSimple()) << "jitter " << jitter << " star " << rep;
+      EXPECT_EQ(vaq.Run(star, nullptr), brute.Run(star, nullptr))
+          << "jitter " << jitter << " star " << rep;
     }
   }
 }

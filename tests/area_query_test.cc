@@ -155,9 +155,9 @@ TEST(AreaQueryRangeTest, ExactAtTheCoordinateRangeLimits) {
     const BruteForceAreaQuery brute(&db);
     const TraditionalAreaQuery traditional(&db);
     const VoronoiAreaQuery segment_rule(&db);
-    VoronoiAreaQuery::Options overlap;
-    overlap.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
-    const VoronoiAreaQuery overlap_rule(&db, overlap);
+    VoronoiAreaQuery::Options dual_edge;
+    dual_edge.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
+    const VoronoiAreaQuery dual_edge_rule(&db, dual_edge);
     for (int q = 0; q < 30; ++q) {
       PolygonSpec spec;
       spec.query_size_fraction = 0.01 * (1 + q % 5);
@@ -170,7 +170,7 @@ TEST(AreaQueryRangeTest, ExactAtTheCoordinateRangeLimits) {
           << "scale " << scale.factor << " query " << q;
       EXPECT_EQ(segment_rule.Run(area, nullptr), expected)
           << "scale " << scale.factor << " query " << q;
-      EXPECT_EQ(overlap_rule.Run(area, nullptr), expected)
+      EXPECT_EQ(dual_edge_rule.Run(area, nullptr), expected)
           << "scale " << scale.factor << " query " << q;
     }
   }

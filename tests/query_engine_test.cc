@@ -173,9 +173,9 @@ TEST_F(QueryEngineTest, ManyProducerThreadsShareOneEngine) {
 }
 
 TEST_F(QueryEngineTest, CellOverlapModeSafeUnderConcurrency) {
-  // The cell-overlap ablation touches the lazily built Voronoi diagram;
-  // its std::once_flag guard must make concurrent first use safe. Build
-  // the query objects inside threads so the lazy init itself races.
+  // The exact dual-edge rule reads the shared triangulation's fans from
+  // every thread at once; each thread builds its own query object, and
+  // all per-query state lives in the thread's context.
   std::atomic<int> failures{0};
   const BruteForceAreaQuery brute(db_.get());
   const std::vector<Polygon> areas = RandomPolygons(8, 0.03, 31);
@@ -183,7 +183,7 @@ TEST_F(QueryEngineTest, CellOverlapModeSafeUnderConcurrency) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       VoronoiAreaQuery::Options options;
-      options.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
+      options.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
       const VoronoiAreaQuery query(db_.get(), options);
       QueryContext ctx;
       for (const Polygon& area : areas) {

@@ -282,8 +282,8 @@ TEST(ShardDifferentialTest, ConcaveAreaSpanningShardsStaysComplete) {
   // intersection with a single shard's extent is *disconnected* (two
   // prongs dip into the lower-left shard, the bridge crosses other
   // shards). The shard-local voronoi flood must still find both prongs —
-  // this is what forces the cell-overlap rule plus its clipped-cell
-  // escape hatch on shard legs (DESIGN.md §9).
+  // this is what forces the exact dual-edge rule plus its super-vertex
+  // escape on shard legs (DESIGN.md §9).
   Rng rng(4040);
   const std::vector<Point> points = GenerateUniformPoints(3000, kUnit, &rng);
   const PointDatabase oracle(points);

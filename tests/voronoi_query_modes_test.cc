@@ -27,12 +27,12 @@ TEST(CombPolygonTest, ShapeIsSimpleAndConcave) {
 }
 
 TEST(VoronoiQueryModesTest, CellOverlapIsCompleteOnCombs) {
-  // Dense uniform points; comb query. The cell-overlap rule is provably
+  // Dense uniform points; comb query. The dual-edge rule is provably
   // complete for any connected area.
   Rng rng(88);
   PointDatabase db(GenerateUniformPoints(4000, kUnit, &rng));
   VoronoiAreaQuery::Options options;
-  options.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
+  options.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
   const VoronoiAreaQuery vaq(&db, options);
   const BruteForceAreaQuery brute(&db);
   for (int teeth = 2; teeth <= 6; ++teeth) {
@@ -101,25 +101,25 @@ TEST(VoronoiQueryModesTest, PaperRuleCanMissAcrossPointFreeCorridors) {
   // both, the caveat documented in DESIGN.md should be revisited.)
   EXPECT_EQ(paper_result.size(), 40u);
 
-  // The conservative cell-overlap rule recovers the full result.
+  // The exact dual-edge rule recovers the full result.
   VoronoiAreaQuery::Options options;
-  options.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
+  options.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
   const auto safe_result = VoronoiAreaQuery(&db, options).Run(comb, nullptr);
   EXPECT_EQ(safe_result, truth);
 }
 
 TEST(VoronoiQueryModesTest, BothRulesValidateSimilarCandidateCounts) {
-  // The two rules' candidate sets are NOT subset-ordered (a crossing edge
-  // can reach a point whose cell misses A, and vice versa a cell can touch
-  // A while no single edge does), but on the paper's workload they agree
-  // on the result and stay within a few percent of each other in size.
+  // The two rules' candidate sets are NOT subset-ordered (a Delaunay edge
+  // can cross A while its dual Voronoi edge misses it, and vice versa),
+  // but on the paper's workload they agree on the result and stay within
+  // a few percent of each other in size.
   Rng rng(91);
   PointDatabase db(GenerateUniformPoints(3000, kUnit, &rng));
   PolygonSpec spec;
   spec.query_size_fraction = 0.05;
   Rng qrng(92);
   VoronoiAreaQuery::Options safe;
-  safe.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
+  safe.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
   const VoronoiAreaQuery paper_q(&db);
   const VoronoiAreaQuery safe_q(&db, safe);
   for (int rep = 0; rep < 10; ++rep) {
@@ -142,9 +142,9 @@ TEST(VoronoiQueryModesTest, CellOverlapCompleteWhenAreaEscapesClipBox) {
   // but the super vertices' cells, so a query polygon reaching far beyond
   // the data can pass through those cells only — here a U whose two
   // prongs dip into the data's extent while the connecting bridge passes
-  // underneath it. Without treating the cells whose fan touches a super
-  // vertex as meeting A once A leaves the 5%-inflated data box, the flood
-  // stalls at the data's border and returns only the seed's prong.
+  // underneath it. Without following every edge that has a super-vertex
+  // triangle on either side once A leaves the 5%-inflated data box, the
+  // flood stalls at the data's border and returns only the seed's prong.
   Rng rng(93);
   // Uniform data (a jittered grid's near-collinear hull rows grow long
   // sliver Delaunay edges that can bridge the prong gap in one hop and
@@ -168,7 +168,7 @@ TEST(VoronoiQueryModesTest, CellOverlapCompleteWhenAreaEscapesClipBox) {
   ASSERT_GT(truth.size(), 0u);
 
   VoronoiAreaQuery::Options options;
-  options.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
+  options.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
   EXPECT_EQ(VoronoiAreaQuery(&db, options).Run(u_shape, nullptr), truth);
 }
 
@@ -177,8 +177,8 @@ TEST(VoronoiQueryModesTest, CellOverlapCompleteWhenAreaLoopsThroughSuperCells) {
   // meet only through a loop 1e7 away, where every point is nearer to a
   // super vertex than to any data point. The fan cells meeting A then
   // form two components, joined only through the super vertices' cells;
-  // the cells whose fan touches a super vertex must count as meeting A,
-  // or the flood finds just one bar.
+  // the edges with a super-vertex triangle on either side (the hull ring)
+  // must be followed, or the flood finds just one bar.
   Rng rng(94);
   PointDatabase db(GenerateUniformPoints(
       600, Box::FromExtents(0.40, 0.35, 0.60, 0.65), &rng));
@@ -206,7 +206,7 @@ TEST(VoronoiQueryModesTest, CellOverlapCompleteWhenAreaLoopsThroughSuperCells) {
   ASSERT_LT(left, truth.size());
 
   VoronoiAreaQuery::Options options;
-  options.expansion = VoronoiAreaQuery::ExpansionRule::kCellOverlap;
+  options.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
   EXPECT_EQ(VoronoiAreaQuery(&db, options).Run(loop, nullptr), truth);
 }
 

@@ -44,12 +44,11 @@ COUNTER_FIELDS = ("candidates", "geometry_loads", "redundant")
 TIME_FIELDS = ("time_ms",)
 METHODS = ("traditional", "voronoi")
 # Failure-domain counters must be *exactly* zero in the no-fault perf
-# rows the benches emit: a nonzero value means a retry/quarantine/
-# degraded-mode hook fired on the happy path, which is a correctness bug
-# regardless of how small the count is (no drift tolerance applies).
-# Absent keys pass, so baselines predating the fields keep working.
-FAULT_ZERO_FIELDS = ("io_retries", "pages_quarantined", "shards_failed",
-                     "degraded")
+# rows the benches emit: a nonzero value means a retry/quarantine hook
+# fired on the happy path, which is a correctness bug regardless of how
+# small the count is (no drift tolerance applies). Absent keys pass, so
+# baselines predating the fields keep working.
+FAULT_ZERO_FIELDS = ("io_retries", "pages_quarantined")
 
 # Planner gates (BENCH_planner.json). Within-run ratios, not cross-run
 # times: the bench already divides the planned path's time by the best

@@ -179,16 +179,14 @@ class RowMatchingTest(unittest.TestCase):
         # no-fault shape and must pass against any baseline.
         clean = self.row()
         clean["voronoi"] = dict(clean["voronoi"], io_retries=0,
-                                pages_quarantined=0, shards_failed=0,
-                                degraded=0)
+                                pages_quarantined=0)
         result = self.run_gate([self.row()], [clean])
         self.assertEqual(result.returncode, 0, result.stdout)
 
     def test_fault_counters_nonzero_fail_exactly(self):
         # No drift tolerance: even io_retries=1 in a no-fault perf row
         # means a retry hook fired on the happy path.
-        for field in ("io_retries", "pages_quarantined", "shards_failed",
-                      "degraded"):
+        for field in ("io_retries", "pages_quarantined"):
             bad = self.row()
             bad["traditional"] = dict(bad["traditional"], **{field: 1})
             result = self.run_gate([self.row()], [bad])
