@@ -168,6 +168,13 @@ int main(int argc, char** argv) {
       method = arg;
     }
   }
+  // A usage error exits before any input is read or any database built.
+  if (method != "voronoi" && method != "traditional" &&
+      method != "grid-sweep" && method != "brute" && method != "auto" &&
+      method != "all") {
+    std::fprintf(stderr, "error: unknown method '%s'\n", method.c_str());
+    return 2;
+  }
 
   std::vector<Point> points;
   const bool loaded = EndsWith(points_path, ".vaqp")
@@ -251,12 +258,6 @@ int main(int argc, char** argv) {
   } catch (const EngineOverloadedError& e) {
     std::fprintf(stderr, "error: engine unavailable: %s\n", e.what());
     return 6;
-  }
-  if (method != "voronoi" && method != "traditional" &&
-      method != "grid-sweep" && method != "brute" && method != "auto" &&
-      method != "all") {
-    std::fprintf(stderr, "error: unknown method '%s'\n", method.c_str());
-    return 2;
   }
   return 0;
 }

@@ -66,29 +66,6 @@ void ForEachRefinedBlock(const PointDatabase& db, const PolygonKernel& kernel,
   }
 }
 
-/// The same classification kernel over caller-owned SoA coordinate streams
-/// — no id gather and no object-IO charge. This is the delta-refine pass
-/// of the dynamic database: the delta buffer already *is* SoA and memory-
-/// resident (a memtable), so the only work left is the blocked batch
-/// containment test. Hands each block to
-///
-///   per_block(std::size_t offset, std::size_t m, const bool* inside)
-///
-/// where `inside[j]` is `polygon.Contains({xs[offset+j], ys[offset+j]})`.
-/// The caller owns the stats slot and is expected to OR
-/// `kernel.stats_mask()` into `QueryStats::kernel_kind` itself.
-template <typename Fn>
-void ForEachClassifiedBlock(const PolygonKernel& kernel, const double* xs,
-                            const double* ys, std::size_t n,
-                            Fn&& per_block) {
-  bool inside[kRefineBlock];
-  for (std::size_t base = 0; base < n; base += kRefineBlock) {
-    const std::size_t m = std::min(kRefineBlock, n - base);
-    kernel.ContainsBatch(xs + base, ys + base, m, inside);
-    per_block(base, m, inside);
-  }
-}
-
 }  // namespace vaq
 
 #endif  // VAQ_CORE_BATCH_REFINE_H_

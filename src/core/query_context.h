@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/cancel.h"
@@ -180,6 +181,13 @@ class QueryContext {
     return prepared_;
   }
 
+  /// Whether the accelerator already holds `area` (the memo `Prepared`
+  /// hits at any grid size): a caller with only a few tests to run can
+  /// then reuse the built kernel through `PreparedKernel(area)` for free.
+  bool HoldsPrepared(const Polygon& area) const {
+    return prepared_side_ >= 0 && prepared_vertices_ == area.vertices();
+  }
+
   /// Grid builds `Prepared` has run on this context (memo hits excluded):
   /// the count that shows whether one query prepared its polygon once.
   std::uint64_t prepared_builds() const { return prepared_builds_; }
@@ -229,6 +237,48 @@ class QueryContext {
     }
   }
 
+  /// Reorders `ids` by ascending `key(id)`, where the keys are distinct
+  /// and < `key_limit`. LSD radix sort of packed (key << 32 | id) words on
+  /// the key half: one pass per 8-bit digit `key_limit` needs (three
+  /// below 2^24), with every pass's histogram counted in the packing
+  /// sweep. O(k) with no universe-sized scan, unlike `SortIds`; the two
+  /// packed buffers are reused, so steady-state sorting allocates nothing.
+  template <typename KeyFn>
+  void SortIdsByKey(std::vector<PointId>& ids, std::size_t key_limit,
+                    KeyFn key) {
+    const std::size_t n = ids.size();
+    if (n < 2) return;
+    sort_keys_.resize(n);
+    sort_tmp_.resize(n);
+    std::uint64_t* keys = sort_keys_.data();
+    std::uint64_t* tmp = sort_tmp_.data();
+    const int passes = (std::bit_width(key_limit - 1) + 7) / 8;
+    std::uint32_t offsets[4][256] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t k = std::uint64_t{key(ids[i])} << 32 | ids[i];
+      keys[i] = k;
+      for (int p = 0; p < passes; ++p) {
+        ++offsets[p][(k >> (32 + 8 * p)) & 0xff];
+      }
+    }
+    for (int p = 0; p < passes; ++p) {
+      std::uint32_t sum = 0;
+      for (std::uint32_t& at : offsets[p]) {
+        const std::uint32_t count = at;
+        at = sum;
+        sum += count;
+      }
+      const int shift = 32 + 8 * p;
+      for (std::size_t i = 0; i < n; ++i) {
+        tmp[offsets[p][(keys[i] >> shift) & 0xff]++] = keys[i];
+      }
+      std::swap(keys, tmp);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ids[i] = static_cast<PointId>(keys[i]);
+    }
+  }
+
  private:
   const CancelToken* cancel_ = nullptr;
   const PlanHints* plan_hints_ = nullptr;
@@ -249,6 +299,10 @@ class QueryContext {
   PolygonKernel kernel_;
   bool kernel_ready_ = false;
   std::vector<std::uint64_t> sort_bitmap_;
+  /// `SortIdsByKey`'s packed (key << 32 | id) words and its radix
+  /// scatter target.
+  std::vector<std::uint64_t> sort_keys_;
+  std::vector<std::uint64_t> sort_tmp_;
 };
 
 }  // namespace vaq

@@ -44,29 +44,33 @@ std::vector<PointId> TraditionalAreaQuery::Run(const Polygon& area,
     std::vector<PointId>& candidates = ctx.ScratchCandidates();
     index_->WindowQuery(area.Bounds(), &candidates, &filter_io);
 
-    // The filter ran first, so the exact candidate count sizes the
-    // prepared grid: the build cost amortises over this many point tests.
-    // `PreparedKernel` also selects the specialised batch classifier
-    // (convex half-plane / small-m / grid-residual) for the polygon.
-    const PolygonKernel& kernel = ctx.PreparedKernel(area, candidates.size());
-
-    // Refine: the shared batched SoA kernel (see batch_refine.h) streams
-    // candidate blocks through the IO boundary and the prepared grid;
-    // every survivor is a result. The full candidate list is known up
-    // front, so hint the out-of-core page cache once for the whole
-    // refine pass (no-op on the in-memory backend).
-    db_->PrefetchPoints(candidates.data(), candidates.size());
-    result.reserve(candidates.size());
-    ForEachRefinedBlock(
-        *db_, kernel, candidates.data(), candidates.size(), stats,
-        ctx.cancel(),
-        [&](const PointId* ids, std::size_t m, const double*, const double*,
-            const bool* inside) {
-          for (std::size_t j = 0; j < m; ++j) {
-            if (inside[j]) result.push_back(ids[j]);
-          }
-        });
     stats->candidates = candidates.size();
+    // An empty window has nothing to refine: skip the grid build, no test
+    // would read it.
+    if (!candidates.empty()) {
+      // The filter ran first, so the exact candidate count sizes the
+      // prepared grid: the build cost amortises over this many point tests.
+      // `PreparedKernel` also selects the specialised batch classifier
+      // (convex half-plane / small-m / grid-residual) for the polygon.
+      const PolygonKernel& kernel = ctx.PreparedKernel(area, candidates.size());
+
+      // Refine: the shared batched SoA kernel (see batch_refine.h) streams
+      // candidate blocks through the IO boundary and the prepared grid;
+      // every survivor is a result. The full candidate list is known up
+      // front, so hint the out-of-core page cache once for the whole
+      // refine pass (no-op on the in-memory backend).
+      db_->PrefetchPoints(candidates.data(), candidates.size());
+      result.reserve(candidates.size());
+      ForEachRefinedBlock(
+          *db_, kernel, candidates.data(), candidates.size(), stats,
+          ctx.cancel(),
+          [&](const PointId* ids, std::size_t m, const double*, const double*,
+              const bool* inside) {
+            for (std::size_t j = 0; j < m; ++j) {
+              if (inside[j]) result.push_back(ids[j]);
+            }
+          });
+    }
   }
   ctx.SortIds(result, db_->size());
 

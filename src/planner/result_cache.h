@@ -26,7 +26,10 @@ std::uint64_t HashPolygonBits(const Polygon& area);
 /// LRU cache of base passes, keyed on (base generation, polygon bit-hash).
 ///
 /// An entry holds the base-internal ids one query leg's base pass
-/// (`Snapshot::BaseQuery(method).Run`) returned for the polygon. The base
+/// (`Snapshot::BaseQuery(method).Run`) returned for the polygon, ordered
+/// by ascending stable id (`OrderBasePassByStableId`): a hit is finished
+/// by one sequential tombstone-filter-and-remap pass whose output is
+/// already sorted, so serving it costs O(answer), not a sort. The base
 /// is immutable for a whole generation (`Snapshot::base_generation()`),
 /// so the entry stays exact across every insert and erase of that
 /// generation: each query applies its own snapshot's tombstones and delta

@@ -23,16 +23,18 @@ struct LegCache {
   bool admit = false;
 };
 
-/// One leg: the method against one pinned view, *unsorted* — the gather
-/// sorts once over the merged set — with hits remapped to global stable
-/// ids when the view has an id map. With a cache, a leg whose `LookUp`
-/// hit skips the base pass and finishes a copy of the cached ids; a leg
-/// that missed runs the base pass and offers its ids before the finish
-/// filters them in place. A leg that throws in its base pass offers
-/// nothing; a completed base pass is exact whatever happens after it.
+/// One leg: the method against one pinned view, ascending in the view's
+/// stable ids, with hits remapped to global stable ids when the view has
+/// an id map (which the gather then sorts). With a cache, a leg whose
+/// `LookUp` hit skips the base pass and finishes a copy of the cached
+/// ids — already in stable-id order, so a hit costs O(answer + delta); a
+/// leg that missed runs the base pass, orders it by stable id and offers
+/// it before the finish filters it in place. A leg that throws in its
+/// base pass offers nothing; a completed base pass is exact whatever
+/// happens after it.
 ///
 /// Internal to the executor, run inline or as a `QueryEngine::SubmitWith`
-/// task: it deliberately breaks the sorted-ids contract of `AreaQuery`.
+/// task: with an id map it breaks the sorted-ids contract of `AreaQuery`.
 class ShardLegQuery final : public AreaQuery {
  public:
   ShardLegQuery(const ShardedDatabase::ShardView* view, DynamicMethod method,
@@ -58,6 +60,7 @@ class ShardLegQuery final : public AreaQuery {
     } else {
       // The base implementation resets and fills ctx.stats.
       ids = snap.BaseQuery(method_).Run(area, ctx);
+      OrderBasePassByStableId(snap, ids, ctx);
       if (cache_ != nullptr) {
         ctx.stats.result_cache_misses = 1;
         cache_->cache->Insert(Key(), ids, cache_->admit);
@@ -194,9 +197,12 @@ std::vector<PointId> RunShardedSnapshotQuery(
   ctx.CheckCancelled();
   if (first_error != nullptr) std::rethrow_exception(first_error);
 
-  // Per-view results are disjoint global-id sets and no leg sorted its
-  // own; this is the query's one sort.
-  ctx.SortIds(result, snap.stable_limit());
+  // Every leg's hits ascend in its view's stable ids, so the single view
+  // of an unsharded database is already sorted. Global ids of K views
+  // interleave: one sort over the merged, disjoint sets.
+  if (views.size() > 1 || views.front().ids != nullptr) {
+    ctx.SortIds(result, snap.stable_limit());
+  }
   merged.shards_hit = legs.size();
   merged.shards_pruned = pruned;
   merged.results = result.size();

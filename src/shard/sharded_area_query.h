@@ -31,8 +31,11 @@ class ResultCache;
 ///     object fetches, which is where the sharded layout's throughput
 ///     comes from; otherwise they run sequentially on the caller's
 ///     context.
-///  3. **Gather**: concatenate the per-view hits and sort once (global id
-///     ranges interleave, and no leg sorts), and merge the per-leg
+///  3. **Gather**: concatenate the per-view hits. Each leg's hits ascend
+///     in its view's stable ids (`FinishDynamicSnapshotLeg`), so the
+///     single view of an unsharded database is returned as is; with K > 1
+///     views, or an id map, global ids interleave and one sort orders the
+///     merged set. Merge the per-leg
 ///     `QueryStats` by summation, which preserves the `candidates ==
 ///     candidate_hits + visited_rejected` invariant.
 ///     `stats.shards_hit`/`shards_pruned` record the fan-out (they sum
@@ -51,8 +54,10 @@ class ResultCache;
 /// **Result cache.** With a `cache` (null = uncached), each surviving leg
 /// looks up its base pass under (`base_generation()`, `polygon_hash`)
 /// before any leg runs. A hit leg skips the base pass and finishes a copy
-/// of the cached ids against its own snapshot; a miss leg runs the base
-/// pass and offers its ids. Second-hit admission is decided once per
+/// of the cached ids against its own snapshot: one sequential pass over
+/// the answer plus the delta screen, no sort. A miss leg runs the base
+/// pass, orders it by stable id (`OrderBasePassByStableId`) and offers
+/// it. Second-hit admission is decided once per
 /// query (`ResultCache::Admit`), only if some leg missed. A leg that
 /// fails offers nothing from an unfinished base pass. Per leg,
 /// `stats.result_cache_hits`/`result_cache_misses` count 1 and merge by

@@ -1,10 +1,14 @@
 #include "core/query_context.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/brute_force_area_query.h"
 #include "core/dynamic_point_database.h"
 #include "core/point_database.h"
+#include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
 #include "planner/planned_area_query.h"
 #include "workload/point_generator.h"
@@ -175,6 +179,60 @@ TEST(QueryContextTest, PlannedQueryBuildsItsGridOnce) {
   // The case that used to build twice: the measured count asks for a
   // finer grid than the plan's prediction.
   EXPECT_GT(finer_than_plan, 0);
+}
+
+TEST(QueryContextTest, SortIdsByKeyMatchesAComparisonSort) {
+  // Keys from a random permutation, over key universes that need one to
+  // four radix passes (the last one spans the whole 32-bit id space).
+  Rng rng(31);
+  QueryContext ctx;
+  for (const std::size_t key_limit :
+       {std::size_t{2}, std::size_t{200}, std::size_t{70000},
+        std::size_t{1} << 24, std::size_t{1} << 32}) {
+    for (const std::size_t n : {0, 1, 2, 5, 300, 3000}) {
+      if (n > key_limit) continue;
+      // Distinct keys below key_limit: a strided walk of the key space.
+      const std::uint64_t stride = n > 0 ? key_limit / n : 1;
+      std::vector<PointId> ids(n);
+      std::vector<PointId> key_of(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ids[i] = static_cast<PointId>(i);
+        key_of[i] = static_cast<PointId>(i * stride);
+      }
+      for (std::size_t i = n; i > 1; --i) {
+        std::swap(key_of[i - 1], key_of[rng.Next() % i]);
+      }
+      std::vector<PointId> expected = ids;
+      std::sort(expected.begin(), expected.end(),
+                [&](PointId a, PointId b) { return key_of[a] < key_of[b]; });
+      ctx.SortIdsByKey(ids, key_limit,
+                       [&](PointId id) { return key_of[id]; });
+      EXPECT_EQ(ids, expected) << "key_limit " << key_limit << " n " << n;
+    }
+  }
+}
+
+TEST(QueryContextTest, EmptyWindowBuildsNoGrid) {
+  // Points only left of x = 0.5 and A right of it: the traditional
+  // filter finds no candidate, so there is nothing to refine and no grid
+  // to build.
+  Rng rng(32);
+  const PointDatabase db(
+      GenerateUniformPoints(2000, Box{{0.0, 0.0}, {0.5, 1.0}}, &rng));
+  const TraditionalAreaQuery query(&db);
+  const Polygon area = GenerateQueryPolygon(
+      PolygonSpec{}, Box{{0.6, 0.0}, {1.0, 1.0}}, &rng);
+  QueryContext ctx;
+  const std::uint64_t before = ctx.prepared_builds();
+  EXPECT_TRUE(query.Run(area, ctx).empty());
+  EXPECT_EQ(ctx.prepared_builds(), before);
+  EXPECT_FALSE(ctx.HoldsPrepared(area));
+  EXPECT_EQ(ctx.stats.candidates, 0u);
+  EXPECT_EQ(ctx.stats.results, 0u);
+  EXPECT_EQ(ctx.stats.candidate_hits, 0u);
+  EXPECT_EQ(ctx.stats.visited_rejected, 0u);
+  EXPECT_EQ(ctx.stats.geometry_loads, 0u);
+  EXPECT_EQ(ctx.stats.kernel_kind, 0u);
 }
 
 }  // namespace
