@@ -178,19 +178,17 @@ int main(int argc, char** argv) {
     cache_pages = 256;
   }
 
-  // Synthetic coordinate streams: the scan measures the IO path, not
-  // geometry, so the values only need to be readable and distinct.
-  std::vector<double> xs(points), ys(points);
+  // Synthetic coordinates: the scan measures the IO path, not geometry,
+  // so the values only need to be readable and distinct.
+  std::vector<vaq::Point> coords(points);
   for (std::size_t i = 0; i < points; ++i) {
-    xs[i] = static_cast<double>(i);
-    ys[i] = -static_cast<double>(i);
+    coords[i] = {static_cast<double>(i), -static_cast<double>(i)};
   }
   const std::string path =
       (std::filesystem::temp_directory_path() /
        ("vaq-bench-ooc-" + std::to_string(::getpid()) + ".vpag"))
           .string();
-  vaq::WritePageFile(path, xs.data(), ys.data(), points,
-                     static_cast<std::uint32_t>(page_size));
+  vaq::WritePageFile(path, coords, static_cast<std::uint32_t>(page_size));
 
   std::vector<Row> rows;
   std::cout << "=== out-of-core page scan: " << points << " points, "

@@ -15,8 +15,8 @@
 //       picks the method per query and the CLI prints the choice and its
 //       reasons before the stats line.
 //     --ids : print the matching point ids (one per line) after the stats
-//     --backend: what serves the point geometry — in-memory arrays
-//       (default) or an mmap page file behind an LRU cache of N pages of
+//     --backend: what serves the point geometry — the resident point
+//       array (default) or an mmap page file behind an LRU cache of N pages of
 //       B bytes (see src/storage/page_store.h); out-of-core when N pages
 //       hold less than the dataset. Results are backend-invariant; the
 //       page columns of the stats line are live only on mmap backends.

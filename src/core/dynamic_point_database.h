@@ -217,7 +217,7 @@ class DynamicPointDatabase {
     /// (internal order) then delta (buffer order).
     template <typename Fn>
     void ForEachLive(Fn&& fn) const {
-      const std::vector<Point>& pts = bundle_->db.points();
+      const std::span<const Point> pts = bundle_->db.points();
       for (PointId id = 0; id < pts.size(); ++id) {
         if (!IsTombstoned(id)) fn(StableId(id), pts[id]);
       }

@@ -19,7 +19,7 @@ GridSweepAreaQuery::GridSweepAreaQuery(const PointDatabase* db,
   cell_w_ = std::max(world_.Width(), 1e-12) / side_;
   cell_h_ = std::max(world_.Height(), 1e-12) / side_;
   cells_.assign(static_cast<std::size_t>(side_) * side_, {});
-  const std::vector<Point>& points = db->points();
+  const std::span<const Point> points = db->points();
   for (std::size_t i = 0; i < points.size(); ++i) {
     const int cx = std::clamp(
         static_cast<int>((points[i].x - world_.min.x) / cell_w_), 0,

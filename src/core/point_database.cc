@@ -44,12 +44,14 @@ std::vector<Point> CheckPairwiseDistinct(std::vector<Point> points) {
 }
 
 /// Permutes `points` into Hilbert-curve order over their bounding box and
-/// records the internal→original mapping in `*to_original`.
+/// records the internal→original mapping in `*to_original`. The result
+/// has room for the triangulation's three super vertices, so it becomes
+/// the triangulation's point array without a reallocation.
 std::vector<Point> HilbertCluster(std::vector<Point> points,
                                   std::vector<PointId>* to_original) {
   *to_original = HilbertOrder(points);
   std::vector<Point> clustered;
-  clustered.reserve(points.size());
+  clustered.reserve(points.size() + 3);
   for (const PointId original : *to_original) {
     clustered.push_back(points[original]);
   }
@@ -141,25 +143,17 @@ void PointDatabase::SimulateFetchLatency(std::size_t n) const {
   }
 }
 
-PointDatabase::PointDatabase(std::vector<Point> points, Options options)
-    : points_(HilbertCluster(options.skip_distinctness_check
-                                 ? std::move(points)
-                                 : CheckPairwiseDistinct(std::move(points)),
-                             &to_original_)),
-      delaunay_(points_, /*hilbert_sorted=*/true) {
-  to_internal_.resize(points_.size());
-  xs_.resize(points_.size());
-  ys_.resize(points_.size());
-  for (PointId id = 0; id < points_.size(); ++id) {
-    to_internal_[to_original_[id]] = id;
-    xs_[id] = points_[id].x;
-    ys_[id] = points_[id].y;
-    bounds_.ExpandToInclude(points_[id]);
-  }
+PointDatabase::PointDatabase(std::vector<Point> input, Options options)
+    : delaunay_(HilbertCluster(options.skip_distinctness_check
+                                   ? std::move(input)
+                                   : CheckPairwiseDistinct(std::move(input)),
+                               &to_original_),
+                /*hilbert_sorted=*/true) {
+  for (const Point& p : points()) bounds_.ExpandToInclude(p);
   // The array is already Hilbert-clustered, so the R-tree packs
   // consecutive runs into leaves instead of re-sorting (see
   // `RTree::BuildClustered`).
-  rtree_.BuildClustered(points_);
+  rtree_.BuildClustered(points());
   options_storage_ = options.storage;
   // Programmatic spec wins; otherwise VAQ_FAULT_SPEC arms the fault
   // layer, so every existing harness doubles as a fault soak with no code
@@ -173,14 +167,13 @@ PointDatabase::PointDatabase(std::vector<Point> points, Options options)
       options_storage_.fault.fetch_spike_rate > 0.0) {
     fetch_injector_ = std::make_unique<FaultInjector>(options_storage_.fault);
   }
-  if (options_storage_.backend != StorageBackend::kInMemory &&
-      !points_.empty()) {
+  if (options_storage_.backend != StorageBackend::kInMemory && size() > 0) {
     InitPagedStorage();
   }
 }
 
 void PointDatabase::InitPagedStorage() {
-  // Spill the Hilbert-ordered SoA streams to a page file and serve every
+  // Spill the Hilbert-ordered points to a page file and serve every
   // fetch through the LRU page cache. The file is unlinked as soon as it
   // is mapped: the mapping keeps it alive for this database's lifetime
   // and nothing survives a crash — spill files are an implementation
@@ -194,8 +187,7 @@ void PointDatabase::InitPagedStorage() {
   name << dir << "/vaq-spill-" << ::getpid() << "-"
        << spill_counter.fetch_add(1) << ".vpag";
   const std::string path = name.str();
-  WritePageFile(path, xs_.data(), ys_.data(), points_.size(),
-                options_storage_.page_size_bytes);
+  WritePageFile(path, points(), options_storage_.page_size_bytes);
   PageStore::Options store_options;
   store_options.cache_pages = options_storage_.cache_pages;
   store_options.verify_checksum = options_storage_.verify_checksum;

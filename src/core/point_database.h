@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -94,12 +95,15 @@ void CheckFiniteAndDistinct(const std::vector<Point>& points);
 /// bitmap — inherits that locality: a query touching a spatially compact
 /// region touches a compact id range, which is what keeps the Voronoi
 /// flood's gathers cache-resident. The permutation back to the caller's
-/// input order is kept for dataset IO round-trips (`OriginalId` /
-/// `InternalId`).
+/// input order is kept for dataset IO round-trips (`OriginalId`).
 ///
-/// Coordinates are stored both as the AoS `Point` vector (structure
-/// walks, single-point reads) and as parallel SoA arrays `xs()`/`ys()`
-/// that the batched refine kernels stream.
+/// **Geometry lives once.** The resident structures are one coordinate
+/// array — the triangulation's, which `points()` views — plus the R-tree
+/// leaf boxes and the Delaunay CSR graph. The in-memory backend serves
+/// fetches from that array; a paged backend serves them from its page
+/// file, while the array stays resident for the triangulation. Both
+/// Voronoi expansion rules read a neighbour's coordinates off the
+/// triangulation without charging a fetch, as they always have.
 ///
 /// `FetchPoint` / `FetchPoints` are the accounting boundary for object
 /// IO: every query implementation fetches candidate geometry through
@@ -115,7 +119,7 @@ class PointDatabase {
     /// construction should keep the checks.
     bool skip_distinctness_check = false;
     /// What backs the object-fetch boundary (`FetchPoint`/`FetchPoints`).
-    /// The default in-memory backend reads the resident SoA arrays; the
+    /// The default in-memory backend reads the resident point array; the
     /// mmap backends spill the Hilbert-ordered coordinates to a page
     /// file at construction and serve every fetch through an explicit
     /// LRU page cache (see `PageStore` and DESIGN.md §10). The index and
@@ -135,21 +139,15 @@ class PointDatabase {
       : PointDatabase(std::move(points), Options{}) {}
   PointDatabase(std::vector<Point> points, Options options);
 
-  std::size_t size() const { return points_.size(); }
+  std::size_t size() const { return to_original_.size(); }
 
   /// The points in internal (Hilbert) order; `points()[id]` is the
-  /// geometry of internal id `id`.
-  const std::vector<Point>& points() const { return points_; }
-
-  /// SoA coordinate arrays parallel to `points()` — the streams the
-  /// batched refine kernels read.
-  const double* xs() const { return xs_.data(); }
-  const double* ys() const { return ys_.data(); }
+  /// geometry of internal id `id`. A view of the triangulation's point
+  /// array, the database's only coordinate store.
+  std::span<const Point> points() const { return delaunay_.points(); }
 
   /// Position of internal id `id` in the constructor's input vector.
   PointId OriginalId(PointId id) const { return to_original_[id]; }
-  /// Internal id of the point at position `original` of the input vector.
-  PointId InternalId(PointId original) const { return to_internal_[original]; }
   /// The whole internal→original permutation (size() entries).
   const std::vector<PointId>& original_ids() const { return to_original_; }
 
@@ -167,7 +165,7 @@ class PointDatabase {
     if (stats != nullptr) ++stats->geometry_loads;
     if (simulated_fetch_ns_ > 0.0) SimulateFetchLatency(1);
     if (page_store_ != nullptr) return page_store_->GetPoint(id, stats);
-    return points_[id];
+    return delaunay_.point(id);
   }
 
   /// Batched fetch: gathers the coordinates of `ids[0..n)` into the SoA
@@ -190,17 +188,13 @@ class PointDatabase {
       page_store_->Gather(ids, n, xs_out, ys_out, stats);
       return;
     }
-    const double* xs = xs_.data();
-    const double* ys = ys_.data();
+    const Point* pts = delaunay_.points().data();
     for (std::size_t j = 0; j < n; ++j) {
 #if defined(__GNUC__)
-      if (j + 8 < n) {
-        __builtin_prefetch(&xs[ids[j + 8]]);
-        __builtin_prefetch(&ys[ids[j + 8]]);
-      }
+      if (j + 8 < n) __builtin_prefetch(&pts[ids[j + 8]]);
 #endif
-      xs_out[j] = xs[ids[j]];
-      ys_out[j] = ys[ids[j]];
+      xs_out[j] = pts[ids[j]].x;
+      ys_out[j] = pts[ids[j]].y;
     }
   }
 
@@ -293,16 +287,12 @@ class PointDatabase {
   void SimulateFetchLatency(std::size_t n) const;
   void InitPagedStorage();
 
-  // Initialised first (declaration order): the points_ initializer fills it
-  // as a side effect of the Hilbert permutation.
+  // Initialised first (declaration order): the delaunay_ initializer fills
+  // it as a side effect of the Hilbert permutation.
   std::vector<PointId> to_original_;
-  std::vector<Point> points_;
-  std::vector<PointId> to_internal_;
-  std::vector<double> xs_;
-  std::vector<double> ys_;
+  DelaunayTriangulation delaunay_;
   Box bounds_;
   RTree rtree_;
-  DelaunayTriangulation delaunay_;
   StorageOptions options_storage_;
   std::unique_ptr<PageStore> page_store_;
   double simulated_fetch_ns_ = 0.0;

@@ -162,8 +162,6 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
   std::size_t frontier_len = 1;
   visit.MarkIfUnvisited(seed);
 
-  const double* xs = db_->xs();
-  const double* ys = db_->ys();
   const bool paper_rule =
       options_.expansion == ExpansionRule::kPaperSegment;
   // The dual-edge rule's completeness rests on cells tiling the plane.
@@ -250,7 +248,7 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
           for (std::uint32_t k = 0; k < len; ++k) {
             const PointId pn = row[k];
             if (visit.Visited(pn)) continue;
-            const Point q{xs[pn], ys[pn]};
+            const Point& q = dt.point(pn);
             const unsigned char ncls = prep.ClassifyPoint(q.x, q.y);
             bool follow = ncls == PreparedArea::kPointInside ||
                           (ncls == PreparedArea::kPointBoundary &&

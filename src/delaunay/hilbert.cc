@@ -60,7 +60,7 @@ std::uint64_t HilbertKeyInBox(const Box& domain, const Point& p) {
                   static_cast<std::uint32_t>(fy * kCells));
 }
 
-std::vector<std::uint32_t> HilbertOrder(const std::vector<Point>& points) {
+std::vector<std::uint32_t> HilbertOrder(std::span<const Point> points) {
   Box bounds;
   for (const Point& p : points) bounds.ExpandToInclude(p);
 

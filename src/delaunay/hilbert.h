@@ -2,6 +2,7 @@
 #define VAQ_DELAUNAY_HILBERT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geometry/box.h"
@@ -26,7 +27,7 @@ std::uint64_t HilbertKeyInBox(const Box& domain, const Point& p);
 
 /// Returns the permutation of `[0, points.size())` that orders `points`
 /// along a Hilbert curve over their bounding box (order-16 grid).
-std::vector<std::uint32_t> HilbertOrder(const std::vector<Point>& points);
+std::vector<std::uint32_t> HilbertOrder(std::span<const Point> points);
 
 }  // namespace vaq
 

@@ -55,8 +55,8 @@ DelaunayTriangulation::DelaunayTriangulation(std::vector<Point> points,
       InsertPoint(vid, last_triangle_, scratch);
     }
   } else {
-    const std::vector<std::uint32_t> order = HilbertOrder(
-        std::vector<Point>(points_.begin(), points_.begin() + num_real_));
+    const std::vector<std::uint32_t> order =
+        HilbertOrder(std::span<const Point>(points_).first(num_real_));
     for (const std::uint32_t vid : order) {
       InsertPoint(vid, last_triangle_, scratch);
     }

@@ -44,12 +44,19 @@ class DelaunayTriangulation {
   /// Pass `hilbert_sorted = true` when the caller already ordered the
   /// points along a Hilbert curve (e.g. `PointDatabase`'s clustered
   /// storage): insertions then run in input order and the BRIO reorder —
-  /// an O(n log n) sort plus a full copy of the point set — is skipped.
+  /// an O(n log n) sort — is skipped. The vector is kept as the
+  /// triangulation's point array, with the three super vertices appended;
+  /// a caller that reserves `points.size() + 3` keeps its buffer (and so
+  /// pointers into it) through the build.
   explicit DelaunayTriangulation(std::vector<Point> points,
                                  bool hilbert_sorted = false);
 
   /// Number of real points.
   std::size_t num_points() const { return num_real_; }
+
+  /// The real points in id order: `points()[v] == point(v)` for
+  /// `v < num_points()`.
+  std::span<const Point> points() const { return {points_.data(), num_real_}; }
 
   /// The coordinates of point `v`. Precondition: `v < num_points() + 3`;
   /// the last three ids are the super vertices `TriangleVertices` yields.

@@ -25,8 +25,8 @@ int GridIndex::CellY(double y) const {
   return std::clamp(c, 0, ny_ - 1);
 }
 
-void GridIndex::Build(const std::vector<Point>& points) {
-  points_ = points;
+void GridIndex::Build(std::span<const Point> points) {
+  points_.assign(points.begin(), points.end());
   world_ = Box{};
   for (const Point& p : points) world_.ExpandToInclude(p);
   if (world_.Empty()) world_ = Box{{0, 0}, {1, 1}};

@@ -18,7 +18,7 @@ class GridIndex : public SpatialIndex {
  public:
   explicit GridIndex(int target_bucket_size = 4);
 
-  void Build(const std::vector<Point>& points) override;
+  void Build(std::span<const Point> points) override;
   std::size_t size() const override { return points_.size(); }
   void WindowQuery(const Box& window, std::vector<PointId>* out,
                    IndexStats* stats = nullptr) const override;

@@ -12,8 +12,8 @@ KDTree::KDTree(int leaf_size) : leaf_size_(leaf_size) {
   assert(leaf_size_ >= 1);
 }
 
-void KDTree::Build(const std::vector<Point>& points) {
-  points_ = points;
+void KDTree::Build(std::span<const Point> points) {
+  points_.assign(points.begin(), points.end());
   ids_.resize(points.size());
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     ids_[i] = static_cast<PointId>(i);

@@ -17,7 +17,7 @@ class KDTree : public SpatialIndex {
   /// `leaf_size` is the bucket capacity at which recursion stops.
   explicit KDTree(int leaf_size = 16);
 
-  void Build(const std::vector<Point>& points) override;
+  void Build(std::span<const Point> points) override;
   std::size_t size() const override { return points_.size(); }
   void WindowQuery(const Box& window, std::vector<PointId>* out,
                    IndexStats* stats = nullptr) const override;

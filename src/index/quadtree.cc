@@ -31,14 +31,14 @@ int Quadtree::QuadrantOf(const Box& box, const Point& p) const {
   return east + north;
 }
 
-void Quadtree::Build(const std::vector<Point>& points) {
+void Quadtree::Build(std::span<const Point> points) {
   Box world;
   for (const Point& p : points) world.ExpandToInclude(p);
   if (world.Empty()) world = Box{{0, 0}, {1, 1}};
   Build(points, world);
 }
 
-void Quadtree::Build(const std::vector<Point>& points, const Box& world) {
+void Quadtree::Build(std::span<const Point> points, const Box& world) {
   nodes_.clear();
   world_ = world;
   count_ = 0;

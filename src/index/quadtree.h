@@ -18,7 +18,7 @@ class Quadtree : public SpatialIndex {
   /// overflow the bucket in place).
   explicit Quadtree(int bucket_capacity = 16, int max_depth = 32);
 
-  void Build(const std::vector<Point>& points) override;
+  void Build(std::span<const Point> points) override;
   std::size_t size() const override { return count_; }
   void WindowQuery(const Box& window, std::vector<PointId>* out,
                    IndexStats* stats = nullptr) const override;
@@ -37,7 +37,7 @@ class Quadtree : public SpatialIndex {
 
   /// Bulk load with an explicit world box (points outside are clamped by
   /// precondition, not checked).
-  void Build(const std::vector<Point>& points, const Box& world);
+  void Build(std::span<const Point> points, const Box& world);
 
  private:
   struct Item {

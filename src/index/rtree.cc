@@ -30,7 +30,7 @@ void RTree::RecomputeBounds(std::int32_t node_id) {
   for (const Entry& e : node.entries) node.bounds.ExpandToInclude(e.box);
 }
 
-void RTree::Build(const std::vector<Point>& points) {
+void RTree::Build(std::span<const Point> points) {
   std::vector<Entry> leaves;
   leaves.reserve(points.size());
   for (const std::uint32_t i : HilbertOrder(points)) {
@@ -39,7 +39,7 @@ void RTree::Build(const std::vector<Point>& points) {
   Pack(std::move(leaves));
 }
 
-void RTree::BuildClustered(const std::vector<Point>& points) {
+void RTree::BuildClustered(std::span<const Point> points) {
   std::vector<Entry> leaves;
   leaves.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {

@@ -37,13 +37,13 @@ class RTree : public SpatialIndex {
 
   /// Sorts `points` along a Hilbert curve, then packs them like
   /// `BuildClustered`. Ids stay positions in `points`.
-  void Build(const std::vector<Point>& points) override;
+  void Build(std::span<const Point> points) override;
   /// Hilbert-packed bulk load: the input is promised to be in
   /// space-filling-curve order, so consecutive runs of `max_entries`
   /// points become leaves directly — no sorting at any level, one O(n)
   /// pass per level (curve runs are spatially compact, so leaf MBRs are
   /// tight).
-  void BuildClustered(const std::vector<Point>& points) override;
+  void BuildClustered(std::span<const Point> points) override;
   std::size_t size() const override { return count_; }
   void WindowQuery(const Box& window, std::vector<PointId>* out,
                    IndexStats* stats = nullptr) const override;

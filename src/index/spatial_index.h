@@ -2,6 +2,7 @@
 #define VAQ_INDEX_SPATIAL_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -48,17 +49,17 @@ class SpatialIndex {
   virtual ~SpatialIndex() = default;
 
   /// Bulk-loads the index from `points`; ids are assigned as positions in
-  /// the vector. Replaces any previous content.
-  virtual void Build(const std::vector<Point>& points) = 0;
+  /// the span. Replaces any previous content.
+  virtual void Build(std::span<const Point> points) = 0;
 
-  /// Bulk-loads from a vector the caller promises is already spatially
+  /// Bulk-loads from points the caller promises are already spatially
   /// clustered (consecutive positions ≈ spatial neighbours, e.g.
   /// Hilbert-curve order — what `PointDatabase` stores). Indexes that can
   /// exploit the ordering override this to pack consecutive runs directly
   /// into leaves, skipping their own sorting passes; the default just
   /// forwards to `Build`. Results of every query operation are identical
   /// either way.
-  virtual void BuildClustered(const std::vector<Point>& points) {
+  virtual void BuildClustered(std::span<const Point> points) {
     Build(points);
   }
 

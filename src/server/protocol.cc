@@ -388,7 +388,7 @@ std::vector<std::uint8_t> EncodeServerStatsPayload(const WireServerStats& s) {
   PutInt<std::uint64_t>(out, s.queries_rejected);
   PutInt<std::uint64_t>(out, s.queries_aborted);
   PutInt<std::uint64_t>(out, s.mutations_total);
-  PutInt<std::uint64_t>(out, s.drains_completed);
+  PutInt<std::uint64_t>(out, s.compacts_completed);
   PutInt<std::uint64_t>(out, s.result_cache_hits);
   PutInt<std::uint64_t>(out, s.result_cache_misses);
   PutInt<std::uint64_t>(out, s.client_requests);
@@ -413,7 +413,7 @@ WireServerStats DecodeServerStatsPayload(
   s.queries_rejected = r.GetInt<std::uint64_t>("queries_rejected");
   s.queries_aborted = r.GetInt<std::uint64_t>("queries_aborted");
   s.mutations_total = r.GetInt<std::uint64_t>("mutations_total");
-  s.drains_completed = r.GetInt<std::uint64_t>("drains_completed");
+  s.compacts_completed = r.GetInt<std::uint64_t>("compacts_completed");
   s.result_cache_hits = r.GetInt<std::uint64_t>("result_cache_hits");
   s.result_cache_misses = r.GetInt<std::uint64_t>("result_cache_misses");
   s.client_requests = r.GetInt<std::uint64_t>("client_requests");

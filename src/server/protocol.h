@@ -220,7 +220,7 @@ struct WireServerStats {
   std::uint64_t queries_rejected = 0;  // kBadWkt / kBadRequest responses.
   std::uint64_t queries_aborted = 0;   // kDeadline / kCancelled responses.
   std::uint64_t mutations_total = 0;
-  std::uint64_t drains_completed = 0;  // Compact drain cycles.
+  std::uint64_t compacts_completed = 0;  // Completed COMPACT requests.
   // The planned query's result-cache lookups since start (one per query
   // leg; the server's database is unsharded, so one per cached query).
   std::uint64_t result_cache_hits = 0;

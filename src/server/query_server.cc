@@ -262,15 +262,9 @@ std::vector<std::uint8_t> QueryServer::HandleRequest(
   }
   try {
     switch (opcode) {
-      case Opcode::kQuery: {
-        // Shared side of the drain lock: held across the whole request
-        // (submit + wait), so an exclusive COMPACT acquisition is the
-        // barrier "all in-flight requests finished".
-        std::shared_lock<std::shared_mutex> drain(drain_mu_);
+      case Opcode::kQuery:
         return HandleQuery(payload);
-      }
       case Opcode::kInsert: {
-        std::shared_lock<std::shared_mutex> drain(drain_mu_);
         double x = 0.0, y = 0.0;
         DecodeInsertRequest(payload, &x, &y);
         const std::optional<PointId> id = db_->Insert({x, y});
@@ -283,7 +277,6 @@ std::vector<std::uint8_t> QueryServer::HandleRequest(
         return out;
       }
       case Opcode::kErase: {
-        std::shared_lock<std::shared_mutex> drain(drain_mu_);
         const PointId id = DecodeEraseRequest(payload);
         const bool ok = db_->Erase(id);
         std::lock_guard<std::mutex> lock(counters_mu_);
@@ -293,16 +286,12 @@ std::vector<std::uint8_t> QueryServer::HandleRequest(
         return out;
       }
       case Opcode::kCompact: {
-        // Exclusive side: wait for in-flight requests (DRAINING), hold
-        // newcomers on the shared acquisition (COMPACTING), rebuild,
-        // release (RUNNING). Queries already in the engine finished
-        // inside their handlers' shared sections, so nothing runs
-        // mid-rebuild and nothing was dropped to get there.
-        std::unique_lock<std::shared_mutex> drain(drain_mu_);
+        // Rebuilds outside the database's reader lock; queries keep
+        // running on their pinned snapshots meanwhile.
         db_->Compact();
         std::lock_guard<std::mutex> lock(counters_mu_);
         ++counters_.mutations_total;
-        ++counters_.drains_completed;
+        ++counters_.compacts_completed;
         std::vector<std::uint8_t> out;
         AppendFrame(out, Opcode::kMutated, EncodeMutationPayload({true, 0}));
         return out;
@@ -325,7 +314,7 @@ std::vector<std::uint8_t> QueryServer::HandleRequest(
           s.queries_rejected = counters_.queries_rejected;
           s.queries_aborted = counters_.queries_aborted;
           s.mutations_total = counters_.mutations_total;
-          s.drains_completed = counters_.drains_completed;
+          s.compacts_completed = counters_.compacts_completed;
         }
         const ResultCache& cache = db_->PlannedQuery()->cache();
         s.result_cache_hits = cache.hits();

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <thread>
 #include <vector>
@@ -50,15 +49,12 @@ namespace vaq {
 /// a server-wide shutdown token, so `Stop()` aborts in-flight queries
 /// promptly with `kCancelled` instead of waiting them out.
 ///
-/// **Mutations and drain.** INSERT/ERASE are cheap COW publications and
-/// run under a shared lock. COMPACT takes the lock exclusively — the
-/// drain state machine: RUNNING -> DRAINING (compact waits for in-flight
-/// request handlers; queries keep running on their pinned snapshots) ->
-/// COMPACTING (new requests queue on the shared lock — briefly blocked,
-/// never rejected, never dropped) -> RUNNING. COW snapshots make this
-/// safe without the lock; the lock bounds how much in-flight work a
-/// rebuild races against and gives the drain a testable all-or-nothing
-/// boundary.
+/// **Mutations.** INSERT/ERASE are cheap COW publications. COMPACT runs
+/// `DynamicPointDatabase::Compact` on the request's connection thread:
+/// the rebuild happens outside the database's reader lock and queries
+/// keep running on their pinned snapshots, so a COMPACT never stalls,
+/// rejects or drops a query. Concurrent INSERT/ERASE requests wait on
+/// the database's writer mutex until the rebuild is published.
 class QueryServer {
  public:
   struct Options {
@@ -91,7 +87,7 @@ class QueryServer {
     std::uint64_t queries_rejected = 0;
     std::uint64_t queries_aborted = 0;
     std::uint64_t mutations_total = 0;
-    std::uint64_t drains_completed = 0;
+    std::uint64_t compacts_completed = 0;
   };
 
   /// Serves `db` (not owned; must outlive the server). The constructor
@@ -146,10 +142,6 @@ class QueryServer {
   /// Parent of every request token: `Stop()` cancels it once and every
   /// waiting/running query aborts at its next block boundary.
   CancelToken shutdown_;
-
-  /// The drain lock (see class comment): request handlers shared,
-  /// COMPACT exclusive.
-  std::shared_mutex drain_mu_;
 
   std::mutex conns_mu_;
   std::vector<std::unique_ptr<Connection>> conns_;

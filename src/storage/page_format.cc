@@ -61,8 +61,7 @@ std::uint64_t Fnv1a64(const void* bytes, std::size_t n, std::uint64_t seed) {
   return h;
 }
 
-void WritePageFile(const std::string& path, const double* xs,
-                   const double* ys, std::size_t count,
+void WritePageFile(const std::string& path, std::span<const Point> points,
                    std::uint32_t page_size_bytes) {
   if (!IsValidPageSize(page_size_bytes)) {
     std::ostringstream os;
@@ -73,7 +72,7 @@ void WritePageFile(const std::string& path, const double* xs,
   }
   PageFileHeader header;
   header.page_size_bytes = page_size_bytes;
-  header.point_count = count;
+  header.point_count = points.size();
 
   const std::size_t ppp = header.PointsPerPage();
   const std::size_t num_pages = header.NumPages();
@@ -92,11 +91,14 @@ void WritePageFile(const std::string& path, const double* xs,
   std::uint64_t checksum = Fnv1a64(nullptr, 0);  // Offset basis.
   for (std::size_t p = 0; p < num_pages; ++p) {
     std::memset(page.data(), 0, page.size());
-    const std::size_t first = p * ppp;
-    const std::size_t m = std::min(ppp, count - first);
-    std::memcpy(page.data(), xs + first, m * sizeof(double));
-    std::memcpy(page.data() + ppp * sizeof(double), ys + first,
-                m * sizeof(double));
+    const std::span<const Point> run =
+        points.subspan(p * ppp, std::min(ppp, points.size() - p * ppp));
+    char* const xs = page.data();
+    char* const ys = page.data() + ppp * sizeof(double);
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      std::memcpy(xs + i * sizeof(double), &run[i].x, sizeof(double));
+      std::memcpy(ys + i * sizeof(double), &run[i].y, sizeof(double));
+    }
     checksum = Fnv1a64(page.data(), page.size(), checksum);
     out.write(page.data(), static_cast<std::streamsize>(page.size()));
   }

@@ -3,8 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
+
+#include "geometry/point.h"
 
 namespace vaq {
 
@@ -95,11 +98,11 @@ class PageFileError : public std::runtime_error {
 std::uint64_t Fnv1a64(const void* bytes, std::size_t n,
                       std::uint64_t seed = 14695981039346656037ull);
 
-/// Writes a page file at `path` from SoA coordinate streams already in
-/// the desired (Hilbert) order. Throws `PageFileError{kIo}` on filesystem
-/// failure and `std::invalid_argument` on a bad `page_size_bytes`.
-void WritePageFile(const std::string& path, const double* xs,
-                   const double* ys, std::size_t count,
+/// Writes a page file at `path` from points already in the desired
+/// (Hilbert) order, de-interleaving each page into its x and y halves.
+/// Throws `PageFileError{kIo}` on filesystem failure and
+/// `std::invalid_argument` on a bad `page_size_bytes`.
+void WritePageFile(const std::string& path, std::span<const Point> points,
                    std::uint32_t page_size_bytes);
 
 /// Opens and fully validates `path`'s header: magic, version, page size

@@ -66,7 +66,7 @@ enum class PageMissMode {
 
 /// Selects what backs `PointDatabase`'s object-fetch boundary.
 enum class StorageBackend {
-  /// Coordinates served from the in-memory SoA arrays (the default; zero
+  /// Coordinates served from the resident point array (the default; zero
   /// page accounting, exactly the pre-paging behavior).
   kInMemory,
   /// Coordinates served from an mmap-backed page file through the LRU

@@ -37,7 +37,7 @@ struct ExperimentConfig {
   /// batch wall-clock and throughput change.
   int num_threads = 1;
   /// What backs the database's object-fetch boundary (see
-  /// `StorageOptions`): the in-memory SoA arrays (default), or an
+  /// `StorageOptions`): the resident point array (default), or an
   /// mmap-backed page file behind an LRU cache of `page_cache_pages`
   /// pages of `page_size_bytes` each — the out-of-core regime when the
   /// cache is smaller than the dataset. Result sets are backend-invariant

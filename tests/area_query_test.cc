@@ -200,13 +200,12 @@ TEST(AreaQuerySmallDbTest, SeedOutsideAreaStillCorrect) {
   ASSERT_FALSE(area.Contains({0.54, 0.55}));
   ASSERT_TRUE(area.Contains({0.59, 0.47}));
   // The decoy is the nearest point to A's interior point. Result ids live
-  // in the database's internal (Hilbert-clustered) id space; the input
-  // positions map through InternalId.
+  // in the database's internal (Hilbert-clustered) id space; OriginalId
+  // maps them back to input positions.
   const Point seed_pos = area.InteriorPoint();
-  EXPECT_EQ(db.rtree().NearestNeighbor(seed_pos), db.InternalId(4));
+  EXPECT_EQ(db.OriginalId(db.rtree().NearestNeighbor(seed_pos)), 4u);
   const auto result = VoronoiAreaQuery(&db).Run(area, nullptr);
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0], db.InternalId(5));
   EXPECT_EQ(db.OriginalId(result[0]), 5u);
 }
 

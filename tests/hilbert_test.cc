@@ -120,7 +120,7 @@ TEST(HilbertOrderTest, SpatialLocalityBeatsRandomOrder) {
 
 TEST(HilbertOrderTest, EmptyAndSingle) {
   EXPECT_TRUE(HilbertOrder({}).empty());
-  EXPECT_EQ(HilbertOrder({{0.5, 0.5}}).size(), 1u);
+  EXPECT_EQ(HilbertOrder(std::vector<Point>{{0.5, 0.5}}).size(), 1u);
 }
 
 TEST(HilbertOrderTest, DegenerateCollinearInput) {

@@ -36,7 +36,7 @@ TEST(KDTreeTest, EmptyTree) {
 
 TEST(KDTreeTest, SinglePoint) {
   KDTree tree;
-  tree.Build({{0.3, 0.7}});
+  tree.Build(std::vector<Point>{{0.3, 0.7}});
   EXPECT_EQ(tree.NearestNeighbor({0, 0}), 0u);
   std::vector<PointId> out;
   tree.WindowQuery(Box::FromExtents(0, 0.5, 0.5, 1), &out);
@@ -112,7 +112,7 @@ TEST(GridIndexTest, SinglePointAndEmpty) {
   GridIndex grid;
   grid.Build({});
   EXPECT_EQ(grid.NearestNeighbor({0.5, 0.5}), kInvalidPointId);
-  grid.Build({{0.5, 0.5}});
+  grid.Build(std::vector<Point>{{0.5, 0.5}});
   EXPECT_EQ(grid.NearestNeighbor({0.9, 0.9}), 0u);
 }
 

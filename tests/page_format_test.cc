@@ -39,13 +39,13 @@ class PageFormatTest : public ::testing::Test {
 
   /// Writes a well-formed file of `count` distinct coordinates.
   std::string WriteValid(std::size_t count, std::uint32_t page_size = 512) {
-    std::vector<double> xs(count), ys(count);
+    std::vector<Point> points(count);
     for (std::size_t i = 0; i < count; ++i) {
-      xs[i] = 0.25 * static_cast<double>(i) + 0.125;
-      ys[i] = -1.5 * static_cast<double>(i);
+      points[i] = {0.25 * static_cast<double>(i) + 0.125,
+                   -1.5 * static_cast<double>(i)};
     }
     const std::string path = TempPath("valid.vpag");
-    WritePageFile(path, xs.data(), ys.data(), count, page_size);
+    WritePageFile(path, points, page_size);
     return path;
   }
 
@@ -115,11 +115,10 @@ TEST_F(PageFormatTest, ZeroPointFileRoundtrips) {
 }
 
 TEST_F(PageFormatTest, WriterRejectsBadPageSizes) {
-  std::vector<double> xy{1.0};
+  const std::vector<Point> one{{1.0, 1.0}};
   for (const std::uint32_t bad : {0u, 100u, 255u, 768u, (1u << 20) + 1}) {
-    EXPECT_THROW(
-        WritePageFile(TempPath("bad_size.vpag"), xy.data(), xy.data(), 1, bad),
-        std::invalid_argument)
+    EXPECT_THROW(WritePageFile(TempPath("bad_size.vpag"), one, bad),
+                 std::invalid_argument)
         << "page_size=" << bad;
   }
 }

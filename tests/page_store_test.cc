@@ -30,15 +30,14 @@ class PageStoreTest : public ::testing::Test {
 
   void SetUp() override {
     const std::size_t count = kPages * kPpp;
-    std::vector<double> xs(count), ys(count);
+    std::vector<Point> points(count);
     for (std::size_t i = 0; i < count; ++i) {
-      xs[i] = static_cast<double>(i);
-      ys[i] = -static_cast<double>(i);
+      points[i] = {static_cast<double>(i), -static_cast<double>(i)};
     }
     path_ = (std::filesystem::temp_directory_path() /
              ("vaq_page_store_test_" + std::to_string(::getpid()) + ".vpag"))
                 .string();
-    WritePageFile(path_, xs.data(), ys.data(), count, kPageSize);
+    WritePageFile(path_, points, kPageSize);
   }
 
   void TearDown() override { std::filesystem::remove(path_); }

@@ -1,13 +1,17 @@
 #include "core/point_database.h"
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "pinned_inputs.h"
+#include "storage/page_format.h"
 #include "workload/point_generator.h"
 #include "workload/rng.h"
 
@@ -24,6 +28,26 @@ TEST(PointDatabaseTest, BuildsBothStructures) {
   EXPECT_EQ(db.delaunay().num_points(), 1000u);
   EXPECT_GT(db.delaunay().num_triangles(), 1500u);  // ~2n for uniform.
   EXPECT_TRUE(kUnit.Contains(db.bounds()));
+}
+
+TEST(PointDatabaseTest, PointsViewTheTriangulationOnBothBackends) {
+  // One coordinate store: points() is the triangulation's array, not a
+  // copy, whichever backend serves the fetches.
+  Rng rng(13);
+  const std::vector<Point> input = GenerateUniformPoints(500, kUnit, &rng);
+  for (const StorageBackend backend :
+       {StorageBackend::kInMemory, StorageBackend::kMmap}) {
+    PointDatabase::Options options;
+    options.storage.backend = backend;
+    options.storage.page_size_bytes = 512;
+    const PointDatabase db(input, options);
+    ASSERT_EQ(db.storage_backend(), backend);
+    EXPECT_EQ(db.points().data(), &db.delaunay().point(0));
+    EXPECT_EQ(db.points().size(), db.size());
+    for (PointId id = 0; id < db.size(); ++id) {
+      ASSERT_EQ(db.FetchPoint(id, nullptr), db.points()[id]) << "id=" << id;
+    }
+  }
 }
 
 TEST(PointDatabaseTest, FetchPointChargesStats) {
@@ -196,6 +220,23 @@ TEST(PointDatabaseTest, HilbertPermutationIsPinned) {
     EXPECT_EQ(h.value(), c.digest)
         << c.name << std::hex << " 0x" << h.value();
   }
+}
+
+TEST(PointDatabaseTest, PageFilePayloadIsPinned) {
+  // The page file of a database's clustered points: Hilbert permutation,
+  // page layout and checksum together. A change to how the database
+  // stores coordinates must leave these bytes as they are.
+  const PointDatabase db(pinned::UniformPoints(5000, 3));
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("vaq_point_database_test_" + std::to_string(::getpid()) + ".vpag"))
+          .string();
+  WritePageFile(path, db.points(), 512);
+  const PageFileHeader header = ReadPageFileHeader(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(header.point_count, 5000u);
+  EXPECT_EQ(header.payload_checksum, 0xfd4e5dcff05b698fULL)
+      << std::hex << " 0x" << header.payload_checksum;
 }
 
 }  // namespace

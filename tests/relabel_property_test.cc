@@ -42,14 +42,10 @@ TEST(RelabelPropertyTest, MappingsRoundTripAndOrderIsHilbert) {
   const auto input = GenerateUniformPoints(1500, kUnit, &rng);
   PointDatabase db(input);
   ASSERT_EQ(db.size(), input.size());
-  // internal -> original -> internal is the identity, and the stored
-  // geometry of an internal id is the input point at its original slot.
+  // The stored geometry of an internal id is the input point at its
+  // original slot.
   for (PointId id = 0; id < db.size(); ++id) {
-    const PointId original = db.OriginalId(id);
-    EXPECT_EQ(db.InternalId(original), id);
-    EXPECT_EQ(db.points()[id], input[original]);
-    EXPECT_EQ(db.xs()[id], input[original].x);
-    EXPECT_EQ(db.ys()[id], input[original].y);
+    EXPECT_EQ(db.points()[id], input[db.OriginalId(id)]);
   }
   // original_ids() is exactly the permutation.
   std::vector<PointId> perm = db.original_ids();
@@ -113,7 +109,6 @@ TEST(RelabelPropertyTest, EmptyAndSingletonDatabases) {
   PointDatabase one(std::vector<Point>{{0.25, 0.75}});
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one.OriginalId(0), 0u);
-  EXPECT_EQ(one.InternalId(0), 0u);
   EXPECT_EQ(one.points()[0], (Point{0.25, 0.75}));
 }
 

@@ -30,7 +30,7 @@ TEST(RTreeTest, EmptyTree) {
 
 TEST(RTreeTest, BulkLoadSmall) {
   RTree tree;
-  tree.Build({{0.1, 0.1}, {0.9, 0.9}, {0.5, 0.5}});
+  tree.Build(std::vector<Point>{{0.1, 0.1}, {0.9, 0.9}, {0.5, 0.5}});
   EXPECT_EQ(tree.size(), 3u);
   EXPECT_EQ(tree.Height(), 1);  // Fits in one leaf.
   std::string why;

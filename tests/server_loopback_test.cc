@@ -183,7 +183,7 @@ TEST_F(ServerLoopbackTest, MutationsChangeAnswers) {
   ASSERT_TRUE(client.Insert(1.5, 1.5).ok);  // Outside the area.
   ASSERT_TRUE(client.Compact().ok);
   EXPECT_EQ(client.Query(ToWkt(area)).ids, before);
-  EXPECT_EQ(server_->counters().drains_completed, 1u);
+  EXPECT_EQ(server_->counters().compacts_completed, 1u);
 }
 
 TEST_F(ServerLoopbackTest, BadWktGetsTypedErrorAndConnectionSurvives) {

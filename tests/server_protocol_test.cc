@@ -204,21 +204,26 @@ TEST(ProtocolPayloadTest, StatsAndErrorAndMutationPayloadsRoundTrip) {
   ss.latency_p99_ms = 9.25;
   ss.connections_active = 3;
   ss.queries_shed = 2;
-  ss.drains_completed = 1;
+  ss.compacts_completed = 1;
   ss.result_cache_hits = 5;
   ss.result_cache_misses = 13;
   ss.client_requests = 11;
-  const WireServerStats ss2 =
-      DecodeServerStatsPayload(EncodeServerStatsPayload(ss));
+  std::vector<std::uint8_t> ss_bytes = EncodeServerStatsPayload(ss);
+  // Four doubles and fourteen u64 counters, in fixed slots; a trailing
+  // word is rejected.
+  EXPECT_EQ(ss_bytes.size(), 18u * 8u);
+  const WireServerStats ss2 = DecodeServerStatsPayload(ss_bytes);
   EXPECT_EQ(ss2.queries_completed, 7u);
   EXPECT_DOUBLE_EQ(ss2.throughput_qps, 123.5);
   EXPECT_DOUBLE_EQ(ss2.latency_p99_ms, 9.25);
   EXPECT_EQ(ss2.connections_active, 3u);
   EXPECT_EQ(ss2.queries_shed, 2u);
-  EXPECT_EQ(ss2.drains_completed, 1u);
+  EXPECT_EQ(ss2.compacts_completed, 1u);
   EXPECT_EQ(ss2.result_cache_hits, 5u);
   EXPECT_EQ(ss2.result_cache_misses, 13u);
   EXPECT_EQ(ss2.client_requests, 11u);
+  ss_bytes.resize(ss_bytes.size() + 8);
+  EXPECT_THROW(DecodeServerStatsPayload(ss_bytes), ProtocolError);
 
   const WireError err{WireErrorCode::kRetryLater, "queue full (capacity 64)"};
   const WireError err2 = DecodeErrorPayload(EncodeErrorPayload(err));
@@ -227,9 +232,15 @@ TEST(ProtocolPayloadTest, StatsAndErrorAndMutationPayloadsRoundTrip) {
   EXPECT_EQ(WireErrorCodeName(err2.code), "retry-later");
 
   const WireMutationResult m{true, 0x1234567890ull};
-  const WireMutationResult m2 = DecodeMutationPayload(EncodeMutationPayload(m));
+  std::vector<std::uint8_t> m_bytes = EncodeMutationPayload(m);
+  // The ok byte, 7 reserved bytes and the u64 value; a trailing word is
+  // rejected.
+  EXPECT_EQ(m_bytes.size(), 16u);
+  const WireMutationResult m2 = DecodeMutationPayload(m_bytes);
   EXPECT_TRUE(m2.ok);
   EXPECT_EQ(m2.value, 0x1234567890ull);
+  m_bytes.resize(m_bytes.size() + 8);
+  EXPECT_THROW(DecodeMutationPayload(m_bytes), ProtocolError);
 }
 
 TEST(ProtocolFuzzTest, RandomBytesNeverCrashAnyDecoder) {

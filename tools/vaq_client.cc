@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
                 << " shed, " << s.queries_rejected << " rejected, "
                 << s.queries_aborted << " aborted"
                 << "\nmutations_total: " << s.mutations_total
-                << "\ndrains_completed: " << s.drains_completed
+                << "\ncompacts_completed: " << s.compacts_completed
                 << "\nresult_cache: " << s.result_cache_hits << " hits, "
                 << s.result_cache_misses << " misses"
                 << "\nthis_connection: " << s.client_requests << " requests, "

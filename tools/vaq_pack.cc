@@ -69,13 +69,12 @@ int Pack(const std::string& in, const std::string& out,
               << " (not a VAQP binary or x,y CSV file)\n";
     return 4;
   }
-  const std::vector<vaq::PointId> to_original = vaq::HilbertOrder(points);
-  std::vector<double> xs(points.size()), ys(points.size());
-  for (std::size_t i = 0; i < to_original.size(); ++i) {
-    xs[i] = points[to_original[i]].x;
-    ys[i] = points[to_original[i]].y;
+  std::vector<vaq::Point> clustered;
+  clustered.reserve(points.size());
+  for (const vaq::PointId original : vaq::HilbertOrder(points)) {
+    clustered.push_back(points[original]);
   }
-  vaq::WritePageFile(out, xs.data(), ys.data(), points.size(), page_size);
+  vaq::WritePageFile(out, clustered, page_size);
   const vaq::PageFileHeader header = vaq::ReadPageFileHeader(out);
   std::cout << "packed " << header.point_count << " points into "
             << header.NumPages() << " pages of " << header.page_size_bytes
