@@ -1,4 +1,4 @@
-// Adaptive planner benchmark: proves `--method auto` earns its keep.
+// Planner benchmark: proves `--method auto` earns its keep.
 //
 // Two parts, one committed baseline (BENCH_planner.json):
 //
@@ -12,7 +12,9 @@
 //    smaller candidate set wins every cell (the paper's crossover). The
 //    planner sees only the backend configuration and the query polygon,
 //    so these cells measure whether the cost model lands on the right
-//    side of the crossover *without* being told. Each cell reports
+//    side of the crossover *without* being told; `--check` requires
+//    every memory cell to plan traditional only and every sim_io cell
+//    Voronoi only. Each cell reports
 //    `auto_vs_best_static` (planned time / best static method's time;
 //    gated <= a bound in CI — auto may pay planning overhead but must
 //    never pick badly) and `auto_vs_worst_static` (must stay well below 1
@@ -39,8 +41,9 @@
 //   --quick: fewer repetitions, same cell grid (rows key-match the
 //     committed BENCH_planner.json baseline).
 //   --json: write BENCH_planner.json in the working directory.
-//   --check: exit 1 on any mismatch or off-by-construction cache counter
-//     (the differential gate without needing the baseline file).
+//   --check: exit 1 on any mismatch, off-by-construction cache counter,
+//     or grid cell whose auto `plan_method` is not the crossover's side
+//     (the differential and crossover gates without the baseline file).
 
 #include <algorithm>
 #include <cstdint>
@@ -126,9 +129,7 @@ int main(int argc, char** argv) {
         GenerateUniformPoints(n, kUnit, &data_rng);
 
     for (const double fetch_ns : fetch_grid) {
-      // A fresh database, hence a fresh planner, per cell: every cell
-      // measures the cold seed model plus whatever the EWMAs learn inside
-      // the cell itself.
+      // A fresh database per cell: auto runs against a cold result cache.
       DynamicPointDatabase::Options options;
       options.simulated_fetch_ns = fetch_ns;
       const DynamicPointDatabase db(points, options);
@@ -300,12 +301,28 @@ int main(int argc, char** argv) {
   }
 
   if (check) {
+    // The crossover gate: auto plans one method per cell, the side of the
+    // crossover its backend lies on.
+    int wrong_side = 0;
+    for (const GridRow& row : rows) {
+      const std::uint64_t expected = MethodBit(
+          row.fetch_ns > 0.0 ? DynamicMethod::kVoronoi
+                             : DynamicMethod::kTraditional);
+      if (row.plan_method != expected) {
+        ++wrong_side;
+        std::cerr << "crossover: n=" << row.data_size << " @"
+                  << row.query_size << " " << row.backend
+                  << " plan_method " << row.plan_method << " (expected "
+                  << expected << ")\n";
+      }
+    }
     if (total_mismatches > 0 || cache_hits != expected_hits ||
-        cache_misses != expected_misses) {
+        cache_misses != expected_misses || wrong_side > 0) {
       std::cerr << "CHECK FAILED: mismatches=" << total_mismatches
                 << " cache_hits=" << cache_hits << " (expected "
                 << expected_hits << ") cache_misses=" << cache_misses
-                << " (expected " << expected_misses << ")\n";
+                << " (expected " << expected_misses
+                << ") wrong_side_cells=" << wrong_side << "\n";
       return 1;
     }
     std::cout << "check passed\n";

@@ -11,9 +11,9 @@
 //       auto | all. Every method runs on one `DynamicPointDatabase`
 //       built from the file: a static method runs the base's bundled
 //       query object (`voronoi` is the exact dual-edge rule), and `auto`
-//       routes through its adaptive planner (src/planner): the cost model
-//       picks the method per query and the CLI prints the choice and its
-//       reasons before the stats line.
+//       routes through its planner (src/planner): the cost model picks
+//       traditional or voronoi per query and the CLI prints the choice
+//       and its reasons before the stats line.
 //     --ids : print the matching point ids (one per line) after the stats
 //     --backend: what serves the point geometry — the resident point
 //       array (default) or an mmap page file behind an LRU cache of N pages of
@@ -68,11 +68,9 @@ std::string PlanReasonString(std::uint64_t reason) {
     const char* name;
   } kBits[] = {
       {plan_reason::kSeedModel, "seed-model"},
-      {plan_reason::kLearnedModel, "learned-model"},
       {plan_reason::kForced, "forced"},
       {plan_reason::kCacheHit, "cache-hit"},
       {plan_reason::kIoBound, "io-bound"},
-      {plan_reason::kTinyData, "tiny-data"},
       {plan_reason::kScatter, "scatter"},
       {plan_reason::kInline, "inline"},
   };
@@ -129,7 +127,7 @@ int main(int argc, char** argv) {
                  "[voronoi|traditional|grid-sweep|brute|auto|all] [--ids]\n"
                  "       [--backend=memory|mmap] "
                  "[--cache-pages=N] [--page-size=B]\n"
-                 "  auto: adaptive planner picks the method per query "
+                 "  auto: the planner picks traditional or voronoi per query "
                  "(choice and reasons are printed)\n"
                  "exit codes: 0 success; 1 bad input data; 2 usage error; "
                  "3 malformed page file;\n"

@@ -283,7 +283,7 @@ class DynamicPointDatabase {
   /// compaction rebuild).
   std::shared_ptr<const Snapshot> snapshot() const;
 
-  /// Runs one area query through the adaptive planner (see
+  /// Runs one area query through the planner (see
   /// `PlannedAreaQuery`): the cost model picks the method per query, the
   /// generation-keyed result cache serves the base pass of repeated
   /// identical polygons, and
@@ -303,10 +303,9 @@ class DynamicPointDatabase {
   /// The lazily-built planned query behind `Query`, as a registrable
   /// `AreaQuery`. This is how engine/server traffic routes through the
   /// planner instead of around it: `engine.RegisterMethod(db.PlannedQuery())`
-  /// makes every `Submit`/`RunBatch` of that method plan, feed the EWMAs
-  /// and hit the result cache — per-submission `SubmitOptions::hints`
-  /// included. Same instance `Query` uses; valid for this database's
-  /// lifetime.
+  /// makes every `Submit`/`RunBatch` of that method plan and hit the
+  /// result cache — per-submission `SubmitOptions::hints` included. Same
+  /// instance `Query` uses; valid for this database's lifetime.
   const PlannedAreaQuery* PlannedQuery() const;
 
   /// Geometry of the live point with stable id `id`, if any.
@@ -365,9 +364,9 @@ class DynamicPointDatabase {
   /// Next snapshot version to publish (guarded by `writer_mu_`).
   std::uint64_t next_version_ = 1;
 
-  /// Lazily built planner behind `Query` (planner EWMA state + result
-  /// cache, both internally synchronized). `mutable` because `Query` is
-  /// logically const — it mutates only tuning/cache state, never data.
+  /// Lazily built planner behind `Query` (an immutable planner and an
+  /// internally synchronized result cache). `mutable` because `Query` is
+  /// logically const — it mutates only cache state, never data.
   mutable std::once_flag planned_once_;
   mutable std::unique_ptr<PlannedAreaQuery> planned_;
 };

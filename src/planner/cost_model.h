@@ -41,14 +41,18 @@ struct PlanFeatures {
 /// baselines (see PAPER.md for the rows). The seed encodes the paper's
 /// crossover — per-candidate CPU favours the traditional filter-refine
 /// path, per-candidate IO favours the Voronoi method's smaller candidate
-/// set — and the planner's EWMA layer multiplies it per
-/// (method, selectivity-bucket) as live observations arrive.
+/// set. `QueryPlanner` uses it as is: an unforced plan compares only the
+/// Voronoi and traditional rows; the grid-sweep and brute-force rows
+/// price forced plans.
 struct CostModel {
   /// Per-candidate CPU cost (ns), indexed by `DynamicMethod`. Fit note:
   /// measured per-candidate cost falls with candidate count (bulk accept
   /// covers more interior as selectivity grows: ~57 -> ~14 ns for
-  /// traditional from 1% to 32% queries); the seed takes the mid-range
-  /// and lets the bucketed EWMA absorb the slope.
+  /// traditional from 1% to 32% queries); the seed takes the mid-range.
+  /// The slope does not move the crossover: traditional stays cheaper in
+  /// memory and Voronoi under IO from 1% to 32%. Brute force's 3.5 ns is
+  /// about 5x below its measured cost, so scored as an arm it would win
+  /// 32% memory queries it runs ~3.8x slower than the best method.
   double cpu_ns[kNumDynamicMethods] = {62.0, 30.0, 36.0, 3.5};
   /// Per-query fixed overhead (ns): index descent / flood seeding /
   /// prepared-grid build amortisation.
@@ -71,8 +75,8 @@ struct CostModel {
   double ExpectedCandidates(DynamicMethod m, const PlanFeatures& f) const;
 
   /// Expected wall time (ns) of `m` under `f`, given an explicit
-  /// candidate estimate (so callers can substitute an EWMA-corrected
-  /// one): fixed + candidates * (cpu + effective per-load IO).
+  /// candidate estimate (so the sharded fanout call can price one leg's
+  /// share): fixed + candidates * (cpu + effective per-load IO).
   double EstimateCostNs(DynamicMethod m, const PlanFeatures& f,
                         double candidates) const;
 

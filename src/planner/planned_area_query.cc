@@ -26,10 +26,10 @@ PlannedAreaQuery::Pinned PlannedAreaQuery::Pin(const Polygon& area) const {
       pinned.snap->shards();
   // The union of the view MBRs is the domain proxy (a single view's MBR
   // is its base bounds); delta inserts can drift outside it, but the
-  // shares only steer cost estimates and the EWMAs absorb systematic
-  // drift. A degenerate domain (empty database, zero-area bounds)
-  // reports full shares — n is tiny there and every method costs its
-  // fixed overhead.
+  // drift scales both shares alike and leaves their ratio, which with
+  // the per-load IO decides the method for all but tiny queries. A
+  // degenerate domain (empty database, zero-area bounds) reports full
+  // shares — n is tiny there and every method costs its fixed overhead.
   Box domain;
   for (const ShardedDatabase::ShardView& v : views) {
     f.n += v.snap->live_size();
@@ -58,7 +58,7 @@ std::vector<PointId> PlannedAreaQuery::Run(const Polygon& area,
   // The hint-less `AreaQuery` entry point — what `QueryEngine` dispatches
   // on. Per-submission hints ride in on the context (installed by the
   // engine worker around the task, see `SubmitOptions::hints`), so
-  // engine-routed traffic plans, learns and caches exactly like a direct
+  // engine-routed traffic plans and caches exactly like a direct
   // `RunPlanned` call instead of bypassing the planner.
   const PlanHints* hints = ctx.plan_hints();
   return RunPlanned(area, ctx, hints != nullptr ? *hints : PlanHints{});
@@ -82,16 +82,12 @@ std::vector<PointId> PlannedAreaQuery::RunPlanned(
 
   // The executor counts cache outcomes per leg; the query is one hit when
   // every leg that ran hit, and one miss otherwise.
-  const bool any_hit = ctx.stats.result_cache_hits > 0;
-  const bool hit = any_hit && ctx.stats.result_cache_misses == 0;
+  const bool hit = ctx.stats.result_cache_hits > 0 &&
+                   ctx.stats.result_cache_misses == 0;
   ctx.stats.result_cache_hits = hit ? 1 : 0;
   ctx.stats.result_cache_misses = caching && !hit ? 1 : 0;
   ctx.stats.plan_method |= MethodBit(plan.method);
   ctx.stats.plan_reason |= plan.reason | (hit ? plan_reason::kCacheHit : 0);
-  // A leg served from the cache skipped its base pass, so the stats no
-  // longer measure the plan; only queries that ran every base pass teach
-  // the cost model.
-  if (!any_hit) planner_.Observe(plan, pinned.features, ctx.stats);
   return ids;
 }
 

@@ -35,18 +35,16 @@ namespace vaq {
 ///     tombstones and delta. The bit-hash keys on the exact vertex bits,
 ///     so a patched hit is bit-identical to a fresh run.
 ///  4. Fold the per-leg cache outcomes into one hit (every leg that ran
-///     hit) or one miss, and feed the measured `QueryStats` back into the
-///     planner's EWMAs when no leg hit (a leg served from the cache skipped
-///     the work the model predicts). A failed leg fails the query and
-///     offers nothing to the cache; a completed base pass is exact.
+///     hit) or one miss. A failed leg fails the query and offers nothing
+///     to the cache; a completed base pass is exact.
 ///
 /// `ctx.stats` always carries `plan_method` / `plan_reason`, and exactly
 /// one of `result_cache_hits` / `result_cache_misses` when caching is on.
 /// A hit's base work counters are 0; its `candidates` are the delta scan.
 ///
 /// Stateless per-execution like every `AreaQuery` (scratch in the ctx);
-/// the planner EWMAs and the cache are internally synchronized, so one
-/// instance serves concurrent threads.
+/// the planner is immutable and the cache internally synchronized, so one
+/// instance serves concurrent threads and planning takes no lock.
 class PlannedAreaQuery final : public AreaQuery {
  public:
   /// Pins the current version of the database being planned over.
@@ -66,12 +64,11 @@ class PlannedAreaQuery final : public AreaQuery {
                                   const PlanHints& hints) const;
 
   /// What would run, without running it (CLI/bench plan reporting). Pins
-  /// and releases a snapshot; does not touch the cache or the EWMAs.
+  /// and releases a snapshot; does not touch the cache.
   QueryPlan PlanFor(const Polygon& area, const PlanHints& hints = {}) const;
 
   std::string_view Name() const override { return "auto"; }
 
-  const QueryPlanner& planner() const { return planner_; }
   const ResultCache& cache() const { return cache_; }
 
  private:
@@ -82,7 +79,7 @@ class PlannedAreaQuery final : public AreaQuery {
   Pinner pin_;
   QueryEngine* scatter_engine_ = nullptr;
 
-  mutable QueryPlanner planner_;
+  const QueryPlanner planner_;
   mutable ResultCache cache_;
 };
 

@@ -14,11 +14,10 @@ namespace vaq {
 /// by OR, like `kernel_kind`). A plan usually carries several bits —
 /// e.g. kSeedModel | kIoBound | kScatter.
 namespace plan_reason {
-/// The choice came from the static cost model seeded off the committed
-/// BENCH baselines (no live observations for this bucket yet).
+/// The plan was scored by the static cost model seeded off the committed
+/// BENCH baselines (every plan carries it).
 inline constexpr std::uint64_t kSeedModel = 1u << 0;
-/// The choice used coefficients tuned by live `QueryStats` observations
-/// (the per-(method, selectivity-bucket) EWMA had data for this bucket).
+/// Never set: the planner learns nothing; kept so readers of the bit read 0.
 inline constexpr std::uint64_t kLearnedModel = 1u << 1;
 /// The caller forced the method via `PlanHints::force_method`.
 inline constexpr std::uint64_t kForced = 1u << 2;
@@ -29,9 +28,6 @@ inline constexpr std::uint64_t kCacheHit = 1u << 3;
 /// paged backend), the regime where the Voronoi method's smaller
 /// candidate set wins (the paper's crossover).
 inline constexpr std::uint64_t kIoBound = 1u << 4;
-/// The database is small enough that index/prepare fixed costs dominate
-/// and the brute scan wins.
-inline constexpr std::uint64_t kTinyData = 1u << 5;
 /// Sharded only: the plan fans surviving shards onto the scatter engine.
 inline constexpr std::uint64_t kScatter = 1u << 6;
 /// Sharded only: the plan runs surviving shards inline (fan-out would
@@ -55,16 +51,12 @@ struct PlanHints {
 };
 
 /// What the planner decided for one query, plus the predictions the
-/// decision was based on — kept so `QueryPlanner::Observe` can compare
-/// prediction against the measured `QueryStats` and tune the model.
+/// decision was based on (reported by the CLI and benches next to the
+/// measured `QueryStats`).
 struct QueryPlan {
   DynamicMethod method = DynamicMethod::kTraditional;
   /// OR of `plan_reason::*` bits explaining the choice.
   std::uint64_t reason = 0;
-  /// Selectivity bucket the EWMA state is keyed on (see `QueryPlanner`).
-  int bucket = 0;
-  /// IO-bound regime flag (second EWMA key dimension).
-  bool io_bound = false;
   /// Sharded fanout call: scatter surviving shards onto the engine
   /// (true) or run them inline (false). Meaningless for unsharded plans.
   bool scatter = false;
@@ -74,7 +66,7 @@ struct QueryPlan {
   /// (`PreparedArea::SuggestGridSide`). Execution itself does not use it —
   /// each method sizes its one build from its own count.
   std::size_t expected_tests = 0;
-  /// The model's predictions for the chosen method (Observe inputs).
+  /// The model's predictions for the chosen method.
   double predicted_cost_ns = 0.0;
   double predicted_candidates = 0.0;
 };

@@ -32,8 +32,8 @@ namespace vaq {
 /// statistics stay in units of client queries.
 ///
 /// **Planner routing.** The engine method the server registers is the
-/// database's `PlannedQuery()` — every network query plans, feeds the
-/// planner's EWMAs, and hits the result cache. Per-request
+/// database's `PlannedQuery()` — every network query plans (lock-free,
+/// from the static cost model) and hits the result cache. Per-request
 /// `PlanHints` ride in on `SubmitOptions::hints`.
 ///
 /// **Backpressure.** The engine runs with `shed_on_full`: when every slot

@@ -184,7 +184,7 @@ class ShardedDatabase {
   /// Pins the current cross-shard version. O(1).
   std::shared_ptr<const Snapshot> snapshot() const;
 
-  /// Runs one area query through the adaptive planner (see
+  /// Runs one area query through the planner (see
   /// `PlannedAreaQuery`): the cost model picks the method per query *and*
   /// whether to fan the surviving shards out onto
   /// `Options::scatter_engine` or run them inline; the result cache

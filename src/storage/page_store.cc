@@ -101,7 +101,9 @@ PageStore::PageStore(const std::string& path, const Options& options,
     }
   }
 
-  frames_count_ = std::max<std::size_t>(1, options_.cache_pages);
+  // More frames than pages could never fill; size the arena to the file.
+  frames_count_ = std::max<std::size_t>(
+      1, std::min<std::size_t>(options_.cache_pages, header_.NumPages()));
   frames_.resize(frames_count_ * header_.page_size_bytes);
   slot_of_page_.assign(header_.NumPages(), -1);
   page_of_slot_.assign(frames_count_, 0);

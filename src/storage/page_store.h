@@ -174,6 +174,8 @@ class PageStore {
   std::size_t num_pages() const { return header_.NumPages(); }
   std::uint32_t page_size_bytes() const { return header_.page_size_bytes; }
   std::size_t points_per_page() const { return std::size_t{1} << ppp_shift_; }
+  /// Frames in the LRU arena: `Options::cache_pages` capped at
+  /// `num_pages()`, and at least 1.
   std::size_t cache_pages() const { return frames_count_; }
   std::uint32_t PageOfId(PointId id) const {
     return static_cast<std::uint32_t>(id >> ppp_shift_);

@@ -1,12 +1,12 @@
-// Regression tests for ROADMAP 4c: engine traffic must feed the planner.
-// `QueryEngine::Submit`/`RunBatch` against a registered
-// `DynamicPointDatabase::PlannedQuery()` routes through `PlannedAreaQuery`
-// — planning each query, updating the EWMAs, and using the result cache —
-// instead of bypassing the planner the way registered fixed-method
-// objects do. Before the fix, batch/server traffic taught the planner
-// nothing: `observations()` stayed 0 and every plan stayed on the seed
-// model forever.
+// Regression tests for ROADMAP 4c: engine traffic must route through the
+// planner. `QueryEngine::Submit`/`RunBatch` against a registered
+// `DynamicPointDatabase::PlannedQuery()` runs `PlannedAreaQuery` —
+// planning each query and using the result cache — instead of bypassing
+// the planner the way registered fixed-method objects do. The planner is
+// a pure function of the query's features, so repeated traffic must get
+// repeated plans.
 
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -35,63 +35,63 @@ std::vector<Polygon> FixedAreas(std::uint64_t seed, int count, double size) {
   return areas;
 }
 
-TEST(EnginePlannerLearningTest, RunBatchFeedsThePlannerEwmas) {
+TEST(EnginePlannerRoutingTest, RunBatchRoutesEveryQueryThroughThePlanner) {
   Rng rng(2026);
   DynamicPointDatabase db(GenerateUniformPoints(5000, kUnit, &rng));
   QueryEngine engine({.num_threads = 2});
   const int planned = engine.RegisterMethod(db.PlannedQuery());
-
   const std::vector<Polygon> areas = FixedAreas(13, 16, 0.1);
-  ASSERT_EQ(db.PlannedQuery()->planner().observations(), 0u);
 
   // Warm batch: every query is a cache miss (distinct polygons, and
-  // second-hit admission declines first-seen hashes), so every query
-  // executes and must observe — 16 engine queries, 16 observations.
+  // second-hit admission declines first-seen hashes). Each planned engine
+  // query records exactly one method bit, and it is an unforced arm.
   const std::vector<QueryResult> first = engine.RunBatch(areas, planned);
-  EXPECT_EQ(db.PlannedQuery()->planner().observations(), areas.size())
-      << "engine batch traffic bypassed the planner (ROADMAP 4c)";
+  std::uint64_t method_union = 0;
+  for (const QueryResult& r : first) {
+    EXPECT_EQ(std::popcount(r.stats.plan_method), 1)
+        << "engine batch traffic bypassed the planner (ROADMAP 4c)";
+    EXPECT_EQ(r.stats.plan_method & (MethodBit(DynamicMethod::kGridSweep) |
+                                     MethodBit(DynamicMethod::kBruteForce)),
+              0u);
+    EXPECT_EQ(r.stats.result_cache_misses, 1u);
+    method_union |= r.stats.plan_method;
+  }
 
   // Differential: the engine-planned answers equal the in-process path.
-  // (These uncached runs execute too, so they observe as well: the
-  // planner counter below accounts for them.)
   QueryContext ctx;
   PlanHints uncached;
   uncached.use_cache = false;
   for (std::size_t i = 0; i < areas.size(); ++i) {
     EXPECT_EQ(first[i].ids, db.Query(areas[i], ctx, uncached));
-    EXPECT_NE(first[i].stats.plan_method, 0u)
-        << "a planned engine query must record its method";
   }
-  ASSERT_EQ(db.PlannedQuery()->planner().observations(), 2 * areas.size());
 
   // Second pass over the same polygons: still misses (the cache admits
-  // each hash on this second offer), still executions, and by now the
-  // visited (method, bucket) slots have data — learned corrections must
-  // show up in plan_reason. The engine's per-method totals OR the bits,
-  // so one aggregate check covers the batch.
+  // each hash on this second offer). Third pass: the snapshot never
+  // changed and every hash is resident, so every query is served from
+  // the cache. Every pass plans each polygon identically.
   const std::vector<QueryResult> second = engine.RunBatch(areas, planned);
-  EXPECT_EQ(db.PlannedQuery()->planner().observations(), 3 * areas.size());
-  std::uint64_t reason_union = 0;
-  for (const QueryResult& r : second) reason_union |= r.stats.plan_reason;
-  EXPECT_TRUE(reason_union & plan_reason::kLearnedModel)
-      << "after a warm batch the planner must plan from learned EWMAs";
+  const std::vector<QueryResult> third = engine.RunBatch(areas, planned);
+  for (std::size_t i = 0; i < areas.size(); ++i) {
+    EXPECT_EQ(second[i].stats.result_cache_misses, 1u);
+    EXPECT_EQ(third[i].stats.result_cache_hits, 1u);
+    EXPECT_TRUE(third[i].stats.plan_reason & plan_reason::kCacheHit);
+    for (const QueryResult* r : {&second[i], &third[i]}) {
+      EXPECT_EQ(r->stats.plan_method, first[i].stats.plan_method);
+      EXPECT_EQ(r->stats.plan_reason & ~plan_reason::kCacheHit,
+                first[i].stats.plan_reason);
+      EXPECT_EQ(r->ids, first[i].ids);
+    }
+  }
+
+  // The engine's per-method totals OR the same bits.
   const EngineStats stats = engine.Stats();
   ASSERT_EQ(stats.methods.size(), 1u);
-  EXPECT_TRUE(stats.methods[0].totals.plan_reason & plan_reason::kLearnedModel)
-      << "engine per-method totals must carry the learned-model bit";
-
-  // Third pass: the snapshot never changed, every hash is now resident —
-  // served from the cache without executing (observations stay put).
-  const std::vector<QueryResult> third = engine.RunBatch(areas, planned);
-  EXPECT_EQ(db.PlannedQuery()->planner().observations(), 3 * areas.size())
-      << "cache hits must not observe (nothing ran)";
-  for (std::size_t i = 0; i < areas.size(); ++i) {
-    EXPECT_EQ(third[i].stats.result_cache_hits, 1u);
-    EXPECT_EQ(third[i].ids, first[i].ids);
-  }
+  EXPECT_EQ(stats.methods[0].totals.plan_method, method_union);
+  EXPECT_FALSE(stats.methods[0].totals.plan_reason &
+               plan_reason::kLearnedModel);
 }
 
-TEST(EnginePlannerLearningTest, SubmitHintsReachThePlan) {
+TEST(EnginePlannerRoutingTest, SubmitHintsReachThePlan) {
   Rng rng(7);
   DynamicPointDatabase db(GenerateUniformPoints(3000, kUnit, &rng));
   QueryEngine engine({.num_threads = 1});
@@ -110,18 +110,17 @@ TEST(EnginePlannerLearningTest, SubmitHintsReachThePlan) {
             0u)
       << "use_cache=false must bypass the cache entirely";
 
-  // The forced execution observed its slot; the next forced plan for the
-  // same bucket must be learned (kForced considers only that slot, so
-  // this is deterministic, not greedy-exploration luck).
+  // Re-submitting the same forced query plans it the same way.
   QueryResult again = engine.Submit(area, planned, opts).get();
-  EXPECT_TRUE(again.stats.plan_reason & plan_reason::kLearnedModel)
-      << "forced slot was observed once; the re-plan must be learned";
+  EXPECT_EQ(again.stats.plan_method, forced.stats.plan_method);
+  EXPECT_EQ(again.stats.plan_reason, forced.stats.plan_reason);
   EXPECT_EQ(again.ids, forced.ids);
 
   // Hints are per-submission, not sticky: a hint-less Submit plans
-  // automatically (no kForced) and uses the cache.
+  // automatically (no kForced, never grid sweep) and uses the cache.
   QueryResult plain = engine.Submit(area, planned).get();
   EXPECT_FALSE(plain.stats.plan_reason & plan_reason::kForced);
+  EXPECT_NE(plain.stats.plan_method, MethodBit(DynamicMethod::kGridSweep));
   EXPECT_EQ(plain.stats.result_cache_misses, 1u);
   EXPECT_EQ(plain.ids, forced.ids);
 }

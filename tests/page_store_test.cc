@@ -186,5 +186,36 @@ TEST_F(PageStoreTest, ResetCountersClearsLifetimeTotals) {
   EXPECT_EQ(c.evictions, 0u);
 }
 
+TEST_F(PageStoreTest, ArenaIsSizedToTheFile) {
+  // A 4-page file under the default 4096-frame capacity gets 4 frames,
+  // and a repeated full scan counts exactly as an uncapped cache would:
+  // one cold miss per page, then hits, never an eviction.
+  constexpr std::size_t kSmallPages = 4;
+  std::vector<Point> points(kSmallPages * kPpp);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points[i] = {static_cast<double>(i), -static_cast<double>(i)};
+  }
+  const std::string small = path_ + ".small";
+  WritePageFile(small, points, kPageSize);
+  {
+    PageStore::Options options;
+    options.cache_pages = 4096;
+    const auto store = PageStore::Open(small, options);
+    EXPECT_EQ(store->cache_pages(), kSmallPages);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t p = 0; p < kSmallPages; ++p) {
+        EXPECT_EQ(store->GetPoint(IdOnPage(p), nullptr).x,
+                  static_cast<double>(IdOnPage(p)));
+      }
+    }
+    const PageIoCounters c = store->counters();
+    EXPECT_EQ(c.pages_touched, 2 * kSmallPages);
+    EXPECT_EQ(c.cache_misses, kSmallPages);
+    EXPECT_EQ(c.cache_hits, kSmallPages);
+    EXPECT_EQ(c.evictions, 0u);
+  }
+  std::filesystem::remove(small);
+}
+
 }  // namespace
 }  // namespace vaq

@@ -1,11 +1,18 @@
 #include "planner/query_planner.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "core/dynamic_point_database.h"
 #include "planner/cost_model.h"
+#include "planner/planned_area_query.h"
 #include "planner/query_plan.h"
+#include "workload/point_generator.h"
+#include "workload/polygon_generator.h"
+#include "workload/rng.h"
 
 namespace vaq {
 namespace {
@@ -26,32 +33,12 @@ PlanFeatures IoFeatures() {
   return f;
 }
 
-TEST(SelectivityBucketTest, MapsSharesToLog2Buckets) {
-  // Bucket b covers (2^-(b+1), 2^-b].
-  EXPECT_EQ(QueryPlanner::SelectivityBucket(1.0), 0);
-  EXPECT_EQ(QueryPlanner::SelectivityBucket(0.6), 0);
-  EXPECT_EQ(QueryPlanner::SelectivityBucket(0.5), 1);
-  EXPECT_EQ(QueryPlanner::SelectivityBucket(0.3), 1);
-  EXPECT_EQ(QueryPlanner::SelectivityBucket(0.25), 2);
-  EXPECT_EQ(QueryPlanner::SelectivityBucket(0.01), 6);
-}
-
-TEST(SelectivityBucketTest, ClampsDegenerateShares) {
-  EXPECT_EQ(QueryPlanner::SelectivityBucket(0.0), kNumSelectivityBuckets - 1);
-  EXPECT_EQ(QueryPlanner::SelectivityBucket(-0.5),
-            kNumSelectivityBuckets - 1);
-  EXPECT_EQ(QueryPlanner::SelectivityBucket(1e-9),
-            kNumSelectivityBuckets - 1);
-  EXPECT_EQ(QueryPlanner::SelectivityBucket(2.0), 0);
-}
-
 TEST(QueryPlannerTest, SeedModelPicksTraditionalInMemory) {
   // Raw in-memory timing: per-candidate CPU dominates and the window
   // filter's cheap per-candidate cost wins — the paper's Table I regime.
   const QueryPlanner planner;
   const QueryPlan plan = planner.Plan(MemoryFeatures(), PlanHints{});
   EXPECT_EQ(plan.method, DynamicMethod::kTraditional);
-  EXPECT_FALSE(plan.io_bound);
   EXPECT_TRUE(plan.reason & plan_reason::kSeedModel);
   EXPECT_FALSE(plan.reason & plan_reason::kLearnedModel);
   EXPECT_FALSE(plan.reason & plan_reason::kIoBound);
@@ -65,17 +52,7 @@ TEST(QueryPlannerTest, SeedModelPicksVoronoiUnderIo) {
   const QueryPlanner planner;
   const QueryPlan plan = planner.Plan(IoFeatures(), PlanHints{});
   EXPECT_EQ(plan.method, DynamicMethod::kVoronoi);
-  EXPECT_TRUE(plan.io_bound);
   EXPECT_TRUE(plan.reason & plan_reason::kIoBound);
-}
-
-TEST(QueryPlannerTest, TinyDataFallsBackToBruteForce) {
-  PlanFeatures f = MemoryFeatures();
-  f.n = 100;  // Fixed index/prepare overheads dwarf 100 * 3.5ns.
-  const QueryPlanner planner;
-  const QueryPlan plan = planner.Plan(f, PlanHints{});
-  EXPECT_EQ(plan.method, DynamicMethod::kBruteForce);
-  EXPECT_TRUE(plan.reason & plan_reason::kTinyData);
 }
 
 TEST(QueryPlannerTest, ForcedMethodShortCircuitsTheModel) {
@@ -87,10 +64,62 @@ TEST(QueryPlannerTest, ForcedMethodShortCircuitsTheModel) {
   EXPECT_TRUE(plan.reason & plan_reason::kForced);
   // Forcing still yields honest predictions for the forced method.
   EXPECT_GT(plan.predicted_cost_ns, 0.0);
-  // Forcing brute must not masquerade as a tiny-data decision.
+  // Brute force, never an unforced arm, still runs when forced.
   hints.force_method = DynamicMethod::kBruteForce;
   const QueryPlan forced_brute = planner.Plan(MemoryFeatures(), hints);
-  EXPECT_FALSE(forced_brute.reason & plan_reason::kTinyData);
+  EXPECT_EQ(forced_brute.method, DynamicMethod::kBruteForce);
+  EXPECT_TRUE(forced_brute.reason & plan_reason::kForced);
+}
+
+TEST(QueryPlannerTest, AutoChoosesOnlyTraditionalOrVoronoi) {
+  // The unforced plan has two arms, the two sides of the paper's
+  // crossover; no size, selectivity or IO regime reaches grid sweep or
+  // brute force.
+  const QueryPlanner planner;
+  for (const std::size_t n : {0, 1, 100, 10000, 1000000}) {
+    for (const double share : {1e-6, 0.01, 0.3, 1.0}) {
+      for (int io = 0; io < 3; ++io) {
+        PlanFeatures f;
+        f.n = n;
+        f.mbr_share = share;
+        f.poly_share = share / 2.0;
+        f.paged = io == 1;
+        f.io_ns_per_load = io == 2 ? 1000.0 : 0.0;
+        const QueryPlan plan = planner.Plan(f, PlanHints{});
+        EXPECT_TRUE(plan.method == DynamicMethod::kTraditional ||
+                    plan.method == DynamicMethod::kVoronoi)
+            << "n=" << n << " share=" << share << " io=" << io
+            << " method=" << MethodName(plan.method);
+        EXPECT_FALSE(plan.reason &
+                     (plan_reason::kForced | plan_reason::kLearnedModel));
+      }
+    }
+  }
+}
+
+TEST(QueryPlannerTest, PlanIsAPureFunctionOfFeatures) {
+  // Executions teach the planner nothing: after 200 planned queries the
+  // same polygon over the same data plans bit-for-bit as before them.
+  constexpr Box kUnit = Box{{0.0, 0.0}, {1.0, 1.0}};
+  Rng rng(2030);
+  DynamicPointDatabase db(GenerateUniformPoints(5000, kUnit, &rng));
+  PolygonSpec spec;
+  spec.query_size_fraction = 0.1;
+  const Polygon probe = GenerateQueryPolygon(spec, kUnit, &rng);
+  const QueryPlan before = db.PlannedQuery()->PlanFor(probe);
+
+  QueryContext ctx;
+  for (int i = 0; i < 200; ++i) {
+    spec.query_size_fraction = i % 2 == 0 ? 0.01 : 0.3;
+    db.Query(i % 5 == 0 ? probe : GenerateQueryPolygon(spec, kUnit, &rng),
+             ctx);
+  }
+
+  const QueryPlan after = db.PlannedQuery()->PlanFor(probe);
+  EXPECT_EQ(after.method, before.method);
+  EXPECT_EQ(after.reason, before.reason);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(after.predicted_cost_ns),
+            std::bit_cast<std::uint64_t>(before.predicted_cost_ns));
 }
 
 TEST(QueryPlannerTest, ExpectedTestsTracksPredictionClampedToN) {
@@ -103,99 +132,6 @@ TEST(QueryPlannerTest, ExpectedTestsTracksPredictionClampedToN) {
   brute.force_method = DynamicMethod::kBruteForce;
   const QueryPlan all = planner.Plan(f, brute);
   EXPECT_LE(all.expected_tests, f.n);
-}
-
-TEST(QueryPlannerTest, ObserveLearnsAndFlipsTheChoice) {
-  // Feed the planner evidence that traditional is 8x slower than the
-  // seed claims in this (memory, bucket) slot; after a few EWMA steps it
-  // must switch to the runner-up and report the choice as learned.
-  QueryPlanner planner;
-  const PlanFeatures f = MemoryFeatures();
-  QueryPlan plan = planner.Plan(f, PlanHints{});
-  ASSERT_EQ(plan.method, DynamicMethod::kTraditional);
-  for (int i = 0; i < 6; ++i) {
-    plan = planner.Plan(f, PlanHints{});
-    if (plan.method != DynamicMethod::kTraditional) break;
-    QueryStats stats;
-    stats.candidates =
-        static_cast<std::uint64_t>(plan.predicted_candidates);
-    stats.elapsed_ms = plan.predicted_cost_ns * 8.0 / 1e6;
-    planner.Observe(plan, f, stats);
-  }
-  const QueryPlan after = planner.Plan(f, PlanHints{});
-  EXPECT_NE(after.method, DynamicMethod::kTraditional);
-  EXPECT_GT(planner.TimeFactor(DynamicMethod::kTraditional, plan.bucket,
-                               /*io_bound=*/false),
-            1.5);
-  EXPECT_GT(planner.observations(), 0u);
-}
-
-TEST(QueryPlannerTest, FirstObservationSeedsLaterOnesDecay) {
-  QueryPlanner planner;
-  const PlanFeatures f = MemoryFeatures();
-  const QueryPlan plan = planner.Plan(f, PlanHints{});
-  QueryStats stats;
-  stats.candidates = static_cast<std::uint64_t>(plan.predicted_candidates);
-  stats.elapsed_ms = plan.predicted_cost_ns * 2.0 / 1e6;
-  planner.Observe(plan, f, stats);
-  // First observation seeds the factor outright (no decay from 1.0).
-  EXPECT_NEAR(planner.TimeFactor(plan.method, plan.bucket, false), 2.0,
-              1e-9);
-  // A second, perfectly-predicted query decays it back toward 1 by alpha.
-  // Force the method: the inflated factor may have flipped the unforced
-  // choice, and the test must keep observing the same slot.
-  PlanHints pin;
-  pin.force_method = plan.method;
-  const QueryPlan plan2 = planner.Plan(f, pin);
-  QueryStats exact;
-  exact.candidates =
-      static_cast<std::uint64_t>(plan2.predicted_candidates);
-  // plan2's prediction already includes the 2.0 factor; measured equal to
-  // raw-model cost means ratio 1.
-  exact.elapsed_ms = plan2.predicted_cost_ns / 2.0 / 1e6;
-  planner.Observe(plan2, f, exact);
-  EXPECT_NEAR(planner.TimeFactor(plan2.method, plan2.bucket, false),
-              2.0 + 0.25 * (1.0 - 2.0), 1e-9);
-}
-
-TEST(QueryPlannerTest, FactorsClampAgainstOutliers) {
-  QueryPlanner planner;
-  const PlanFeatures f = MemoryFeatures();
-  for (int i = 0; i < 20; ++i) {
-    PlanHints pin;
-    pin.force_method = DynamicMethod::kTraditional;
-    const QueryPlan plan = planner.Plan(f, pin);
-    QueryStats stats;
-    stats.candidates =
-        static_cast<std::uint64_t>(plan.predicted_candidates * 1000.0);
-    stats.elapsed_ms = plan.predicted_cost_ns * 1000.0 / 1e6;
-    planner.Observe(plan, f, stats);
-  }
-  EXPECT_LE(planner.TimeFactor(DynamicMethod::kTraditional,
-                               QueryPlanner::SelectivityBucket(f.mbr_share),
-                               false),
-            8.0);
-  EXPECT_LE(planner.CandFactor(DynamicMethod::kTraditional,
-                               QueryPlanner::SelectivityBucket(f.mbr_share),
-                               false),
-            8.0);
-}
-
-TEST(QueryPlannerTest, LearnedSlotsAreKeyedPerIoClassAndBucket) {
-  // Poisoning the memory slot must not leak into the IO slot or into a
-  // different selectivity bucket.
-  QueryPlanner planner;
-  const PlanFeatures f = MemoryFeatures();
-  const QueryPlan plan = planner.Plan(f, PlanHints{});
-  QueryStats stats;
-  stats.candidates = static_cast<std::uint64_t>(plan.predicted_candidates);
-  stats.elapsed_ms = plan.predicted_cost_ns * 4.0 / 1e6;
-  planner.Observe(plan, f, stats);
-  EXPECT_NEAR(planner.TimeFactor(plan.method, plan.bucket, true), 1.0,
-              1e-12);
-  EXPECT_NEAR(
-      planner.TimeFactor(plan.method, (plan.bucket + 1) % 8, false), 1.0,
-      1e-12);
 }
 
 TEST(QueryPlannerTest, ScatterOnlyWhenLegsAmortiseTheOverhead) {
