@@ -1,6 +1,7 @@
 #include "delaunay/triangulation.h"
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <string>
 
@@ -262,6 +263,86 @@ TEST(TriangulationTest, BuildOutputIsPinned) {
         << c.name << std::hex << " unsorted 0x" << BuildDigest(unsorted);
     EXPECT_EQ(BuildDigest(presorted), c.sorted_digest)
         << c.name << std::hex << " sorted 0x" << BuildDigest(presorted);
+  }
+}
+
+// Digests of what the build decides, independent of how it is stored: the
+// real triangles, each rotated to start at its smallest id (CCW kept) and
+// sorted, and every vertex's real-neighbour set in ascending order.
+struct SetDigests {
+  std::uint64_t triangles;
+  std::uint64_t neighbours;
+};
+
+SetDigests BuildSetDigests(const DelaunayTriangulation& dt) {
+  std::vector<std::array<PointId, 3>> tris;
+  for (const auto& t : dt.Triangles()) {
+    std::array<PointId, 3> v{t.a, t.b, t.c};
+    std::rotate(v.begin(), std::min_element(v.begin(), v.end()), v.end());
+    tris.push_back(v);
+  }
+  std::sort(tris.begin(), tris.end());
+  pinned::Fnv1a th;
+  for (const auto& v : tris) {
+    for (const PointId u : v) th.Add(u);
+  }
+  pinned::Fnv1a nh;
+  std::vector<PointId> set;
+  for (PointId v = 0; v < dt.num_points(); ++v) {
+    set.clear();
+    for (const PointId u : dt.NeighborsOf(v)) {
+      if (u < dt.num_points()) set.push_back(u);
+    }
+    std::sort(set.begin(), set.end());
+    nh.Add(static_cast<std::uint32_t>(set.size()));
+    for (const PointId u : set) nh.Add(u);
+  }
+  return {th.value(), nh.value()};
+}
+
+TEST(TriangulationTest, BuildSetsArePinned) {
+  // The triangle set and the neighbour sets are the build's answer; a
+  // change of how the graph is stored must not move either. Same inputs
+  // and build paths as BuildOutputIsPinned.
+  struct Case {
+    const char* name;
+    std::vector<Point> points;
+    SetDigests unsorted;
+    SetDigests sorted;
+  };
+  const Case cases[] = {
+      {"uniform",
+       pinned::UniformPoints(50000, 1),
+       {0xdbd896c2ee07d27eULL, 0x61e6ea1b45164677ULL},
+       {0xe82c338c6ea1dc6eULL, 0x03459642f15b8105ULL}},
+      {"clustered",
+       pinned::ClusteredPoints(50000, 2),
+       {0x8198c34269eff0cfULL, 0xe7b9120ab9841802ULL},
+       {0xdedde6dd20c3dfacULL, 0xf4354de66d391aa8ULL}},
+      {"grid",
+       pinned::GridPoints(100),
+       {0x528cd263f0018072ULL, 0xd2ab8a1de0d45383ULL},
+       {0x9828af9fb5e4a22cULL, 0x9e021053bda848d3ULL}},
+  };
+  for (const Case& c : cases) {
+    const DelaunayTriangulation unsorted(c.points);
+    std::vector<Point> sorted;
+    sorted.reserve(c.points.size());
+    for (const std::uint32_t i : HilbertOrder(c.points)) {
+      sorted.push_back(c.points[i]);
+    }
+    const DelaunayTriangulation presorted(std::move(sorted),
+                                          /*hilbert_sorted=*/true);
+    const SetDigests u = BuildSetDigests(unsorted);
+    const SetDigests s = BuildSetDigests(presorted);
+    EXPECT_EQ(u.triangles, c.unsorted.triangles)
+        << c.name << std::hex << " unsorted triangles 0x" << u.triangles;
+    EXPECT_EQ(u.neighbours, c.unsorted.neighbours)
+        << c.name << std::hex << " unsorted neighbours 0x" << u.neighbours;
+    EXPECT_EQ(s.triangles, c.sorted.triangles)
+        << c.name << std::hex << " sorted triangles 0x" << s.triangles;
+    EXPECT_EQ(s.neighbours, c.sorted.neighbours)
+        << c.name << std::hex << " sorted neighbours 0x" << s.neighbours;
   }
 }
 
