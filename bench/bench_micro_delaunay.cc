@@ -51,6 +51,21 @@ void BM_DelaunayBuildClustered(benchmark::State& state) {
 }
 BENCHMARK(BM_DelaunayBuildClustered)->Unit(benchmark::kMillisecond);
 
+// An exact lattice: every insertion meets collinear and cocircular
+// neighbours, so the predicates take their exact fallback throughout.
+void BM_DelaunayBuildGrid(benchmark::State& state) {
+  Rng rng(2024);
+  const auto points = GenerateGridPoints(
+      static_cast<std::size_t>(state.range(0)), kUnit, /*jitter=*/0.0, &rng);
+  for (auto _ : state) {
+    DelaunayTriangulation dt(points);
+    benchmark::DoNotOptimize(dt.num_triangles());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(points.size()));
+}
+BENCHMARK(BM_DelaunayBuildGrid)->Arg(6400)->Unit(benchmark::kMillisecond);
+
 // The path every `PointDatabase` build and compaction takes: points
 // already in Hilbert order, inserted as-is.
 void BM_DelaunayBuildHilbertSorted(benchmark::State& state) {

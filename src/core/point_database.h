@@ -99,11 +99,12 @@ void CheckFiniteAndDistinct(const std::vector<Point>& points);
 ///
 /// **Geometry lives once.** The resident structures are one coordinate
 /// array — the triangulation's, which `points()` views — plus the R-tree
-/// leaf boxes and the Delaunay CSR graph. The in-memory backend serves
-/// fetches from that array; a paged backend serves them from its page
-/// file, while the array stays resident for the triangulation. Both
-/// Voronoi expansion rules read a neighbour's coordinates off the
-/// triangulation without charging a fetch, as they always have.
+/// leaf boxes and the Delaunay fan rows, the only graph a build keeps.
+/// The in-memory backend serves fetches from that array; a paged backend
+/// serves them from its page file, while the array stays resident for
+/// the triangulation. Both Voronoi expansion rules read a neighbour's
+/// coordinates off the triangulation without charging a fetch, as they
+/// always have.
 ///
 /// `FetchPoint` / `FetchPoints` are the accounting boundary for object
 /// IO: every query implementation fetches candidate geometry through

@@ -23,39 +23,40 @@ namespace {
 // The dual-edge rule out of outside candidate `p`: calls `follow(q)` for
 // every unvisited real neighbour `q` whose Voronoi edge — the segment
 // between the circumcentres of the two fan triangles that share `pq` —
-// meets A. One CCW walk of `p`'s fan meets each edge once, between a
-// triangle and the next. The cheap screens run first, and a circumcentre
-// is computed at most once, only when an edge reaches the geometry.
+// meets A. `p`'s row is its closed CCW fan, so one pass over consecutive
+// row entries meets each edge once, between a triangle and the next. The
+// cheap screens run first, and a circumcentre is computed at most once,
+// only when an edge reaches the geometry.
 template <typename Follow>
 void ForEachDualEdgeHit(const DelaunayTriangulation& dt, PointId p,
                         const PreparedArea& prep, bool area_leaves_data_box,
                         QueryContext::VisitMarker visit, QueryStats* stats,
                         Follow&& follow) {
   const std::size_t n = dt.num_points();
-  struct FanTriangle {  // `q` ends the edge shared with the next triangle.
-    std::uint32_t t, q;
-    bool touches_super, has_centre;
+  const std::span<const PointId> row = dt.NeighborsOf(p);
+  const std::size_t d = row.size();
+  struct FanTriangle {  // (p, a, b), CCW.
+    PointId a, b;
+    bool has_centre;
     Point centre;
   };
   const auto centre_of = [&](FanTriangle& f) -> const Point& {
     if (!f.has_centre) {
-      const auto v = dt.TriangleVertices(f.t);
-      f.centre = Circumcenter(dt.point(v[0]), dt.point(v[1]), dt.point(v[2]));
+      f.centre = dt.FanCircumcenter(p, f.a, f.b);
       f.has_centre = true;
     }
     return f.centre;
   };
-  // Whether to follow the edge `a` shares with the next fan triangle `b`.
+  // Whether to follow the edge (p, a.b) that fan triangle `a` shares with
+  // the next one, `b`.
   const auto admits = [&](FanTriangle& a, FanTriangle& b) {
     // A neighbour in an inside grid cell is in A, so its cell meets A.
-    const Point& q = dt.point(a.q);
+    const Point& q = dt.point(a.b);
     if (prep.ClassifyPoint(q.x, q.y) == PreparedArea::kPointInside) {
       return true;
     }
     // The super-vertex escape keeps the hull ring connected (DESIGN §1).
-    if (area_leaves_data_box && (a.touches_super || b.touches_super)) {
-      return true;
-    }
+    if (area_leaves_data_box && (a.a >= n || b.b >= n)) return true;
     const Segment dual{centre_of(a), centre_of(b)};
     if (!std::isfinite(dual.a.x) || !std::isfinite(dual.a.y) ||
         !std::isfinite(dual.b.x) || !std::isfinite(dual.b.y)) {
@@ -68,27 +69,22 @@ void ForEachDualEdgeHit(const DelaunayTriangulation& dt, PointId p,
     ++stats->segment_tests;
     return prep.Intersects(dual);
   };
-  FanTriangle first{};
-  FanTriangle last{};
-  FanTriangle* prev = nullptr;
-  const auto test = [&](FanTriangle& a, FanTriangle& b) {
-    if (a.q < n && !visit.Visited(a.q) && admits(a, b)) follow(a.q);
-  };
-  dt.CirculateCell(p, [&](std::uint32_t t) {
-    const auto v = dt.TriangleVertices(t);
-    const int i = v[0] == p ? 0 : (v[1] == p ? 1 : 2);
-    FanTriangle cur{t, v[(i + 2) % 3], v[0] >= n || v[1] >= n || v[2] >= n,
-                    false, {}};
-    if (prev != nullptr) {
-      test(*prev, cur);
-      last = cur;
-      prev = &last;
-    } else {
-      first = cur;
-      prev = &first;
+  // Triangle k is (p, row[k], row[k + 1]); edge (p, row[k]) lies between
+  // triangles k - 1 and k. The walk ends back at triangle 0, whose centre
+  // it may already hold.
+  FanTriangle first{row[0], row[1], false, {}};
+  FanTriangle buf[2];
+  FanTriangle* prev = &first;
+  for (std::size_t k = 1; k <= d; ++k) {
+    FanTriangle* cur = &first;
+    if (k < d) {
+      cur = &buf[k & 1];
+      *cur = FanTriangle{row[k], row[k + 1 == d ? 0 : k + 1], false, {}};
     }
-  });
-  if (prev != nullptr) test(*prev, first);
+    const PointId q = prev->b;
+    if (q < n && !visit.Visited(q) && admits(*prev, *cur)) follow(q);
+    prev = cur;
+  }
 }
 
 }  // namespace
@@ -123,7 +119,9 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
   const std::size_t n = db_->size();
   if (n == 0) return finish();
 
-  ctx.BeginVisitEpoch(n);
+  // Fan rows hold the three super ids (n, n + 1, n + 2) in place; marking
+  // them visited up front keeps every expansion below to real ids.
+  ctx.BeginVisitEpoch(n + 3);
   // The flood validates roughly the MBR's share of the database (results
   // plus a boundary shell); that estimate sizes the prepared grid and
   // pre-sizes the result so the hot loop never reallocates.
@@ -161,6 +159,7 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
   frontier[0] = seed;
   std::size_t frontier_len = 1;
   visit.MarkIfUnvisited(seed);
+  for (PointId s = n; s < n + 3; ++s) visit.MarkIfUnvisited(s);
 
   const bool paper_rule =
       options_.expansion == ExpansionRule::kPaperSegment;
@@ -225,7 +224,8 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
         const PointId* row = rows[j];
         const std::uint32_t len = lens[j];
         if (inside[j]) {
-          // Internal point: all Voronoi neighbours become candidates.
+          // Internal point: all Voronoi neighbours become candidates
+          // (the super slots were marked visited before the flood).
           // Expansion is branchless — mark unconditionally, compact the
           // fresh ids into the next frontier — because the ~50/50
           // already-visited outcome would otherwise mispredict on nearly

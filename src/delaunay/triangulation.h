@@ -16,7 +16,9 @@ namespace vaq {
 /// This is the substrate of the paper's contribution: by Delaunay/Voronoi
 /// duality (paper Property 4), the *Voronoi neighbours* `VN(P, p)` consumed
 /// by Algorithm 1 are exactly the Delaunay-adjacent vertices of `p`, which
-/// this class exposes as a CSR adjacency structure (`NeighborsOf`).
+/// this class exposes as CSR rows (`NeighborsOf`). Each row is `p`'s closed
+/// counter-clockwise fan, so the rows are the whole graph: a triangle is
+/// two consecutive row entries, and no triangle id survives construction.
 ///
 /// Implementation notes:
 /// * points are inserted in Hilbert-curve order (BRIO-like), so locating
@@ -30,7 +32,9 @@ namespace vaq {
 ///   exactly Delaunay for the n+3 point set; restricted to real points this
 ///   differs from the true Delaunay triangulation only in hull-adjacent
 ///   slivers whose circumcircle reaches the super vertices — immaterial for
-///   area queries and excluded from user-visible triangles.
+///   area queries and excluded from user-visible triangles. Super vertices
+///   keep their slots in the rows: on degenerate input they sit between
+///   real neighbours of a fan.
 ///
 /// Precondition: input points are pairwise distinct (checked in debug).
 class DelaunayTriangulation {
@@ -59,41 +63,36 @@ class DelaunayTriangulation {
   std::span<const Point> points() const { return {points_.data(), num_real_}; }
 
   /// The coordinates of point `v`. Precondition: `v < num_points() + 3`;
-  /// the last three ids are the super vertices `TriangleVertices` yields.
+  /// the last three ids are the super vertices.
   const Point& point(PointId v) const { return points_[v]; }
 
-  /// The Voronoi neighbours of `v` (= Delaunay-adjacent vertices), i.e.
-  /// `VN(P, p)` of the paper. Super vertices are excluded. The spans stay
-  /// valid for the lifetime of the triangulation.
-  std::span<const PointId> NeighborsOf(PointId v) const;
+  /// The closed CCW fan of real vertex `v`: with `q_k` its entry k, every
+  /// `(v, q_k, q_k+1)`, k + 1 taken cyclically, is a CCW triangle of the
+  /// triangulation. Its real entries (`< num_points()`) are `VN(P, p)` of
+  /// the paper; entries `>= num_points()` are super vertices, kept in their
+  /// cyclic slots. The spans stay valid for the lifetime of the
+  /// triangulation.
+  std::span<const PointId> NeighborsOf(PointId v) const {
+    return {adj_.data() + adj_offsets_[v], adj_.data() + adj_offsets_[v + 1]};
+  }
 
-  /// All triangles whose three corners are real points, CCW.
+  /// The circumcentre of fan triangle `(p, a, b)` of real vertex `p`. The
+  /// operands are taken in one canonical rotation — the one that ends at the
+  /// highest real id, super ids ranking below every real id — so every fan
+  /// that holds a triangle rounds its circumcentre to the same bits.
+  Point FanCircumcenter(PointId p, PointId a, PointId b) const;
+
+  /// All triangles whose three corners are real points, CCW, each listed
+  /// once from its smallest id.
   std::vector<Triangle> Triangles() const;
 
   /// Number of real triangles (what `Triangles()` returns).
   std::size_t num_triangles() const;
 
-  /// One incident triangle id per vertex, for fan circulation via
-  /// `CirculateCell`. Internal triangle ids are stable after construction.
-  std::uint32_t IncidentTriangle(PointId v) const {
-    return incident_triangle_[v];
-  }
-
-  /// Circulates counter-clockwise around vertex `v`, invoking
-  /// `fn(triangle_id)` once per incident triangle (including triangles
-  /// touching super vertices, which close the fan for hull vertices).
-  template <typename Fn>
-  void CirculateCell(PointId v, Fn&& fn) const;
-
-  /// Corner vertices of internal triangle `t` (may include super-vertex
-  /// ids `>= num_points()`).
-  std::span<const std::uint32_t, 3> TriangleVertices(std::uint32_t t) const;
-
-  /// True if triangle `t` has only real vertices.
-  bool IsRealTriangle(std::uint32_t t) const;
-
-  /// Structural self-check (neighbour symmetry, positive orientation,
-  /// vertex cover). Used by tests; O(n). Returns false with a message on
+  /// Structural self-check of the rows: every consecutive fan triple is
+  /// strictly CCW (super coordinates included), every real-real edge is in
+  /// both rows, and both rows agree on the triangles they share. Used by
+  /// tests; O(sum of squared degrees). Returns false with a message on
   /// failure.
   bool CheckStructure(std::string* why) const;
 
@@ -102,60 +101,18 @@ class DelaunayTriangulation {
   bool CheckDelaunay(std::string* why) const;
 
  private:
-  struct Tri {
-    std::uint32_t v[3];   // CCW vertex ids.
-    std::int32_t nbr[3];  // nbr[i] is across the edge opposite v[i]; -1 on
-                          // the outer boundary of the super triangle.
-    bool alive = true;
-  };
-
-  // Scratch of one build, reused across its insertions so that inserting
-  // a point allocates nothing once the buffers have grown to the largest
-  // cavity; it dies with the constructor.
-  struct BoundaryEdge {
-    std::uint32_t a, b;  // CCW around the cavity.
-    std::int32_t outer;  // Triangle across (a, b); -1 on the outer hull.
-    std::uint32_t tri;   // The new triangle (a, b, vid).
-  };
-  struct InsertScratch {
-    std::vector<std::uint32_t> cavity;
-    std::vector<std::uint8_t> in_cavity;  // Indexed by triangle id.
-    std::vector<BoundaryEdge> boundary;
-    std::vector<std::uint32_t> edge_from;  // Vertex -> `boundary` index.
-    std::vector<std::uint32_t> free_tris;
-  };
-
-  std::uint32_t Locate(const Point& p, std::uint32_t hint) const;
-  void InsertPoint(std::uint32_t vid, std::uint32_t hint,
-                   InsertScratch& scratch);
-  int IndexOfVertex(const Tri& t, std::uint32_t v) const;
-  bool InCavity(const Tri& t, const Point& p) const;
-  void BuildAdjacency();
+  // Calls `fn(Triangle)` for each real triangle, from its smallest id.
+  template <typename Fn>
+  void ForEachTriangle(Fn&& fn) const;
 
   std::vector<Point> points_;  // Real points then 3 super vertices.
   std::size_t num_real_ = 0;
-  std::vector<Tri> tris_;
-  std::uint32_t last_triangle_ = 0;  // Walk hint.
 
-  // CSR adjacency over real vertices (built once after construction).
+  // CSR fan rows over real vertices: row v is adj_[adj_offsets_[v],
+  // adj_offsets_[v + 1]).
   std::vector<std::uint32_t> adj_offsets_;
   std::vector<PointId> adj_;
-  std::vector<std::uint32_t> incident_triangle_;
 };
-
-template <typename Fn>
-void DelaunayTriangulation::CirculateCell(PointId v, Fn&& fn) const {
-  const std::uint32_t start = incident_triangle_[v];
-  std::uint32_t t = start;
-  do {
-    fn(t);
-    const Tri& tri = tris_[t];
-    const int i = IndexOfVertex(tri, v);
-    const std::int32_t next = tri.nbr[(i + 1) % 3];
-    if (next < 0) break;  // Cannot happen for real vertices (enclosed).
-    t = static_cast<std::uint32_t>(next);
-  } while (t != start);
-}
 
 }  // namespace vaq
 

@@ -1,6 +1,7 @@
 #include "delaunay/voronoi.h"
 
 #include <cmath>
+#include <span>
 
 #include "geometry/clip.h"
 #include "geometry/predicates.h"
@@ -16,11 +17,11 @@ VoronoiDiagram::VoronoiDiagram(const DelaunayTriangulation& dt,
   for (PointId v = 0; v < n; ++v) {
     generators_.push_back(dt.point(v));
     ring.clear();
-    dt.CirculateCell(v, [&](std::uint32_t t) {
-      const auto verts = dt.TriangleVertices(t);
-      ring.push_back(Circumcenter(dt.point(verts[0]), dt.point(verts[1]),
-                                  dt.point(verts[2])));
-    });
+    const std::span<const PointId> fan = dt.NeighborsOf(v);
+    for (std::size_t k = 0; k < fan.size(); ++k) {
+      ring.push_back(dt.FanCircumcenter(
+          v, fan[k], fan[k + 1 == fan.size() ? 0 : k + 1]));
+    }
     cells_[v] = ClipRingToBox(ring, clip_box);
   }
 }

@@ -12,14 +12,15 @@ namespace vaq {
 
 /// Explicit Voronoi diagram: by duality (paper Property 4) the cell of a
 /// generator is the polygon of the circumcentres of its Delaunay fan, in
-/// CCW order. The fan includes the triangles on the finite super triangle,
-/// so every cell is bounded before it is clipped to a caller-provided box
-/// (typically the data domain), which trims those far circumcentres.
+/// CCW order — one per consecutive pair of its fan row
+/// (`DelaunayTriangulation::NeighborsOf`). The row keeps the super-vertex
+/// slots, so every cell is bounded before it is clipped to a
+/// caller-provided box (typically the data domain), which trims those far
+/// circumcentres.
 ///
-/// Algorithm 1 itself never materialises cells — it walks Voronoi
-/// neighbours (see `DelaunayTriangulation::NeighborsOf`), and its exact
-/// rule tests single Voronoi edges read off a candidate's fan (see
-/// `VoronoiAreaQuery`). The diagram is part of the library's public
+/// Algorithm 1 itself never materialises cells — it walks the real entries
+/// of the same rows, and its exact rule tests single Voronoi edges read off
+/// a candidate's row (see `VoronoiAreaQuery`). The diagram is part of the library's public
 /// surface for the examples, and lets tests verify the paper's
 /// Properties 1-3 directly.
 class VoronoiDiagram {

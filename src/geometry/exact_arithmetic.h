@@ -1,6 +1,7 @@
 #ifndef VAQ_GEOMETRY_EXACT_ARITHMETIC_H_
 #define VAQ_GEOMETRY_EXACT_ARITHMETIC_H_
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstddef>
@@ -51,10 +52,23 @@ inline void TwoProduct(double a, double b, double* x, double* err) {
 /// number of components; operations assert it is never exceeded. The sizes
 /// needed by the predicates in this library are small (orient2d <= 16,
 /// incircle <= 1152 worst case; we use generous caps).
+/// Only the first `size()` components are live: the storage is left
+/// uninitialised and copies move the live prefix, since zero-filling or
+/// copying a 16 KiB incircle-sized array would dominate the exact fallback.
 template <std::size_t Cap>
 class Expansion {
  public:
   Expansion() = default;
+  Expansion(const Expansion& other) : size_(other.size_) {
+    std::copy_n(other.comp_.begin(), size_, comp_.begin());
+  }
+  Expansion& operator=(const Expansion& other) {
+    if (this != &other) {
+      size_ = other.size_;
+      std::copy_n(other.comp_.begin(), size_, comp_.begin());
+    }
+    return *this;
+  }
 
   /// The expansion representing a single double.
   explicit Expansion(double v) : size_(1) { comp_[0] = v; }
@@ -96,8 +110,10 @@ class Expansion {
     const std::size_t elen = size_;
     const std::size_t flen = other.size();
     if (elen == 0 && flen == 0) return result;
-    // Merge by increasing magnitude (ties broken arbitrarily).
-    std::array<double, Cap> merged{};
+    // Merge by increasing magnitude (ties broken arbitrarily). Slot 0 is
+    // set first only because the compiler cannot see that m >= 1.
+    std::array<double, Cap> merged;
+    merged[0] = 0.0;
     std::size_t i = 0, j = 0, m = 0;
     while (i < elen && j < flen) {
       if (Magnitude(comp_[i]) < Magnitude(other.component(j))) {
@@ -176,7 +192,7 @@ class Expansion {
     comp_[size_++] = v;
   }
 
-  std::array<double, Cap> comp_{};
+  std::array<double, Cap> comp_;
   std::size_t size_ = 0;
 };
 

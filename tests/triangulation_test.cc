@@ -2,18 +2,30 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "delaunay/hilbert.h"
+#include "geometry/predicates.h"
 #include "pinned_inputs.h"
 #include "workload/point_generator.h"
 #include "workload/rng.h"
 
 namespace vaq {
 namespace {
+
+// `v`'s Voronoi neighbours: its fan row without the super slots.
+std::vector<PointId> RealNeighbors(const DelaunayTriangulation& dt,
+                                   PointId v) {
+  std::vector<PointId> out;
+  for (const PointId u : dt.NeighborsOf(v)) {
+    if (u < dt.num_points()) out.push_back(u);
+  }
+  return out;
+}
 
 TEST(TriangulationTest, SingleTriangle) {
   DelaunayTriangulation dt({{0, 0}, {1, 0}, {0, 1}});
@@ -23,7 +35,7 @@ TEST(TriangulationTest, SingleTriangle) {
   ASSERT_EQ(tris.size(), 1u);
   // All three vertices mutually adjacent.
   for (PointId v = 0; v < 3; ++v) {
-    EXPECT_EQ(dt.NeighborsOf(v).size(), 2u);
+    EXPECT_EQ(RealNeighbors(dt, v).size(), 2u);
   }
 }
 
@@ -33,7 +45,7 @@ TEST(TriangulationTest, SquareHasFiveEdges) {
   DelaunayTriangulation dt({{0, 0}, {1, 0}, {1, 1}, {0, 1}});
   EXPECT_EQ(dt.num_triangles(), 2u);
   std::size_t total_degree = 0;
-  for (PointId v = 0; v < 4; ++v) total_degree += dt.NeighborsOf(v).size();
+  for (PointId v = 0; v < 4; ++v) total_degree += RealNeighbors(dt, v).size();
   EXPECT_EQ(total_degree, 10u);  // 2 * 5 edges.
 }
 
@@ -62,7 +74,7 @@ TEST(TriangulationTest, EulerFormulaForTriangulations) {
   DelaunayTriangulation dt(points);
   std::size_t num_edges = 0;
   for (PointId v = 0; v < dt.num_points(); ++v) {
-    num_edges += dt.NeighborsOf(v).size();
+    num_edges += RealNeighbors(dt, v).size();
   }
   num_edges /= 2;
   // Triangles touching the super vertices replace hull triangles, so use
@@ -76,7 +88,7 @@ TEST(TriangulationTest, EulerFormulaForTriangulations) {
   // Count via handshake instead: 2E = sum of degrees.
   std::size_t degree_sum = 0;
   for (PointId v = 0; v < dt.num_points(); ++v) {
-    degree_sum += dt.NeighborsOf(v).size();
+    degree_sum += RealNeighbors(dt, v).size();
   }
   EXPECT_EQ(degree_sum, 2 * num_edges);
 }
@@ -86,7 +98,7 @@ TEST(TriangulationTest, AdjacencyIsSymmetric) {
   DelaunayTriangulation dt(
       GenerateUniformPoints(800, Box::FromExtents(0, 0, 1, 1), &rng));
   for (PointId v = 0; v < dt.num_points(); ++v) {
-    for (const PointId u : dt.NeighborsOf(v)) {
+    for (const PointId u : RealNeighbors(dt, v)) {
       const auto back = dt.NeighborsOf(u);
       EXPECT_NE(std::find(back.begin(), back.end(), v), back.end())
           << u << " missing back-edge to " << v;
@@ -143,7 +155,7 @@ TEST(TriangulationTest, DelaunayGraphIsConnected) {
     const PointId v = stack.back();
     stack.pop_back();
     ++count;
-    for (const PointId u : dt.NeighborsOf(v)) {
+    for (const PointId u : RealNeighbors(dt, v)) {
       if (!seen[u]) {
         seen[u] = true;
         stack.push_back(u);
@@ -185,31 +197,45 @@ TEST(TriangulationTest, CollinearOnlyInputHasNoTriangles) {
   }
 }
 
-TEST(TriangulationTest, CirculationVisitsAllIncidentTriangles) {
+TEST(TriangulationTest, FanRowsAreClosedCcwCycles) {
+  // Every row is its vertex's closed CCW fan: each consecutive triple is a
+  // strictly CCW triangle (super coordinates included), and the real ones
+  // are exactly the derived triangles, each met once from each corner.
   Rng rng(107);
   const auto points =
       GenerateUniformPoints(300, Box::FromExtents(0, 0, 1, 1), &rng);
   DelaunayTriangulation dt(points);
-  // For each vertex, circulation count equals its degree (every incident
-  // triangle is visited exactly once, fan closed by super triangles).
+  std::set<std::array<PointId, 3>> derived;
+  for (const auto& t : dt.Triangles()) derived.insert({t.a, t.b, t.c});
+  ASSERT_EQ(derived.size(), dt.num_triangles());
+  std::map<std::array<PointId, 3>, int> corners_seen;
   for (PointId v = 0; v < dt.num_points(); ++v) {
-    std::size_t fan = 0;
-    std::set<std::uint32_t> seen;
-    dt.CirculateCell(v, [&](std::uint32_t t) {
-      ++fan;
-      EXPECT_TRUE(seen.insert(t).second) << "triangle revisited";
-    });
-    // Every vertex is interior in the (n+3)-point triangulation, so the
-    // fan is closed and its size equals the full-graph degree, which is at
-    // least the real-neighbour degree.
-    EXPECT_GE(fan, dt.NeighborsOf(v).size())
-        << "fan smaller than degree at " << v;
+    const auto row = dt.NeighborsOf(v);
+    ASSERT_GE(row.size(), 3u);
+    std::set<PointId> unique(row.begin(), row.end());
+    EXPECT_EQ(unique.size(), row.size()) << "fan of " << v << " repeats";
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      const PointId a = row[k];
+      const PointId b = row[(k + 1) % row.size()];
+      EXPECT_GT(Orient2DSign(dt.point(v), dt.point(a), dt.point(b)), 0)
+          << "fan triangle (" << v << ", " << a << ", " << b << ")";
+      if (a >= dt.num_points() || b >= dt.num_points()) continue;
+      std::array<PointId, 3> t{v, a, b};
+      std::rotate(t.begin(), std::min_element(t.begin(), t.end()), t.end());
+      EXPECT_EQ(derived.count(t), 1u)
+          << "fan triangle (" << v << ", " << a << ", " << b
+          << ") is not a derived triangle";
+      ++corners_seen[t];
+    }
+  }
+  EXPECT_EQ(corners_seen.size(), derived.size());
+  for (const auto& [t, count] : corners_seen) {
+    EXPECT_EQ(count, 3) << t[0] << " " << t[1] << " " << t[2];
   }
 }
 
-// Digest of everything a query can observe of the build: each CSR
-// neighbour row (length and order), each vertex's incident triangle id and
-// the real triangles in id order.
+// Digest of everything a query can observe of the build: each fan row's
+// length and order, super slots included.
 std::uint64_t BuildDigest(const DelaunayTriangulation& dt) {
   pinned::Fnv1a h;
   for (PointId v = 0; v < dt.num_points(); ++v) {
@@ -217,18 +243,12 @@ std::uint64_t BuildDigest(const DelaunayTriangulation& dt) {
     h.Add(static_cast<std::uint32_t>(row.size()));
     for (const PointId u : row) h.Add(u);
   }
-  for (PointId v = 0; v < dt.num_points(); ++v) h.Add(dt.IncidentTriangle(v));
-  for (const auto& t : dt.Triangles()) {
-    h.Add(t.a);
-    h.Add(t.b);
-    h.Add(t.c);
-  }
   return h.value();
 }
 
 TEST(TriangulationTest, BuildOutputIsPinned) {
-  // Speed work on the builder must not change a single id: triangle ids,
-  // incident triangles and neighbour order are all pinned. The inputs are
+  // Speed work on the builder must not change a single id: every fan row,
+  // its start and its super slots included, is pinned. The inputs are
   // built from integers and powers of two, and the build decides every
   // step with exact predicates, so the digests do not depend on the
   // compiler or the build type. `hilbert_sorted` runs get the input
@@ -240,12 +260,12 @@ TEST(TriangulationTest, BuildOutputIsPinned) {
     std::uint64_t sorted_digest;
   };
   const Case cases[] = {
-      {"uniform", pinned::UniformPoints(50000, 1), 0xc400374022c3acfaULL,
-       0xa9f11bd85474d530ULL},
-      {"clustered", pinned::ClusteredPoints(50000, 2), 0x7cda7f664c247d83ULL,
-       0xe60aed1e492870aeULL},
-      {"grid", pinned::GridPoints(100), 0x1673b2ea25fac3b5ULL,
-       0x16af68b55a3035dfULL},
+      {"uniform", pinned::UniformPoints(50000, 1), 0x7f2fd1254f1c2763ULL,
+       0xf01696e4d58eb0b1ULL},
+      {"clustered", pinned::ClusteredPoints(50000, 2), 0x8192ad4be60f8185ULL,
+       0x997a249cba1a42afULL},
+      {"grid", pinned::GridPoints(100), 0x3240f5a594d351ebULL,
+       0xb5390c0975ff427fULL},
   };
   for (const Case& c : cases) {
     const DelaunayTriangulation unsorted(c.points);
