@@ -2,10 +2,10 @@
 // then push a batch through the multi-threaded QueryEngine.
 //
 // This is the 60-second tour of the library: generate points, wrap them in
-// a PointDatabase (R-tree + Delaunay), define a concave query polygon, and
-// run the traditional filter-refine query next to the paper's
-// Voronoi-based incremental query — first directly, then as a parallel
-// batch through the engine.
+// a PointDatabase (implicit Hilbert R-tree + Delaunay) and print what each
+// structure holds, define a concave query polygon, and run the traditional
+// filter-refine query next to the paper's Voronoi-based incremental query —
+// first directly, then as a parallel batch through the engine.
 
 #include <cstdio>
 #include <vector>
@@ -27,6 +27,12 @@ int main() {
   PointDatabase db(GenerateUniformPoints(50000, domain, &rng));
   std::printf("database: %zu points, R-tree height %d, %zu Delaunay triangles\n",
               db.size(), db.rtree().Height(), db.delaunay().num_triangles());
+  const PointDatabase::StructureBytes bytes = db.MemoryFootprint();
+  std::printf("resident KiB: coordinates %zu, CSR graph %zu, index %zu, "
+              "id permutation %zu, page-cache frames %zu (total %zu)\n",
+              bytes.coordinates / 1024, bytes.csr_graph / 1024,
+              bytes.index / 1024, bytes.id_permutation / 1024,
+              bytes.page_cache_frames / 1024, bytes.total() / 1024);
 
   // 2. A concave 10-vertex query area covering ~2%% of the domain's MBR.
   PolygonSpec spec;

@@ -150,10 +150,9 @@ PointDatabase::PointDatabase(std::vector<Point> input, Options options)
                                &to_original_),
                 /*hilbert_sorted=*/true) {
   for (const Point& p : points()) bounds_.ExpandToInclude(p);
-  // The array is already Hilbert-clustered, so the R-tree packs
-  // consecutive runs into leaves instead of re-sorting (see
-  // `RTree::BuildClustered`).
-  rtree_.BuildClustered(points());
+  // The array is already Hilbert-clustered, so runs of 16 consecutive ids
+  // are the R-tree's leaves; the tree stores only their MBR levels.
+  rtree_.Build(points());
   options_storage_ = options.storage;
   // Programmatic spec wins; otherwise VAQ_FAULT_SPEC arms the fault
   // layer, so every existing harness doubles as a fault soak with no code
@@ -170,6 +169,18 @@ PointDatabase::PointDatabase(std::vector<Point> input, Options options)
   if (options_storage_.backend != StorageBackend::kInMemory && size() > 0) {
     InitPagedStorage();
   }
+}
+
+PointDatabase::StructureBytes PointDatabase::MemoryFootprint() const {
+  StructureBytes bytes;
+  bytes.coordinates = delaunay_.CoordinateBytes();
+  bytes.csr_graph = delaunay_.GraphBytes();
+  bytes.index = rtree_.MemoryBytes();
+  bytes.id_permutation = to_original_.capacity() * sizeof(PointId);
+  if (page_store_ != nullptr) {
+    bytes.page_cache_frames = page_store_->frame_bytes();
+  }
+  return bytes;
 }
 
 void PointDatabase::InitPagedStorage() {

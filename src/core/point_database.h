@@ -6,13 +6,14 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/query_stats.h"
 #include "delaunay/triangulation.h"
 #include "geometry/box.h"
 #include "geometry/point.h"
-#include "index/rtree.h"
+#include "index/hilbert_rtree.h"
 #include "storage/page_store.h"
 
 namespace vaq {
@@ -84,27 +85,29 @@ void CheckFiniteAndDistinct(const std::vector<Point>& points);
 
 /// The "spatial database" of the paper's experiments: a set of distinct
 /// points plus the two access structures both query methods share —
-/// an R-tree (window queries and the seed NN lookup) and the Delaunay
-/// triangulation (Voronoi-neighbour links).
+/// an implicit Hilbert R-tree (window queries and the seed NN lookup) and
+/// the Delaunay triangulation (Voronoi-neighbour links).
 ///
 /// **Hilbert-clustered storage.** Points are relabelled at construction:
 /// the stored order (and therefore the `PointId` space every query
 /// operates in) is Hilbert-curve order over the data bounding box, so id
 /// proximity ≈ spatial proximity. Every structure built on top — the
-/// R-tree leaves, the Delaunay CSR adjacency, the per-query visited
-/// bitmap — inherits that locality: a query touching a spatially compact
-/// region touches a compact id range, which is what keeps the Voronoi
-/// flood's gathers cache-resident. The permutation back to the caller's
-/// input order is kept for dataset IO round-trips (`OriginalId`).
+/// R-tree's id-range leaves, the Delaunay CSR adjacency, the per-query
+/// visited bitmap — inherits that locality: a query touching a spatially
+/// compact region touches a compact id range, which is what keeps the
+/// Voronoi flood's gathers cache-resident. The permutation back to the
+/// caller's input order is kept for dataset IO round-trips (`OriginalId`).
 ///
 /// **Geometry lives once.** The resident structures are one coordinate
-/// array — the triangulation's, which `points()` views — plus the R-tree
-/// leaf boxes and the Delaunay fan rows, the only graph a build keeps.
-/// The in-memory backend serves fetches from that array; a paged backend
-/// serves them from its page file, while the array stays resident for
-/// the triangulation. Both Voronoi expansion rules read a neighbour's
-/// coordinates off the triangulation without charging a fetch, as they
-/// always have.
+/// array — the triangulation's, which `points()` views — plus the R-tree's
+/// per-level MBR arrays (no ids and no per-point boxes: a subtree is an id
+/// range of that array) and the Delaunay fan rows, the only graph a build
+/// keeps. `MemoryFootprint()` reports each one's bytes. The in-memory
+/// backend serves fetches from that array; a paged backend serves them
+/// from its page file, while the array stays resident for the
+/// triangulation and the R-tree's straddling-leaf tests. Both Voronoi
+/// expansion rules read a neighbour's coordinates off the triangulation
+/// without charging a fetch, as they always have.
 ///
 /// `FetchPoint` / `FetchPoints` are the accounting boundary for object
 /// IO: every query implementation fetches candidate geometry through
@@ -129,8 +132,8 @@ class PointDatabase {
     StorageOptions storage;
   };
 
-  /// Builds the database: Hilbert-relabels the points, bulk-loads the
-  /// R-tree from the clustered array and triangulates.
+  /// Builds the database: Hilbert-relabels the points, triangulates and
+  /// builds the R-tree's MBR levels over the triangulation's array.
   /// The points must be in range (`InCoordinateRange`) and pairwise
   /// distinct; a duplicate pair raises `DuplicatePointError` naming both
   /// input positions and a non-finite or out-of-range coordinate raises
@@ -154,7 +157,9 @@ class PointDatabase {
 
   const Box& bounds() const { return bounds_; }
 
-  const RTree& rtree() const { return rtree_; }
+  /// The index over `points()`: an implicit Hilbert R-tree that views
+  /// the coordinate array (see `HilbertRTree`).
+  const HilbertRTree& rtree() const { return rtree_; }
   const DelaunayTriangulation& delaunay() const { return delaunay_; }
 
   /// Fetches the geometry of point `id`, charging one geometry load to
@@ -284,6 +289,27 @@ class PointDatabase {
   /// and tests read its lifetime counters and cache geometry.
   PageStore* page_store() const { return page_store_.get(); }
 
+  /// Heap bytes of each resident structure, from container capacities.
+  struct StructureBytes {
+    /// The one coordinate array (the triangulation's, super vertices
+    /// included).
+    std::size_t coordinates = 0;
+    /// The Delaunay fan rows and their offsets.
+    std::size_t csr_graph = 0;
+    /// The R-tree's per-level MBR arrays.
+    std::size_t index = 0;
+    /// The internal-to-original id permutation.
+    std::size_t id_permutation = 0;
+    /// The paged backend's frame arena (0 in memory).
+    std::size_t page_cache_frames = 0;
+
+    std::size_t total() const {
+      return coordinates + csr_graph + index + id_permutation +
+             page_cache_frames;
+    }
+  };
+  StructureBytes MemoryFootprint() const;
+
  private:
   void SimulateFetchLatency(std::size_t n) const;
   void InitPagedStorage();
@@ -293,7 +319,7 @@ class PointDatabase {
   std::vector<PointId> to_original_;
   DelaunayTriangulation delaunay_;
   Box bounds_;
-  RTree rtree_;
+  HilbertRTree rtree_;  // Views delaunay_'s point array.
   StorageOptions options_storage_;
   std::unique_ptr<PageStore> page_store_;
   double simulated_fetch_ns_ = 0.0;
@@ -306,6 +332,13 @@ class PointDatabase {
   std::unique_ptr<FaultInjector> fetch_injector_;
   mutable std::atomic<std::uint64_t> fetch_seq_{0};
 };
+
+// The R-tree views the triangulation's point array, so a moved database
+// would leave it dangling. The atomic member already rules moves out; a
+// compaction builds a new database, and with it a new tree.
+static_assert(!std::is_move_constructible_v<PointDatabase> &&
+                  !std::is_move_assignable_v<PointDatabase>,
+              "the R-tree views the database's own point array");
 
 }  // namespace vaq
 

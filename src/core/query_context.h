@@ -210,12 +210,15 @@ class QueryContext {
   }
 
   /// Sorts `ids` ascending, where every id is < `universe` and ids are
-  /// distinct. Unless the universe is sparse in ids, a reusable bitmap
+  /// distinct. Input that already ascends — what the R-tree's window and
+  /// polygon queries emit — returns after one O(k) scan. Otherwise, unless
+  /// the universe is sparse in ids, a reusable bitmap
   /// (O(universe/64 + k) word operations) replaces comparison sorting
   /// (O(k log k)). Stable ids remapped from a Hilbert-relabelled base
   /// arrive in random order, where `std::sort` pays ~40 ns per id on
   /// 1% queries — more than the base query itself.
   void SortIds(std::vector<PointId>& ids, std::size_t universe) {
+    if (std::is_sorted(ids.begin(), ids.end())) return;
     const std::size_t words = (universe + 63) / 64;
     if (words > ids.size() * std::bit_width(ids.size())) {
       std::sort(ids.begin(), ids.end());
@@ -239,10 +242,11 @@ class QueryContext {
 
   /// Reorders `ids` by ascending `key(id)`, where the keys are distinct
   /// and < `key_limit`. LSD radix sort of packed (key << 32 | id) words on
-  /// the key half: one pass per 8-bit digit `key_limit` needs (three
-  /// below 2^24), with every pass's histogram counted in the packing
-  /// sweep. O(k) with no universe-sized scan, unlike `SortIds`; the two
-  /// packed buffers are reused, so steady-state sorting allocates nothing.
+  /// the key half, in as few passes as digits of at most 11 bits allow
+  /// (two below 2^22), the key's bits split evenly among them, with every
+  /// pass's histogram counted in the packing sweep. O(k) with no
+  /// universe-sized scan, unlike `SortIds`; the two packed buffers are
+  /// reused, so steady-state sorting allocates nothing.
   template <typename KeyFn>
   void SortIdsByKey(std::vector<PointId>& ids, std::size_t key_limit,
                     KeyFn key) {
@@ -252,25 +256,33 @@ class QueryContext {
     sort_tmp_.resize(n);
     std::uint64_t* keys = sort_keys_.data();
     std::uint64_t* tmp = sort_tmp_.data();
-    const int passes = (std::bit_width(key_limit - 1) + 7) / 8;
-    std::uint32_t offsets[4][256] = {};
+    constexpr int kMaxDigitBits = 11;
+    const int bits =
+        std::max(1, static_cast<int>(std::bit_width(key_limit - 1)));
+    const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+    const int digit_bits = (bits + passes - 1) / passes;
+    const std::size_t buckets = std::size_t{1} << digit_bits;
+    const std::uint64_t mask = buckets - 1;
+    std::uint32_t histograms[3 << kMaxDigitBits];
+    std::fill(histograms, histograms + passes * buckets, 0u);
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t k = std::uint64_t{key(ids[i])} << 32 | ids[i];
       keys[i] = k;
       for (int p = 0; p < passes; ++p) {
-        ++offsets[p][(k >> (32 + 8 * p)) & 0xff];
+        ++histograms[p * buckets + ((k >> (32 + digit_bits * p)) & mask)];
       }
     }
     for (int p = 0; p < passes; ++p) {
+      std::uint32_t* offsets = histograms + p * buckets;
       std::uint32_t sum = 0;
-      for (std::uint32_t& at : offsets[p]) {
-        const std::uint32_t count = at;
-        at = sum;
+      for (std::size_t b = 0; b < buckets; ++b) {
+        const std::uint32_t count = offsets[b];
+        offsets[b] = sum;
         sum += count;
       }
-      const int shift = 32 + 8 * p;
+      const int shift = 32 + digit_bits * p;
       for (std::size_t i = 0; i < n; ++i) {
-        tmp[offsets[p][(keys[i] >> shift) & 0xff]++] = keys[i];
+        tmp[offsets[(keys[i] >> shift) & mask]++] = keys[i];
       }
       std::swap(keys, tmp);
     }

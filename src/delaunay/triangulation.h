@@ -89,6 +89,16 @@ class DelaunayTriangulation {
   /// Number of real triangles (what `Triangles()` returns).
   std::size_t num_triangles() const;
 
+  /// Heap bytes of the coordinate array (super vertices included) and of
+  /// the CSR rows with their offsets, from container capacities.
+  std::size_t CoordinateBytes() const {
+    return points_.capacity() * sizeof(Point);
+  }
+  std::size_t GraphBytes() const {
+    return adj_offsets_.capacity() * sizeof(std::uint32_t) +
+           adj_.capacity() * sizeof(PointId);
+  }
+
   /// Structural self-check of the rows: every consecutive fan triple is
   /// strictly CCW (super coordinates included), every real-real edge is in
   /// both rows, and both rows agree on the triangles they share. Used by

@@ -85,8 +85,8 @@ struct PointHash {
 };
 
 /// Identifier of a stored point: a position in the owning database's
-/// point table (see `PointDatabase`), which is also what the R-tree's
-/// lightweight (point, id) entries carry.
+/// point table (see `PointDatabase`); the database's R-tree stores none,
+/// since each of its subtrees is an id range of that table.
 using PointId = std::uint32_t;
 
 /// Marker for "no point found".

@@ -40,6 +40,8 @@ struct IndexStats {
 /// operations from this interface: `WindowQuery` (the traditional filter)
 /// and `NearestNeighbor` (the Voronoi method's seed lookup). The other
 /// operations round out the library and power the ablation benchmarks.
+/// `PointDatabase` serves both from `HilbertRTree`, which pins down what
+/// the interface leaves open: ascending output and smallest-id ties.
 ///
 /// All query operations are const and touch no shared mutable state, so a
 /// built index may be queried from any number of threads concurrently.
@@ -86,13 +88,16 @@ class SpatialIndex {
                             std::vector<PointId>* out,
                             IndexStats* stats = nullptr) const = 0;
 
-  /// Returns the id of the point closest to `q` (ties broken arbitrarily),
-  /// or `kInvalidPointId` if the index is empty.
+  /// Returns the id of the point closest to `q`, or `kInvalidPointId` if
+  /// the index is empty. Which of several equidistant points wins is up to
+  /// the implementation: `HilbertRTree` returns the smallest id, the
+  /// ablation indexes whichever their queue yields first.
   virtual PointId NearestNeighbor(const Point& q,
                                   IndexStats* stats = nullptr) const = 0;
 
   /// Appends the ids of the `k` points closest to `q` to `out`, ordered by
-  /// increasing distance. Returns fewer if the index holds fewer points.
+  /// increasing distance (by id among equidistant points, in
+  /// `HilbertRTree`). Returns fewer if the index holds fewer points.
   virtual void KNearestNeighbors(const Point& q, std::size_t k,
                                  std::vector<PointId>* out,
                                  IndexStats* stats = nullptr) const = 0;

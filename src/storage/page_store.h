@@ -177,6 +177,8 @@ class PageStore {
   /// Frames in the LRU arena: `Options::cache_pages` capped at
   /// `num_pages()`, and at least 1.
   std::size_t cache_pages() const { return frames_count_; }
+  /// Heap bytes of the frame arena, from its capacity.
+  std::size_t frame_bytes() const { return frames_.capacity(); }
   std::uint32_t PageOfId(PointId id) const {
     return static_cast<std::uint32_t>(id >> ppp_shift_);
   }

@@ -91,7 +91,8 @@ struct ExperimentRow {
   MethodAverages traditional;
   MethodAverages voronoi;
   int mismatches = 0;          // Only populated when config.verify.
-  /// Hilbert ordering plus the packed R-tree bulk load, replayed apart.
+  /// Hilbert ordering plus the database's R-tree build (its MBR levels),
+  /// replayed apart.
   double build_rtree_ms = 0.0;
   /// The whole `PointDatabase` build — distinctness check, Hilbert
   /// relabelling, R-tree and Delaunay — not the triangulation alone.

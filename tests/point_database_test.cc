@@ -30,6 +30,42 @@ TEST(PointDatabaseTest, BuildsBothStructures) {
   EXPECT_TRUE(kUnit.Contains(db.bounds()));
 }
 
+TEST(PointDatabaseTest, MemoryFootprintCountsEachStructure) {
+  // The index stores only its per-level MBR arrays: 32 bytes per node, far
+  // below the coordinate array it indexes.
+  constexpr std::size_t kN = 100000;
+  Rng rng(17);
+  const std::vector<Point> input = GenerateUniformPoints(kN, kUnit, &rng);
+  for (const StorageBackend backend :
+       {StorageBackend::kInMemory, StorageBackend::kMmap}) {
+    PointDatabase::Options options;
+    options.storage.backend = backend;
+    const PointDatabase db(input, options);
+    const PointDatabase::StructureBytes bytes = db.MemoryFootprint();
+    std::size_t nodes = 0;
+    for (int k = 0; k < db.rtree().Height(); ++k) {
+      nodes += db.rtree().LevelSize(k);
+    }
+    EXPECT_EQ(nodes, 6250u + 391u + 25u + 2u + 1u);
+    EXPECT_EQ(bytes.index, 32 * nodes);
+    EXPECT_LT(bytes.index, bytes.coordinates / 5);
+    EXPECT_GE(bytes.coordinates, (kN + 3) * sizeof(Point));
+    EXPECT_GE(bytes.id_permutation, kN * sizeof(PointId));
+    // About 6 fan entries per row plus one offset each.
+    EXPECT_GT(bytes.csr_graph, 6 * kN * sizeof(PointId));
+    if (backend == StorageBackend::kInMemory) {
+      EXPECT_EQ(bytes.page_cache_frames, 0u);
+    } else {
+      EXPECT_EQ(bytes.page_cache_frames,
+                db.page_store()->cache_pages() *
+                    db.page_store()->page_size_bytes());
+    }
+    EXPECT_EQ(bytes.total(), bytes.coordinates + bytes.csr_graph +
+                                 bytes.index + bytes.id_permutation +
+                                 bytes.page_cache_frames);
+  }
+}
+
 TEST(PointDatabaseTest, PointsViewTheTriangulationOnBothBackends) {
   // One coordinate store: points() is the triangulation's array, not a
   // copy, whichever backend serves the fetches.

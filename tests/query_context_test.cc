@@ -183,7 +183,7 @@ TEST(QueryContextTest, PlannedQueryBuildsItsGridOnce) {
 
 TEST(QueryContextTest, SortIdsByKeyMatchesAComparisonSort) {
   // Keys from a random permutation, over key universes that need one to
-  // four radix passes (the last one spans the whole 32-bit id space).
+  // three radix passes (the last one spans the whole 32-bit id space).
   Rng rng(31);
   QueryContext ctx;
   for (const std::size_t key_limit :
