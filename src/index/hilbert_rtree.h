@@ -39,8 +39,7 @@ class HilbertRTree : public SpatialIndex {
   static constexpr std::size_t kFanout = 16;
 
   /// Builds the MBR levels over `points`, which the tree then views (see
-  /// the class comment). The tree never reorders, so the inherited
-  /// `BuildClustered` (which forwards here) is the same build.
+  /// the class comment).
   void Build(std::span<const Point> points) override;
   std::size_t size() const override { return points_.size(); }
   void WindowQuery(const Box& window, std::vector<PointId>* out,

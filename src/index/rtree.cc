@@ -39,15 +39,6 @@ void RTree::Build(std::span<const Point> points) {
   Pack(std::move(leaves));
 }
 
-void RTree::BuildClustered(std::span<const Point> points) {
-  std::vector<Entry> leaves;
-  leaves.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    leaves.push_back(Entry{Box(points[i]), static_cast<std::int32_t>(i)});
-  }
-  Pack(std::move(leaves));
-}
-
 void RTree::Pack(std::vector<Entry> level) {
   nodes_.clear();
   root_ = -1;

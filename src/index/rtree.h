@@ -15,9 +15,8 @@ namespace vaq {
 ///
 /// * dynamic inserts use ChooseLeaf by least area enlargement and the
 ///   quadratic split;
-/// * bulk loads are Hilbert-packed: `BuildClustered` takes input already in
-///   Hilbert order (what `PointDatabase` stores and loads), `Build` sorts
-///   by Hilbert key first; both fill leaves to near-100% utilisation;
+/// * bulk loads are Hilbert-packed: `Build` sorts by Hilbert key, then
+///   packs consecutive runs into leaves at near-100% utilisation;
 /// * nearest-neighbour search is best-first over MINDIST
 ///   (Hjaltason & Samet 1999).
 class RTree : public SpatialIndex {
@@ -35,15 +34,11 @@ class RTree : public SpatialIndex {
   explicit RTree(int max_entries = 16, int min_entries = 6,
                  SplitStrategy split = SplitStrategy::kQuadratic);
 
-  /// Sorts `points` along a Hilbert curve, then packs them like
-  /// `BuildClustered`. Ids stay positions in `points`.
+  /// Sorts `points` along a Hilbert curve, then packs consecutive runs of
+  /// `max_entries` into leaves, one O(n) pass per level (curve runs are
+  /// spatially compact, so leaf MBRs are tight). Ids stay positions in
+  /// `points`.
   void Build(std::span<const Point> points) override;
-  /// Hilbert-packed bulk load: the input is promised to be in
-  /// space-filling-curve order, so consecutive runs of `max_entries`
-  /// points become leaves directly — no sorting at any level, one O(n)
-  /// pass per level (curve runs are spatially compact, so leaf MBRs are
-  /// tight).
-  void BuildClustered(std::span<const Point> points) override;
   std::size_t size() const override { return count_; }
   void WindowQuery(const Box& window, std::vector<PointId>* out,
                    IndexStats* stats = nullptr) const override;

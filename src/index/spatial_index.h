@@ -54,17 +54,6 @@ class SpatialIndex {
   /// the span. Replaces any previous content.
   virtual void Build(std::span<const Point> points) = 0;
 
-  /// Bulk-loads from points the caller promises are already spatially
-  /// clustered (consecutive positions ≈ spatial neighbours, e.g.
-  /// Hilbert-curve order — what `PointDatabase` stores). Indexes that can
-  /// exploit the ordering override this to pack consecutive runs directly
-  /// into leaves, skipping their own sorting passes; the default just
-  /// forwards to `Build`. Results of every query operation are identical
-  /// either way.
-  virtual void BuildClustered(std::span<const Point> points) {
-    Build(points);
-  }
-
   /// Number of indexed points.
   virtual std::size_t size() const = 0;
 
