@@ -1,12 +1,19 @@
 // google-benchmark micro-benchmarks of the PreparedArea accelerator:
 // prepared vs naive polygon tests across polygon complexity, the one-time
-// preprocessing cost, and the build-plus-validate crossover that decides
-// when preparing a query polygon amortises (DESIGN.md §6).
+// preprocessing cost (at the default side and at the sides the planned
+// path asks for), one batched refine through `PolygonKernel`, and the
+// build-plus-validate crossover that decides when preparing a query
+// polygon amortises (DESIGN.md §6).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "geometry/polygon.h"
 #include "geometry/prepared_area.h"
+#include "geometry/simd/polygon_kernel.h"
 #include "workload/polygon_generator.h"
 #include "workload/rng.h"
 
@@ -63,6 +70,55 @@ void BM_PreparedBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PreparedBuild)->Arg(10)->Arg(40)->Arg(160)->Arg(640);
+
+/// The build the planned path pays: a decagon at the grid side
+/// `SuggestGridSide` picks for `range(0)` expected point tests.
+void BM_PreparedBuildPlanned(benchmark::State& state) {
+  const Polygon poly = BenchPolygon(10);
+  const auto tests = static_cast<std::size_t>(state.range(0));
+  const int side = PreparedArea::SuggestGridSide(poly.size(), tests);
+  PreparedArea prep;
+  for (auto _ : state) {
+    prep.Prepare(poly, side);
+    benchmark::DoNotOptimize(prep.boundary_cell_count());
+  }
+  state.counters["side"] = side;
+}
+BENCHMARK(BM_PreparedBuildPlanned)->Arg(100)->Arg(1000)->Arg(10000);
+
+/// The refine half: one `ContainsBatch` over `range(0)` candidates inside
+/// a decagon's MBR, on the dispatch arm, against the grid the planned path
+/// builds for that many tests. `boundary_share` is the candidates' share
+/// in boundary cells, the lanes that take the row-parity resolve.
+void BM_ContainsBatch(benchmark::State& state) {
+  const Polygon poly = BenchPolygon(10);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  PreparedArea prep;
+  prep.Prepare(poly, PreparedArea::SuggestGridSide(poly.size(), n));
+  PolygonKernel kernel;
+  kernel.Prepare(prep);
+  Rng rng(42);
+  const Box& b = poly.Bounds();
+  std::vector<double> xs(n), ys(n);
+  std::vector<unsigned char> cls(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xs[i] = rng.Uniform(b.min.x, b.max.x);
+    ys[i] = rng.Uniform(b.min.y, b.max.y);
+  }
+  prep.ClassifyPoints(xs.data(), ys.data(), n, cls.data());
+  std::unique_ptr<bool[]> inside(new bool[n]);
+  for (auto _ : state) {
+    kernel.ContainsBatch(xs.data(), ys.data(), n, inside.get());
+    benchmark::DoNotOptimize(inside.get());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["boundary_share"] =
+      static_cast<double>(std::count(cls.begin(), cls.end(),
+                                     PreparedArea::kPointBoundary)) /
+      static_cast<double>(n);
+}
+BENCHMARK(BM_ContainsBatch)->Arg(1000);
 
 void BM_NaiveBoundaryIntersects(benchmark::State& state) {
   const Polygon poly = BenchPolygon(static_cast<int>(state.range(0)));

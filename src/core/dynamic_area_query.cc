@@ -14,15 +14,16 @@ namespace {
 /// Whether one grid build sized to `survivors` point tests, plus the
 /// kernel run over them, costs less than testing them by
 /// `Polygon::Contains`, which walks all `m` edges per point. In edge-step
-/// units a build of side s costs about 2·s² (its cell passes: class,
-/// offsets, flood fill, summed-area tables) plus 4·m·s (every edge
-/// rasterised over ~s cells, twice, plus the row lists): a calibration on
-/// a 2.1 GHz Xeon put a decagon's crossover at ~50 survivors (side 8,
-/// 1.6 µs build) and a 40-gon's at ~32.
+/// units a build of side s costs about 2·s² (one row-major cell pass for
+/// the classes, the summed-area tables and the CSR offsets, plus the
+/// kernel run) plus 3·m·s (every edge rasterised once over ~s cells, the
+/// row lists and the kernel's edge copy): a calibration on a 2.1 GHz Xeon
+/// put the crossover at ~37 survivors for a decagon (side 8, ~1.0 µs
+/// build), ~30 for a 20-gon and ~35 for a 40-gon (side 10).
 bool GridBuildPays(std::size_t survivors, std::size_t m) {
   const auto side = static_cast<std::size_t>(
       PreparedArea::SuggestGridSide(m, survivors));
-  return survivors * m > 2 * side * side + 4 * m * side;
+  return survivors * m > 2 * side * side + 3 * m * side;
 }
 
 }  // namespace

@@ -25,6 +25,13 @@ struct QueryStats {
   std::uint64_t geometry_loads = 0;
   std::uint64_t index_node_accesses = 0;
   std::uint64_t neighbor_expansions = 0;
+  /// Exact segment-vs-polygon tests the Voronoi flood ran. Under the
+  /// paper rule this depends on visit order, not only on the query: an
+  /// already-visited neighbour is skipped before its segment test, so
+  /// whichever boundary point reaches a shared outside neighbour first
+  /// decides whether that neighbour's segment is tested again. Reordering
+  /// the graph's rows alone moves it (by ~1% on `BENCH_micro_flood`)
+  /// while candidates, results and expansions stay the same.
   std::uint64_t segment_tests = 0;
   /// Results accepted wholesale without a per-point geometric test: points
   /// of index subtrees / grid cells whose MBR the `PreparedArea` classified

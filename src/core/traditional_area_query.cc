@@ -59,17 +59,22 @@ std::vector<PointId> TraditionalAreaQuery::Run(const Polygon& area,
       // every survivor is a result. The full candidate list is known up
       // front, so hint the out-of-core page cache once for the whole
       // refine pass (no-op on the in-memory backend).
+      // Survivors are compacted branch-free: every candidate is written at
+      // the cursor, which advances only past hits.
       db_->PrefetchPoints(candidates.data(), candidates.size());
-      result.reserve(candidates.size());
+      result.resize(candidates.size());
+      std::size_t found = 0;
       ForEachRefinedBlock(
           *db_, kernel, candidates.data(), candidates.size(), stats,
           ctx.cancel(),
           [&](const PointId* ids, std::size_t m, const double*, const double*,
               const bool* inside) {
             for (std::size_t j = 0; j < m; ++j) {
-              if (inside[j]) result.push_back(ids[j]);
+              result[found] = ids[j];
+              found += inside[j] ? 1 : 0;
             }
           });
+      result.resize(found);
     }
   }
   ctx.SortIds(result, db_->size());

@@ -83,7 +83,7 @@ void PreparedArea::Prepare(const Polygon& area, int grid_side_hint) {
   const std::size_t m = area.size();
 
   int side = grid_side_hint > 0
-                 ? std::clamp(grid_side_hint, 4, 512)
+                 ? std::clamp(grid_side_hint, 4, kMaxGridSide)
                  : std::clamp(static_cast<int>(
                                   4.0 * std::sqrt(static_cast<double>(m))),
                               32, 192);
@@ -96,105 +96,109 @@ void PreparedArea::Prepare(const Polygon& area, int grid_side_hint) {
   pad_y_ = cell_h_ * 1e-6;
 
   const std::size_t cells = static_cast<std::size_t>(nx_) * ny_;
-  cell_class_.assign(cells, kCellUnknown);
 
-  // --- Pass 1: rasterise the boundary; count per-cell edge references. ---
+  // --- Rasterise the boundary once: record (cell, edge) pairs in
+  // generation order and count each cell's edges (a cell with edges is a
+  // boundary cell); the row lists count their edges in the same loop. No
+  // pads on rows: the y -> row mapping is monotone, so an edge straddling
+  // p.y always lands in p's row range. Raw pointers keep the hot loops
+  // free of reloads through the vectors. ---
   cell_edge_offsets_.assign(cells + 1, 0);
-  for (std::size_t i = 0; i < m; ++i) {
-    ForEachEdgeCell(i, [&](std::size_t cell) {
-      cell_class_[cell] = kPointBoundary;
-      ++cell_edge_offsets_[cell + 1];
-    });
-  }
-  for (std::size_t c = 0; c < cells; ++c) {
-    cell_edge_offsets_[c + 1] += cell_edge_offsets_[c];
-  }
-  cell_edges_.resize(cell_edge_offsets_[cells]);
-  // Fill via a cursor copy of the offsets (second rasterisation pass).
-  csr_cursor_.assign(cell_edge_offsets_.begin(),
-                     cell_edge_offsets_.end() - 1);
-  for (std::size_t i = 0; i < m; ++i) {
-    ForEachEdgeCell(i, [&](std::size_t cell) {
-      cell_edges_[csr_cursor_[cell]++] = static_cast<std::uint32_t>(i);
-    });
-  }
-
-  // --- Per-row edge lists (exact containment fallback). No pads needed:
-  // the y -> row mapping is monotone, so an edge straddling p.y always
-  // lands in p's row range. ---
   row_edge_offsets_.assign(ny_ + 1, 0);
+  raster_pairs_.clear();
+  std::uint32_t* const cell_off = cell_edge_offsets_.data();
+  std::uint32_t* const row_off = row_edge_offsets_.data();
   for (std::size_t i = 0; i < m; ++i) {
+    const auto edge = static_cast<std::uint32_t>(i);
+    ForEachEdgeCell(i, [&](std::size_t cell) {
+      ++cell_off[cell + 1];
+      raster_pairs_.push_back({static_cast<std::uint32_t>(cell), edge});
+    });
     const Point& a = area.vertex(i);
     const Point& b = area.vertex((i + 1) % m);
-    const int r0 = RowOf(std::min(a.y, b.y));
     const int r1 = RowOf(std::max(a.y, b.y));
-    for (int r = r0; r <= r1; ++r) ++row_edge_offsets_[r + 1];
+    for (int r = RowOf(std::min(a.y, b.y)); r <= r1; ++r) ++row_off[r + 1];
   }
-  for (int r = 0; r < ny_; ++r) row_edge_offsets_[r + 1] += row_edge_offsets_[r];
-  row_edges_.resize(row_edge_offsets_[ny_]);
-  csr_cursor_.assign(row_edge_offsets_.begin(), row_edge_offsets_.end() - 1);
+  for (int r = 0; r < ny_; ++r) row_off[r + 1] += row_off[r];
+  row_edges_.resize(row_off[ny_]);
+  csr_cursor_.assign(row_off, row_off + ny_);
   for (std::size_t i = 0; i < m; ++i) {
     const Point& a = area.vertex(i);
     const Point& b = area.vertex((i + 1) % m);
-    const int r0 = RowOf(std::min(a.y, b.y));
     const int r1 = RowOf(std::max(a.y, b.y));
-    for (int r = r0; r <= r1; ++r) {
+    for (int r = RowOf(std::min(a.y, b.y)); r <= r1; ++r) {
       row_edges_[csr_cursor_[r]++] = static_cast<std::uint32_t>(i);
     }
   }
 
-  // --- Pass 2: flood-fill the edge-free cells. The boundary ring only
-  // passes through boundary cells, so each 4-connected component of
-  // edge-free cells has one containment status; one exact test on a
-  // representative cell centre classifies the whole component. ---
-  for (std::size_t start = 0; start < cells; ++start) {
-    if (cell_class_[start] != kCellUnknown) continue;
-    flood_queue_.clear();
-    flood_queue_.push_back(static_cast<std::int32_t>(start));
-    const int scx = static_cast<int>(start % nx_);
-    const int scy = static_cast<int>(start / nx_);
-    const Point rep{bounds_.min.x + (scx + 0.5) * cell_w_,
-                    bounds_.min.y + (scy + 0.5) * cell_h_};
-    const unsigned char cls =
-        ContainsViaRow(rep) ? kPointInside : kPointOutside;
-    cell_class_[start] = cls;
-    while (!flood_queue_.empty()) {
-      const std::int32_t c = flood_queue_.back();
-      flood_queue_.pop_back();
-      const int cx = c % nx_;
-      const int cy = c / nx_;
-      const std::int32_t neighbors[4] = {c - 1, c + 1, c - nx_, c + nx_};
-      const bool valid[4] = {cx > 0, cx + 1 < nx_, cy > 0, cy + 1 < ny_};
-      for (int k = 0; k < 4; ++k) {
-        if (valid[k] && cell_class_[neighbors[k]] == kCellUnknown) {
-          cell_class_[neighbors[k]] = cls;
-          flood_queue_.push_back(neighbors[k]);
+  // --- One row-major pass over the cells: classify them, build both
+  // summed-area tables from row running sums, and prefix-sum the cell CSR
+  // offsets. The boundary ring only passes through boundary cells, so
+  // each 4-connected component of edge-free cells has one containment
+  // status. Row-major order reaches every component first at a cell whose
+  // left and upper neighbours are both boundary (or off the grid); such a
+  // cell is classified on its own (one exact test at its centre, or none
+  // on the grid's rim), and every other edge-free cell copies an
+  // already-classified left or upper neighbour of its own component. ---
+  cell_class_.assign(cells + kCellClassPadding, 0);
+  const std::size_t w = nx_ + 1;
+  inside_sat_.resize(w * (ny_ + 1));
+  boundary_sat_.resize(w * (ny_ + 1));
+  unsigned char* const cls = cell_class_.data();
+  std::uint32_t* const in_sat = inside_sat_.data();
+  std::uint32_t* const bd_sat = boundary_sat_.data();
+  std::fill(in_sat, in_sat + w, 0);
+  std::fill(bd_sat, bd_sat + w, 0);
+  constexpr unsigned char kSeed = 3;  // Edge-free, no classified neighbour.
+  const int nx = nx_;
+  const int ny = ny_;
+  boundary_cells_ = inside_cells_ = 0;
+  for (int cy = 0; cy < ny; ++cy) {
+    const std::size_t row = static_cast<std::size_t>(cy) * nx;
+    const std::size_t at = static_cast<std::size_t>(cy + 1) * w;
+    in_sat[at] = 0;
+    bd_sat[at] = 0;
+    std::uint32_t row_inside = 0;
+    std::uint32_t row_boundary = 0;
+    unsigned char left = kPointBoundary;  // Off the grid.
+    for (int cx = 0; cx < nx; ++cx) {
+      const std::size_t c = row + cx;
+      const std::uint32_t edges = cell_off[c + 1];
+      const unsigned char up = cy > 0 ? cls[c - nx] : kPointBoundary;
+      unsigned char v = up != kPointBoundary ? up : kSeed;
+      v = left != kPointBoundary ? left : v;
+      v = edges != 0 ? kPointBoundary : v;
+      if (v == kSeed) {
+        if (cx == 0 || cy == 0 || cx == nx - 1 || cy == ny - 1) {
+          // An edge-free cell on the grid's rim holds points of the MBR's
+          // rim. Those are never interior, and not on the boundary either,
+          // so they and their whole component are outside.
+          v = kPointOutside;
+        } else {
+          const Point rep{bounds_.min.x + (cx + 0.5) * cell_w_,
+                          bounds_.min.y + (cy + 0.5) * cell_h_};
+          v = ContainsViaRow(rep) ? kPointInside : kPointOutside;
         }
       }
+      cls[c] = v;
+      left = v;
+      row_inside += v == kPointInside ? 1 : 0;
+      row_boundary += v == kPointBoundary ? 1 : 0;
+      in_sat[at + cx + 1] = in_sat[at - w + cx + 1] + row_inside;
+      bd_sat[at + cx + 1] = bd_sat[at - w + cx + 1] + row_boundary;
+      cell_off[c + 1] = cell_off[c] + edges;
     }
+    inside_cells_ += row_inside;
+    boundary_cells_ += row_boundary;
   }
 
-  // --- Summed-area tables over the cell classification for O(1)
-  // ClassifyBox. ---
-  const std::size_t satn = static_cast<std::size_t>(nx_ + 1) * (ny_ + 1);
-  inside_sat_.assign(satn, 0);
-  boundary_sat_.assign(satn, 0);
-  boundary_cells_ = inside_cells_ = 0;
-  for (int cy = 0; cy < ny_; ++cy) {
-    for (int cx = 0; cx < nx_; ++cx) {
-      const unsigned char cls =
-          cell_class_[static_cast<std::size_t>(cy) * nx_ + cx];
-      const std::uint32_t inside = cls == kPointInside ? 1 : 0;
-      const std::uint32_t boundary = cls == kPointBoundary ? 1 : 0;
-      inside_cells_ += inside;
-      boundary_cells_ += boundary;
-      const std::size_t w = nx_ + 1;
-      const std::size_t at = static_cast<std::size_t>(cy + 1) * w + cx + 1;
-      inside_sat_[at] = inside + inside_sat_[at - 1] + inside_sat_[at - w] -
-                        inside_sat_[at - w - 1];
-      boundary_sat_[at] = boundary + boundary_sat_[at - 1] +
-                          boundary_sat_[at - w] - boundary_sat_[at - w - 1];
-    }
+  // --- Scatter the recorded pairs into the cell CSR. A stable counting
+  // sort keeps each cell's edges in ascending order, as two rasterisation
+  // passes would. ---
+  cell_edges_.resize(cell_off[cells]);
+  csr_cursor_.assign(cell_off, cell_off + cells);
+  for (const RasterPair& pair : raster_pairs_) {
+    cell_edges_[csr_cursor_[pair.cell]++] = pair.edge;
   }
 }
 

@@ -76,13 +76,20 @@ class PreparedArea {
   /// Point lies in a boundary cell: caller must run `Contains` on it.
   static constexpr unsigned char kPointBoundary = 2;
 
+  /// Largest grid side `Prepare` builds (hints are clamped to it).
+  static constexpr int kMaxGridSide = 512;
+  /// Readable bytes after the last cell class, so a vector kernel may load
+  /// any cell's class as the low byte of a 32-bit word.
+  static constexpr std::size_t kCellClassPadding = 3;
+
   PreparedArea() = default;
   explicit PreparedArea(const Polygon& area) { Prepare(area); }
 
   /// (Re)builds the acceleration structure over `area`, reusing internal
   /// buffers. `area` must stay alive and unmodified while this prepared
   /// structure is in use. `grid_side_hint` overrides the automatic grid
-  /// resolution (clamped to [4, 512]); 0 picks `~4*sqrt(m)` in [32, 192].
+  /// resolution (clamped to [4, kMaxGridSide]); 0 picks `~4*sqrt(m)` in
+  /// [32, 192].
   void Prepare(const Polygon& area, int grid_side_hint = 0);
 
   /// Grid resolution balancing one-time build cost (O(side^2) cells)
@@ -184,7 +191,8 @@ class PreparedArea {
   int grid_ny() const { return ny_; }
   double inv_cell_w() const { return inv_cw_; }
   double inv_cell_h() const { return inv_ch_; }
-  /// Per-cell class array, row-major `grid_ny() x grid_nx()`.
+  /// Per-cell class array, row-major `grid_ny() x grid_nx()`, followed by
+  /// `kCellClassPadding` zero bytes.
   const unsigned char* cell_class_data() const { return cell_class_.data(); }
   /// Row CSR: the edges whose y-range meets grid row r are
   /// `row_edges_data()[row_edge_offsets_data()[r] ..
@@ -197,7 +205,12 @@ class PreparedArea {
 
  private:
   // Cell classes share the kPoint* values: 0 outside, 1 inside, 2 boundary.
-  static constexpr unsigned char kCellUnknown = 3;
+
+  /// One rasterised (cell, edge) incidence, recorded in generation order.
+  struct RasterPair {
+    std::uint32_t cell;
+    std::uint32_t edge;
+  };
 
   int ColOf(double x) const {
     const int c = static_cast<int>((x - bounds_.min.x) * inv_cw_);
@@ -256,9 +269,9 @@ class PreparedArea {
   /// (nx+1) x (ny+1), for O(1) ClassifyBox.
   std::vector<std::uint32_t> inside_sat_;
   std::vector<std::uint32_t> boundary_sat_;
-  /// Build scratch (flood-fill queue, CSR fill cursors), reused across
-  /// Prepare calls so steady-state rebuilds allocate nothing.
-  std::vector<std::int32_t> flood_queue_;
+  /// Build scratch (rasterised incidences, CSR fill cursors), reused
+  /// across Prepare calls so steady-state rebuilds allocate nothing.
+  std::vector<RasterPair> raster_pairs_;
   std::vector<std::uint32_t> csr_cursor_;
 };
 

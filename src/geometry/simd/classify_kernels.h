@@ -3,6 +3,7 @@
 
 #include <cfloat>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 
 namespace vaq::simd {
@@ -74,6 +75,18 @@ struct CircleScreen {
 void ClassifyCellsAvx2(const GridView& g, const double* xs, const double* ys,
                        std::size_t n, unsigned char* cls);
 
+/// The grid-residual kernel's first step over one block of n <= 65536
+/// points: the same cell classes as `ClassifyCellsAvx2`, consumed in place.
+/// Writes `inside[j]` = (class is inside) for every point, appends each
+/// boundary-class point as `row << 16 | j` to `boundary` (its grid row
+/// clamped like `PreparedArea::RowOf`), in point order, and returns how
+/// many it appended. `boundary` needs room for n rounded up to a multiple
+/// of 4. Reads 32-bit words of `g.cell_class`, which must be followed by
+/// `PreparedArea::kCellClassPadding` readable bytes.
+std::size_t ClassifyGridBlockAvx2(const GridView& g, const double* xs,
+                                  const double* ys, std::size_t n,
+                                  bool* inside, std::uint32_t* boundary);
+
 /// Convex half-plane chain: `inside[j]` = point j is on the inner side of
 /// every edge (edges pre-oriented so inside means orient(a,b,p) >= 0),
 /// evaluated 8 lanes per iteration with the certified static filter.
@@ -104,13 +117,16 @@ bool CrossingParityAvx2(const EdgeSoA& e, std::size_t m,
                         const double* ys, std::size_t n, bool* inside,
                         bool* needs_exact);
 
-/// Crossing-parity test of ONE point against the edge range [begin, end) —
-/// the boundary-band resolve of the grid-residual kernel, edges in lanes
-/// (the row CSR slice is contiguous in `e`). Returns 1 (contained),
-/// 0 (not contained) or -1 when some relevant lane cannot be certified and
-/// the caller must run the exact row test instead.
-int RowParityAvx2(const EdgeSoA& e, std::size_t begin, std::size_t end,
-                  double px, double py);
+/// Crossing-parity test of `n` points against ONE shared edge range
+/// [begin, end) — the boundary-band resolve of the grid-residual kernel
+/// for the points of one grid row: points in lanes, the row CSR slice
+/// (contiguous in `e`) broadcast one edge at a time. Writes per point
+/// `verdict[j]` = 1 (contained), 0 (not contained) or -1 when some
+/// relevant edge cannot be certified and the caller must run the exact
+/// row test instead.
+void RowParityLanesAvx2(const EdgeSoA& e, std::size_t begin, std::size_t end,
+                        const double* xs, const double* ys, std::size_t n,
+                        signed char* verdict);
 
 #endif  // VAQ_HAVE_AVX2_KERNELS
 

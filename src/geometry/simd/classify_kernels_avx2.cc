@@ -82,8 +82,8 @@ inline __m256d InBoxLanes(__m256d px, __m256d py, __m256d minx, __m256d maxx,
   return _mm256_and_pd(okx, oky);
 }
 
-inline void StoreFlags(__m256d mask, std::size_t active, bool* out) {
-  const unsigned bits = static_cast<unsigned>(_mm256_movemask_pd(mask));
+// Writes the low `active` (<= 4) bits of `bits` as bools.
+inline void StoreBits(unsigned bits, std::size_t active, bool* out) {
   if (active == 4) {
     // Expand the 4 mask bits to 4 bool bytes in one 32-bit store.
     const std::uint32_t bytes = (bits & 1u) | ((bits & 2u) << 7) |
@@ -92,6 +92,10 @@ inline void StoreFlags(__m256d mask, std::size_t active, bool* out) {
     return;
   }
   for (std::size_t j = 0; j < active; ++j) out[j] = ((bits >> j) & 1u) != 0;
+}
+
+inline void StoreFlags(__m256d mask, std::size_t active, bool* out) {
+  StoreBits(static_cast<unsigned>(_mm256_movemask_pd(mask)), active, out);
 }
 
 // Chain short-circuit threshold: when the circle screen leaves at most
@@ -121,46 +125,128 @@ inline Screen4 ScreenLanes(__m256d px, __m256d py, __m256d ccx, __m256d ccy,
           _mm256_andnot_pd(_mm256_or_pd(incirc, outcirc), inm)};
 }
 
+// The grid arithmetic shared by the cell-classification entries, on four
+// lanes. The scalar loop rejects with (x < minx || x > maxx || ...);
+// keeping lanes where all four >= / <= comparisons hold is the same
+// predicate for finite coordinates. For in-range lanes (x - minx) is
+// exact-signed and the product is in [0, nx], so truncation + high clamp
+// reproduces the scalar
+//   cx = int((x - minx) * inv_cw); cx = cx >= nx ? nx - 1 : cx;
+// Out-of-range lanes may convert to the indefinite value; their index is
+// never used because their class is forced to 0 (outside).
+struct GridConsts {
+  explicit GridConsts(const GridView& g)
+      : minx(_mm256_set1_pd(g.minx)),
+        maxx(_mm256_set1_pd(g.maxx)),
+        miny(_mm256_set1_pd(g.miny)),
+        maxy(_mm256_set1_pd(g.maxy)),
+        icw(_mm256_set1_pd(g.inv_cw)),
+        ich(_mm256_set1_pd(g.inv_ch)),
+        nx1(_mm_set1_epi32(g.nx - 1)),
+        ny1(_mm_set1_epi32(g.ny - 1)),
+        nx(_mm_set1_epi32(g.nx)) {}
+  __m256d minx, maxx, miny, maxy, icw, ich;
+  __m128i nx1, ny1, nx;
+};
+
+struct GridIndex {
+  __m256d in;    // In-MBR lanes (64-bit masks).
+  __m128i cell;  // Flat cell index, row-major.
+  __m128i row;
+};
+
+inline GridIndex GridIndexOf(const GridConsts& k, __m256d px, __m256d py) {
+  __m128i cx = _mm256_cvttpd_epi32(_mm256_mul_pd(_mm256_sub_pd(px, k.minx), k.icw));
+  __m128i cy = _mm256_cvttpd_epi32(_mm256_mul_pd(_mm256_sub_pd(py, k.miny), k.ich));
+  cx = _mm_min_epi32(cx, k.nx1);
+  cy = _mm_min_epi32(cy, k.ny1);
+  return {InBoxLanes(px, py, k.minx, k.maxx, k.miny, k.maxy),
+          _mm_add_epi32(_mm_mullo_epi32(cy, k.nx), cx), cy};
+}
+
+// Left-pack controls for _mm_shuffle_epi8: entry `bits` moves the 32-bit
+// lanes whose bit is set to the front, in lane order. Built at compile
+// time, so this AVX2 unit runs no code before the dispatch check.
+struct PackTable {
+  alignas(16) std::uint8_t control[16][16] = {};
+  constexpr PackTable() {
+    for (unsigned bits = 0; bits < 16; ++bits) {
+      unsigned out = 0;
+      for (unsigned lane = 0; lane < 4; ++lane) {
+        if (((bits >> lane) & 1u) == 0) continue;
+        for (unsigned b = 0; b < 4; ++b) {
+          control[bits][4 * out + b] = static_cast<std::uint8_t>(4 * lane + b);
+        }
+        ++out;
+      }
+      for (unsigned b = 4 * out; b < 16; ++b) control[bits][b] = 0x80;
+    }
+  }
+};
+
+constexpr PackTable kPack;
+
 }  // namespace
 
 void ClassifyCellsAvx2(const GridView& g, const double* xs, const double* ys,
                        std::size_t n, unsigned char* cls) {
-  const __m256d vminx = _mm256_set1_pd(g.minx);
-  const __m256d vmaxx = _mm256_set1_pd(g.maxx);
-  const __m256d vminy = _mm256_set1_pd(g.miny);
-  const __m256d vmaxy = _mm256_set1_pd(g.maxy);
-  const __m256d vicw = _mm256_set1_pd(g.inv_cw);
-  const __m256d vich = _mm256_set1_pd(g.inv_ch);
-  const __m128i vnx1 = _mm_set1_epi32(g.nx - 1);
-  const __m128i vny1 = _mm_set1_epi32(g.ny - 1);
-  const __m128i vnx = _mm_set1_epi32(g.nx);
+  const GridConsts k(g);
   for (std::size_t i = 0; i < n; i += 4) {
     const std::size_t rem = n - i;
     const std::size_t a = rem < 4 ? rem : 4;
-    const __m256d px = LoadLanes(xs + i, a);
-    const __m256d py = LoadLanes(ys + i, a);
-    // The scalar loop rejects with (x < minx || x > maxx || ...); keeping
-    // lanes where all four >= / <= comparisons hold is the same predicate
-    // for finite coordinates.
-    const __m256d in = InBoxLanes(px, py, vminx, vmaxx, vminy, vmaxy);
-    // For in-range lanes (x - minx) is exact-signed and the product is in
-    // [0, nx], so truncation + high clamp reproduces the scalar
-    //   cx = int((x - minx) * inv_cw); cx = cx >= nx ? nx - 1 : cx;
-    // Out-of-range lanes may convert to the indefinite value; their index
-    // is never used because the class is forced to 0 (outside) below.
-    __m128i cx = _mm256_cvttpd_epi32(_mm256_mul_pd(_mm256_sub_pd(px, vminx), vicw));
-    __m128i cy = _mm256_cvttpd_epi32(_mm256_mul_pd(_mm256_sub_pd(py, vminy), vich));
-    cx = _mm_min_epi32(cx, vnx1);
-    cy = _mm_min_epi32(cy, vny1);
-    const __m128i idx = _mm_add_epi32(_mm_mullo_epi32(cy, vnx), cx);
-    alignas(16) std::int32_t buf[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(buf), idx);
-    const unsigned inbits = static_cast<unsigned>(_mm256_movemask_pd(in));
+    const GridIndex gi = GridIndexOf(k, LoadLanes(xs + i, a), LoadLanes(ys + i, a));
+    alignas(16) std::int32_t cell[4];
+    _mm_store_si128(reinterpret_cast<__m128i*>(cell), gi.cell);
+    const auto inbits = static_cast<unsigned>(_mm256_movemask_pd(gi.in));
     for (std::size_t j = 0; j < a; ++j) {
-      cls[i + j] =
-          ((inbits >> j) & 1u) != 0 ? g.cell_class[buf[j]] : static_cast<unsigned char>(0);
+      cls[i + j] = ((inbits >> j) & 1u) != 0 ? g.cell_class[cell[j]]
+                                             : static_cast<unsigned char>(0);
     }
   }
+}
+
+std::size_t ClassifyGridBlockAvx2(const GridView& g, const double* xs,
+                                  const double* ys, std::size_t n,
+                                  bool* inside, std::uint32_t* boundary) {
+  const GridConsts k(g);
+  const __m128i one = _mm_set1_epi32(1);
+  const __m128i two = _mm_set1_epi32(2);
+  const __m128i low_byte = _mm_set1_epi32(0xFF);
+  const __m128i lane_step = _mm_setr_epi32(0, 1, 2, 3);
+  const __m256i low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  const int* cell_words = reinterpret_cast<const int*>(g.cell_class);
+  std::size_t nb = 0;
+  for (std::size_t i = 0; i < n; i += 4) {
+    const std::size_t rem = n - i;
+    const std::size_t a = rem < 4 ? rem : 4;
+    const unsigned amask = (1u << a) - 1u;
+    const GridIndex gi = GridIndexOf(k, LoadLanes(xs + i, a), LoadLanes(ys + i, a));
+    // The in-MBR mask narrowed to 32-bit lanes: out-of-MBR lanes (whose
+    // index may be the indefinite value) load nothing and read class 0.
+    const __m128i in32 = _mm256_castsi256_si128(
+        _mm256_permutevar8x32_epi32(_mm256_castpd_si256(gi.in), low_dwords));
+    const __m128i cls = _mm_and_si128(
+        _mm_mask_i32gather_epi32(_mm_setzero_si128(), cell_words, gi.cell,
+                                 in32, 1),
+        low_byte);
+    const unsigned in_bits = static_cast<unsigned>(_mm_movemask_ps(
+                                 _mm_castsi128_ps(_mm_cmpeq_epi32(cls, one)))) &
+                             amask;
+    const unsigned bd_bits = static_cast<unsigned>(_mm_movemask_ps(
+                                 _mm_castsi128_ps(_mm_cmpeq_epi32(cls, two)))) &
+                             amask;
+    StoreBits(in_bits, a, inside + i);
+    // Boundary lanes as (row << 16 | lane), packed to the front.
+    const __m128i tagged = _mm_or_si128(
+        _mm_slli_epi32(gi.row, 16),
+        _mm_add_epi32(_mm_set1_epi32(static_cast<int>(i)), lane_step));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(boundary + nb),
+        _mm_shuffle_epi8(tagged, _mm_load_si128(reinterpret_cast<const __m128i*>(
+                                     kPack.control[bd_bits]))));
+    nb += static_cast<std::size_t>(__builtin_popcount(bd_bits));
+  }
+  return nb;
 }
 
 bool ConvexContainsAvx2(const EdgeSoA& e, std::size_t m,
@@ -375,37 +461,74 @@ bool CrossingParityAvx2(const EdgeSoA& e, std::size_t m,
   return any_exact != 0;
 }
 
-int RowParityAvx2(const EdgeSoA& e, std::size_t begin, std::size_t end,
-                  double px, double py) {
-  const __m256d vpx = _mm256_set1_pd(px);
-  const __m256d vpy = _mm256_set1_pd(py);
-  unsigned toggles = 0;
-  bool onedge = false;
-  for (std::size_t k = begin; k < end; k += 4) {
-    const std::size_t reml = end - k;
-    const std::size_t a = reml < 4 ? reml : 4;
-    const unsigned amask = (1u << a) - 1u;
-    const __m256d ax = LoadLanes(e.ax + k, a);
-    const __m256d ay = LoadLanes(e.ay + k, a);
-    const __m256d bx = LoadLanes(e.bx + k, a);
-    const __m256d by = LoadLanes(e.by + k, a);
-    const __m256d ebnx = LoadLanes(e.ebminx + k, a);
-    const __m256d ebxx = LoadLanes(e.ebmaxx + k, a);
-    const __m256d ebny = LoadLanes(e.ebminy + k, a);
-    const __m256d ebxy = LoadLanes(e.ebmaxy + k, a);
-    ParityAcc acc;
-    ParityEdge(&acc, ax, ay, bx, by, ebnx, ebxx, ebny, ebxy, vpx, vpy);
-    if ((static_cast<unsigned>(_mm256_movemask_pd(acc.uncert)) & amask) != 0) {
-      return -1;
-    }
-    toggles += static_cast<unsigned>(__builtin_popcount(
-        static_cast<unsigned>(_mm256_movemask_pd(acc.parity)) & amask));
-    if ((static_cast<unsigned>(_mm256_movemask_pd(acc.onedge)) & amask) != 0) {
-      onedge = true;
-    }
+namespace {
+
+// Folds the edges [begin, end) into `acc` for the four points (px, py):
+// edges broadcast, points in lanes.
+inline void ParityEdgeRange(const EdgeSoA& e, std::size_t begin,
+                            std::size_t end, __m256d px, __m256d py,
+                            ParityAcc* acc) {
+  for (std::size_t k = begin; k < end; ++k) {
+    ParityEdge(acc, _mm256_broadcast_sd(e.ax + k), _mm256_broadcast_sd(e.ay + k),
+               _mm256_broadcast_sd(e.bx + k), _mm256_broadcast_sd(e.by + k),
+               _mm256_broadcast_sd(e.ebminx + k),
+               _mm256_broadcast_sd(e.ebmaxx + k),
+               _mm256_broadcast_sd(e.ebminy + k),
+               _mm256_broadcast_sd(e.ebmaxy + k), px, py);
   }
-  if (onedge) return 1;
-  return (toggles & 1u) != 0 ? 1 : 0;
+}
+
+// Writes the `active` verdicts of one 4-lane half: -1 uncertain, else
+// 1 for on-edge or odd parity, 0 otherwise.
+inline void StoreVerdicts(const ParityAcc& acc, std::size_t active,
+                          signed char* out) {
+  const auto unc = static_cast<unsigned>(_mm256_movemask_pd(acc.uncert));
+  const auto in = static_cast<unsigned>(
+      _mm256_movemask_pd(_mm256_or_pd(acc.onedge, acc.parity)));
+  for (std::size_t j = 0; j < active; ++j) {
+    out[j] = ((unc >> j) & 1u) != 0
+                 ? static_cast<signed char>(-1)
+                 : static_cast<signed char>((in >> j) & 1u);
+  }
+}
+
+}  // namespace
+
+void RowParityLanesAvx2(const EdgeSoA& e, std::size_t begin, std::size_t end,
+                        const double* xs, const double* ys, std::size_t n,
+                        signed char* verdict) {
+  for (std::size_t i = 0; i < n; i += 8) {
+    const std::size_t rem = n - i;
+    const std::size_t a0 = rem < 4 ? rem : 4;
+    const __m256d px0 = LoadLanes(xs + i, a0);
+    const __m256d py0 = LoadLanes(ys + i, a0);
+    ParityAcc acc0;
+    if (rem <= 4) {
+      ParityEdgeRange(e, begin, end, px0, py0, &acc0);
+      StoreVerdicts(acc0, a0, verdict + i);
+      continue;
+    }
+    // Two independent halves per edge broadcast: twice the lanes for one
+    // set of edge loads, and two dependency chains in flight.
+    const std::size_t a1 = rem - 4 < 4 ? rem - 4 : 4;
+    const __m256d px1 = LoadLanes(xs + i + 4, a1);
+    const __m256d py1 = LoadLanes(ys + i + 4, a1);
+    ParityAcc acc1;
+    for (std::size_t k = begin; k < end; ++k) {
+      const __m256d ax = _mm256_broadcast_sd(e.ax + k);
+      const __m256d ay = _mm256_broadcast_sd(e.ay + k);
+      const __m256d bx = _mm256_broadcast_sd(e.bx + k);
+      const __m256d by = _mm256_broadcast_sd(e.by + k);
+      const __m256d ebnx = _mm256_broadcast_sd(e.ebminx + k);
+      const __m256d ebxx = _mm256_broadcast_sd(e.ebmaxx + k);
+      const __m256d ebny = _mm256_broadcast_sd(e.ebminy + k);
+      const __m256d ebxy = _mm256_broadcast_sd(e.ebmaxy + k);
+      ParityEdge(&acc0, ax, ay, bx, by, ebnx, ebxx, ebny, ebxy, px0, py0);
+      ParityEdge(&acc1, ax, ay, bx, by, ebnx, ebxx, ebny, ebxy, px1, py1);
+    }
+    StoreVerdicts(acc0, a0, verdict + i);
+    StoreVerdicts(acc1, a1, verdict + i + 4);
+  }
 }
 
 }  // namespace vaq::simd

@@ -284,26 +284,55 @@ void PolygonKernel::ContainsBatchAvx2Grid(const double* xs, const double* ys,
   soa.ebmaxx = rebmaxx_.data();
   soa.ebminy = rebminy_.data();
   soa.ebmaxy = rebmaxy_.data();
-  unsigned char cls[kKernelBlock];
+  // A block's boundary lanes (`row << 16 | lane`), counting-sorted by grid
+  // row so that the lanes of one row share one broadcast pass over the
+  // row's edges.
+  std::uint32_t tagged[kKernelBlock];
+  std::uint16_t sorted_lanes[kKernelBlock];
+  double bxs[kKernelBlock];
+  double bys[kKernelBlock];
+  signed char verdicts[kKernelBlock];
+  std::uint16_t row_ends[PreparedArea::kMaxGridSide + 1];
   for (std::size_t base = 0; base < n; base += kKernelBlock) {
     const std::size_t c = std::min(kKernelBlock, n - base);
-    simd::ClassifyCellsAvx2(gv, xs + base, ys + base, c, cls);
-    for (std::size_t j = 0; j < c; ++j) {
-      const unsigned char cc = cls[j];
-      if (cc != PreparedArea::kPointBoundary) {
-        inside[base + j] = cc == PreparedArea::kPointInside;
-        continue;
+    const std::size_t nb = simd::ClassifyGridBlockAvx2(
+        gv, xs + base, ys + base, c, inside + base, tagged);
+    if (nb == 0) continue;
+    // Only the rows the block's boundary lanes occupy are counted.
+    int rmin = gny_;
+    int rmax = -1;
+    for (std::size_t k = 0; k < nb; ++k) {
+      rmin = std::min(rmin, static_cast<int>(tagged[k] >> 16));
+      rmax = std::max(rmax, static_cast<int>(tagged[k] >> 16));
+    }
+    std::fill(row_ends + rmin, row_ends + rmax + 2, std::uint16_t{0});
+    for (std::size_t k = 0; k < nb; ++k) ++row_ends[(tagged[k] >> 16) + 1];
+    for (int r = rmin; r <= rmax; ++r) row_ends[r + 1] += row_ends[r];
+    // row_ends[r] is now row r's first slot; the scatter advances it to
+    // the row's end, which is row r + 1's first slot.
+    for (std::size_t k = 0; k < nb; ++k) {
+      const std::uint16_t at = row_ends[tagged[k] >> 16]++;
+      const std::size_t lane = tagged[k] & 0xFFFFu;
+      sorted_lanes[at] = static_cast<std::uint16_t>(lane);
+      bxs[at] = xs[base + lane];
+      bys[at] = ys[base + lane];
+    }
+    std::size_t first = 0;
+    for (int r = rmin; r <= rmax; ++r) {
+      const std::size_t last = row_ends[r];
+      if (last > first) {
+        simd::RowParityLanesAvx2(soa, row_offsets_[r], row_offsets_[r + 1],
+                                 bxs + first, bys + first, last - first,
+                                 verdicts + first);
       }
-      // Boundary band: vectorised crossing parity over the point's row
-      // edges (same clamp as PreparedArea::RowOf); lanes the filter cannot
-      // certify fall back to the scalar exact row test.
-      const double x = xs[base + j];
-      const double y = ys[base + j];
-      int r = static_cast<int>((y - gminy_) * ginv_ch_);
-      r = r < 0 ? 0 : (r >= gny_ ? gny_ - 1 : r);
-      const int verdict =
-          simd::RowParityAvx2(soa, row_offsets_[r], row_offsets_[r + 1], x, y);
-      inside[base + j] = verdict < 0 ? prep_->Contains({x, y}) : verdict == 1;
+      first = last;
+    }
+    // Lanes the filter cannot certify fall back to the scalar exact row
+    // test.
+    for (std::size_t k = 0; k < nb; ++k) {
+      inside[base + sorted_lanes[k]] =
+          verdicts[k] < 0 ? prep_->Contains({bxs[k], bys[k]})
+                          : verdicts[k] == 1;
     }
   }
 }

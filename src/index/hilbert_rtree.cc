@@ -1,6 +1,8 @@
 #include "index/hilbert_rtree.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <queue>
 
 #include "geometry/prepared_area.h"
@@ -84,87 +86,184 @@ std::size_t HilbertRTree::MemoryBytes() const {
 
 namespace {
 
-/// `Collect`'s filter for `WindowQuery` (borders inclusive). A window's
-/// inside subtrees are not counted as bulk-accepted, which
+/// `Collect`'s filter for `WindowQuery` (borders inclusive). Both tests
+/// combine their comparisons with `&` / `|`, so classifying a node's
+/// children and compacting a leaf's points take no data-dependent branch.
+/// A window's inside subtrees are not counted as bulk-accepted, which
 /// `IndexStats::bulk_accepted` reserves for polygon queries.
 struct WindowFilter {
   static constexpr bool kCountsBulkAccepted = false;
-  const Box& window;
-  PreparedArea::Region ClassifyBox(const Box& box) const {
-    if (!window.Intersects(box)) return PreparedArea::Region::kOutside;
-    if (window.Contains(box)) return PreparedArea::Region::kInside;
-    return PreparedArea::Region::kStraddling;
+  double minx, miny, maxx, maxy;
+
+  explicit WindowFilter(const Box& w)
+      : minx(w.min.x), miny(w.min.y), maxx(w.max.x), maxy(w.max.y) {}
+
+  /// Sets bit c of `*inside` / `*straddling` for child box c of `count`
+  /// (SoA extents); outside children set neither.
+  void ClassifyChildren(const double* cminx, const double* cminy,
+                        const double* cmaxx, const double* cmaxy,
+                        std::size_t count, std::uint32_t* inside,
+                        std::uint32_t* straddling) const {
+    std::uint32_t in_bits = 0;
+    std::uint32_t cut_bits = 0;
+    for (std::size_t c = 0; c < count; ++c) {
+      const bool meets = !((cminx[c] > maxx) | (cmaxx[c] < minx) |
+                           (cminy[c] > maxy) | (cmaxy[c] < miny));
+      const bool within = (cminx[c] >= minx) & (cmaxx[c] <= maxx) &
+                          (cminy[c] >= miny) & (cmaxy[c] <= maxy);
+      in_bits |= static_cast<std::uint32_t>(meets & within) << c;
+      cut_bits |= static_cast<std::uint32_t>(meets & !within) << c;
+    }
+    *inside = in_bits;
+    *straddling = cut_bits;
   }
-  bool Contains(const Point& p) const { return window.Contains(p); }
+  bool Contains(const Point& p) const {
+    return (p.x >= minx) & (p.x <= maxx) & (p.y >= miny) & (p.y <= maxy);
+  }
 };
 
 struct PolygonFilter {
   static constexpr bool kCountsBulkAccepted = true;
   const PreparedArea& area;
-  PreparedArea::Region ClassifyBox(const Box& box) const {
-    return area.ClassifyBox(box);
+
+  void ClassifyChildren(const double* cminx, const double* cminy,
+                        const double* cmaxx, const double* cmaxy,
+                        std::size_t count, std::uint32_t* inside,
+                        std::uint32_t* straddling) const {
+    *inside = 0;
+    *straddling = 0;
+    for (std::size_t c = 0; c < count; ++c) {
+      const PreparedArea::Region r = area.ClassifyBox(
+          Box::FromExtents(cminx[c], cminy[c], cmaxx[c], cmaxy[c]));
+      *inside |= std::uint32_t{r == PreparedArea::Region::kInside} << c;
+      *straddling |= std::uint32_t{r == PreparedArea::Region::kStraddling}
+                     << c;
+    }
   }
   bool Contains(const Point& p) const { return area.Contains(p); }
 };
 
+/// Deepest tree `Collect` walks: 32-bit ids cap n at 2^32 = 16^8 points.
+constexpr int kMaxHeight = 8;
+
 }  // namespace
 
-// Classifies the node's MBR: an outside subtree is pruned without being
+// An iterative depth-first walk that visits children in ascending order.
+// Each node's MBR is classified: an outside subtree is pruned without being
 // read (a window query over MBR(A) would visit everything inside
 // MBR(A) \ A), an inside subtree is emitted as its id range with zero
 // per-point tests, and a straddling one is read — one node access — and
-// descended in child order, down to point tests at straddling leaves.
+// descended, down to point tests at straddling leaves. A frame per level
+// holds the node's children still to visit as a bitmask; a run of
+// adjacent inside children is one contiguous id range, appended at once.
 template <typename Filter>
-void HilbertRTree::Collect(const Filter& filter, int k, std::size_t j,
-                           std::vector<PointId>* out,
+void HilbertRTree::Collect(const Filter& filter, std::vector<PointId>* out,
                            IndexStats* stats) const {
-  std::size_t first, last;
-  switch (filter.ClassifyBox(NodeBox(k, j))) {
-    case PreparedArea::Region::kOutside:
-      return;
-    case PreparedArea::Region::kInside:
-      NodeRange(k, j, &first, &last);
-      for (std::size_t id = first; id < last; ++id) {
-        out->push_back(static_cast<PointId>(id));
-      }
-      if (stats != nullptr) {
-        stats->entries_reported += last - first;
-        if constexpr (Filter::kCountsBulkAccepted) {
-          stats->bulk_accepted += last - first;
-        }
-      }
-      return;
-    case PreparedArea::Region::kStraddling:
-      break;
-  }
-  if (stats != nullptr) ++stats->node_accesses;
-  if (k == 0) {
-    NodeRange(0, j, &first, &last);
+  const std::size_t n = points_.size();
+  const std::size_t first_out = out->size();
+  std::uint64_t accesses = 0;
+  std::uint64_t bulk = 0;
+  // A straddling leaf's accepted ids are staged in a small buffer and
+  // appended to `out` in bulk, so a leaf costs no vector growth check.
+  constexpr std::size_t kStage = 256;
+  PointId stage[kStage];
+  std::size_t staged = 0;
+  auto flush = [&] {
+    out->insert(out->end(), stage, stage + staged);
+    staged = 0;
+  };
+  auto append_range = [&](std::size_t first, std::size_t last) {
+    flush();
+    const std::size_t at = out->size();
+    out->resize(at + (last - first));
+    PointId* dst = out->data() + at;
     for (std::size_t id = first; id < last; ++id) {
-      if (filter.Contains(points_[id])) {
-        out->push_back(static_cast<PointId>(id));
-        if (stats != nullptr) ++stats->entries_reported;
-      }
+      *dst++ = static_cast<PointId>(id);
     }
-    return;
+    bulk += last - first;
+  };
+  // A straddling leaf: write every id, keep the accepted ones.
+  auto scan_leaf = [&](std::size_t leaf) {
+    if (staged + kFanout > kStage) flush();
+    const std::size_t first = leaf << kFanoutBits;
+    const std::size_t last = std::min(first + kFanout, n);
+    for (std::size_t id = first; id < last; ++id) {
+      stage[staged] = static_cast<PointId>(id);
+      staged += filter.Contains(points_[id]) ? 1 : 0;
+    }
+  };
+  struct Frame {
+    std::size_t node;       // The straddling node on this level.
+    std::uint32_t pending;  // Its children not yet visited.
+    std::uint32_t inside;   // Of those, the ones inside the filter.
+  };
+  // Reads node `j` of level `k >= 1` (or the virtual root parent, level
+  // Height()): classifies its children into masks.
+  auto expand = [&](int k, std::size_t j) {
+    const Level& l = levels_[k - 1];
+    const std::size_t first = j * kFanout;
+    Frame f{j, 0, 0};
+    std::uint32_t straddling = 0;
+    filter.ClassifyChildren(l.minx.data() + first, l.miny.data() + first,
+                            l.maxx.data() + first, l.maxy.data() + first,
+                            std::min(kFanout, l.minx.size() - first),
+                            &f.inside, &straddling);
+    f.pending = f.inside | straddling;
+    return f;
+  };
+
+  // The walk starts at a virtual node on level Height() whose one child is
+  // the root, so the root is classified like any other child.
+  const int top = Height();
+  Frame stack[kMaxHeight + 1] = {};
+  int k = top;
+  stack[k] = expand(k, 0);
+  while (k <= top) {
+    Frame& f = stack[k];
+    if (f.pending == 0) {
+      ++k;  // Node exhausted: resume its parent.
+      continue;
+    }
+    const unsigned c = static_cast<unsigned>(std::countr_zero(f.pending));
+    const std::size_t child = f.node * kFanout + c;
+    if (((f.inside >> c) & 1u) != 0) {
+      // Adjacent inside children cover one contiguous id range.
+      const auto run = static_cast<unsigned>(std::countr_one(f.inside >> c));
+      const std::uint32_t taken = ((std::uint32_t{1} << run) - 1) << c;
+      f.pending &= ~taken;
+      f.inside &= ~taken;
+      const unsigned shift = kFanoutBits * static_cast<unsigned>(k);
+      append_range(child << shift, std::min((child + run) << shift, n));
+      continue;
+    }
+    f.pending &= f.pending - 1;
+    ++accesses;
+    if (k == 1) {
+      scan_leaf(child);
+    } else {
+      --k;
+      stack[k] = expand(k, child);
+    }
   }
-  ChildRange(k, j, &first, &last);
-  for (std::size_t c = first; c < last; ++c) {
-    Collect(filter, k - 1, c, out, stats);
+  flush();
+  if (stats != nullptr) {
+    stats->node_accesses += accesses;
+    stats->entries_reported += out->size() - first_out;
+    if constexpr (Filter::kCountsBulkAccepted) stats->bulk_accepted += bulk;
   }
 }
 
 void HilbertRTree::WindowQuery(const Box& window, std::vector<PointId>* out,
                                IndexStats* stats) const {
   if (levels_.empty()) return;
-  Collect(WindowFilter{window}, Height() - 1, 0, out, stats);
+  Collect(WindowFilter{window}, out, stats);
 }
 
 void HilbertRTree::PolygonQuery(const PreparedArea& area,
                                 std::vector<PointId>* out,
                                 IndexStats* stats) const {
   if (levels_.empty() || !area.prepared()) return;
-  Collect(PolygonFilter{area}, Height() - 1, 0, out, stats);
+  Collect(PolygonFilter{area}, out, stats);
 }
 
 namespace {

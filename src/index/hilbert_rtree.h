@@ -87,12 +87,12 @@ class HilbertRTree : public SpatialIndex {
     std::vector<double> minx, miny, maxx, maxy;
   };
 
-  /// Appends, in ascending order, the ids under node `j` of level `k`
-  /// that `filter` accepts (the shared body of `WindowQuery` and
-  /// `PolygonQuery`; see hilbert_rtree.cc).
+  /// Appends, in ascending order, the ids that `filter` accepts (the
+  /// shared walk of `WindowQuery` and `PolygonQuery`; see
+  /// hilbert_rtree.cc).
   template <typename Filter>
-  void Collect(const Filter& filter, int k, std::size_t j,
-               std::vector<PointId>* out, IndexStats* stats) const;
+  void Collect(const Filter& filter, std::vector<PointId>* out,
+               IndexStats* stats) const;
 
   std::span<const Point> points_;
   std::vector<Level> levels_;  // levels_[0] = leaves, back() = root.

@@ -264,11 +264,16 @@ PointId DecodeEraseRequest(std::span<const std::uint8_t> payload) {
 
 std::vector<std::uint8_t> EncodeResultIdsPayload(
     std::span<const PointId> ids) {
-  std::vector<std::uint8_t> out;
-  PutInt<std::uint32_t>(out, static_cast<std::uint32_t>(ids.size()));
-  PutInt<std::uint32_t>(out, 0);  // reserved
+  // One allocation for the whole payload; the reserved word stays 0.
+  std::vector<std::uint8_t> out(8 + 8 * ids.size());
+  const std::uint32_t count =
+      ByteSwapIfBig(static_cast<std::uint32_t>(ids.size()));
+  std::memcpy(out.data(), &count, sizeof(count));
+  std::uint8_t* dst = out.data() + 8;
   for (const PointId id : ids) {
-    PutInt<std::uint64_t>(out, id);
+    const std::uint64_t le = ByteSwapIfBig(std::uint64_t{id});
+    std::memcpy(dst, &le, sizeof(le));
+    dst += sizeof(le);
   }
   return out;
 }
@@ -282,22 +287,28 @@ std::vector<PointId> DecodeResultIdsPayload(
                         "reserved ids bytes are set");
   }
   // count is bounded by the frame itself: 8 bytes per id must fit in the
-  // remaining payload, so a hostile count cannot oversize the reserve.
+  // remaining payload, so a hostile count cannot oversize the allocation.
   if (r.Remaining() != std::size_t{count} * 8) {
     throw ProtocolError(ProtocolError::Kind::kMalformedPayload,
                         "id count disagrees with the frame length");
   }
-  std::vector<PointId> ids;
-  ids.reserve(count);
+  // The length check above covers every id, so the loop reads without
+  // per-id bounds checks and ORs the high words together for one range
+  // check at the end.
+  std::vector<PointId> ids(count);
+  const std::uint8_t* src = payload.data() + r.at;
+  std::uint64_t high = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint64_t id = r.GetInt<std::uint64_t>("id");
-    if (id > 0xFFFFFFFFull) {
-      throw ProtocolError(ProtocolError::Kind::kMalformedPayload,
-                          "result id exceeds the 32-bit PointId range");
-    }
-    ids.push_back(static_cast<PointId>(id));
+    std::uint64_t le;
+    std::memcpy(&le, src + std::size_t{i} * 8, sizeof(le));
+    const std::uint64_t id = ByteSwapIfBig(le);
+    high |= id >> 32;
+    ids[i] = static_cast<PointId>(id);
   }
-  r.ExpectDone("result-ids");
+  if (high != 0) {
+    throw ProtocolError(ProtocolError::Kind::kMalformedPayload,
+                        "result id exceeds the 32-bit PointId range");
+  }
   return ids;
 }
 

@@ -391,8 +391,12 @@ std::vector<std::uint8_t> QueryServer::HandleQuery(
   }
 
   // Stream the ids in fixed-size frames, then the terminal stats frame.
-  std::vector<std::uint8_t> out;
+  // One reservation covers every id frame; the stats frame is small.
   const std::span<const PointId> ids(result.ids);
+  const std::size_t id_frames = (ids.size() + kIdsPerFrame - 1) / kIdsPerFrame;
+  std::vector<std::uint8_t> out;
+  out.reserve(ids.size() * 8 + id_frames * (kFrameHeaderBytes + 8) +
+              kFrameHeaderBytes + 256);
   for (std::size_t at = 0; at < ids.size(); at += kIdsPerFrame) {
     AppendFrame(out, Opcode::kResultIds,
                 EncodeResultIdsPayload(

@@ -176,6 +176,57 @@ TEST(ProtocolPayloadTest, ResultIdsRoundTripAndRejectCountMismatch) {
   EXPECT_THROW(DecodeResultIdsPayload(bad), ProtocolError);
 }
 
+TEST(ProtocolPayloadTest, ResultIdsFrameMatchesGoldenBytes) {
+  const std::vector<PointId> ids = {1, 0x01020304u, 0xFFFFFFFFu};
+  std::vector<std::uint8_t> frame;
+  AppendFrame(frame, Opcode::kResultIds, EncodeResultIdsPayload(ids));
+  const std::vector<std::uint8_t> golden = {
+      'V', 'Q', 'R', 'Y', 0x01, 0x81, 0x00, 0x00,  // magic, version, op
+      0x20, 0x00, 0x00, 0x00,                      // payload length 32
+      0x03, 0x00, 0x00, 0x00,                      // count
+      0x00, 0x00, 0x00, 0x00,                      // reserved
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x04, 0x03, 0x02, 0x01, 0x00, 0x00, 0x00, 0x00,
+      0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00};
+  EXPECT_EQ(frame, golden);
+  EXPECT_EQ(DecodeResultIdsPayload(
+                std::span<const std::uint8_t>(frame).subspan(
+                    kFrameHeaderBytes)),
+            ids);
+}
+
+TEST(ProtocolPayloadTest, ResultIdsRoundTripAtChunkBoundaries) {
+  std::mt19937_64 rng(5);
+  for (const std::size_t n : {0u, 1u, 1024u, 1025u, 4096u}) {
+    std::vector<PointId> ids(n);
+    for (PointId& id : ids) id = static_cast<PointId>(rng());
+    if (n > 0) ids.back() = 0xFFFFFFFFu;  // The widest legal id.
+    const auto bytes = EncodeResultIdsPayload(ids);
+    ASSERT_EQ(bytes.size(), 8 + 8 * n) << n;
+    EXPECT_EQ(DecodeResultIdsPayload(bytes), ids) << n;
+  }
+}
+
+TEST(ProtocolPayloadTest, ResultIdsRejectAHighWordAnywhere) {
+  std::vector<PointId> ids(1025);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<PointId>(i);
+  }
+  const auto bytes = EncodeResultIdsPayload(ids);
+  for (const std::size_t at : {0u, 512u, 1024u}) {
+    for (const std::size_t byte : {4u, 7u}) {
+      auto bad = bytes;
+      bad[8 + 8 * at + byte] = 0x01;  // Sets a bit of the id's high word.
+      try {
+        DecodeResultIdsPayload(bad);
+        ADD_FAILURE() << "accepted a high-word id at " << at;
+      } catch (const ProtocolError& e) {
+        EXPECT_EQ(e.kind(), PKind::kMalformedPayload) << at;
+      }
+    }
+  }
+}
+
 TEST(ProtocolPayloadTest, StatsAndErrorAndMutationPayloadsRoundTrip) {
   WireQueryStats qs;
   qs.results = 42;
