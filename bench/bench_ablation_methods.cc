@@ -1,6 +1,5 @@
-// Ablation: all four area-query strategies side by side —
+// Ablation: all three area-query strategies side by side —
 //   brute force (no index), traditional (R-tree window filter + refine),
-//   grid-sweep (raster classification, interior cells accepted wholesale),
 //   Voronoi (the paper's Algorithm 1).
 // Reports validations, redundant validations, record fetches and time for
 // the paper's workload at three query sizes, raw and under the 1us IO
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "core/brute_force_area_query.h"
-#include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
@@ -28,9 +26,8 @@ int main() {
   PointDatabase db(GenerateUniformPoints(100000, kUnit, &rng));
   const BruteForceAreaQuery brute(&db);
   const TraditionalAreaQuery trad(&db);
-  const GridSweepAreaQuery sweep(&db);
   const VoronoiAreaQuery vaq(&db);
-  const AreaQuery* methods[] = {&brute, &trad, &sweep, &vaq};
+  const AreaQuery* methods[] = {&brute, &trad, &vaq};
 
   for (const double fetch_ns : {0.0, 1000.0}) {
     db.set_simulated_fetch_ns(fetch_ns);

@@ -7,11 +7,11 @@
 //   area_query_cli <points.{vaqp|csv}> <polygon.csv> [method] [--ids]
 //                  [--backend=memory|mmap]
 //                  [--cache-pages=N] [--page-size=B]
-//     method: voronoi (default) | traditional | grid-sweep | brute |
-//       auto | all. Every method runs on one `DynamicPointDatabase`
-//       built from the file: a static method runs the base's bundled
-//       query object (`voronoi` is the exact dual-edge rule), and `auto`
-//       routes through its planner (src/planner): the cost model picks
+//     method: voronoi (default) | traditional | brute | auto | all.
+//       Every method runs on one `DynamicPointDatabase` built from the
+//       file: a static method runs the base's bundled query object
+//       (`voronoi` is the exact dual-edge rule), and `auto` routes
+//       through its planner (src/planner): the cost model picks
 //       traditional or voronoi per query and the CLI prints the choice
 //       and its reasons before the stats line.
 //     --ids : print the matching point ids (one per line) after the stats
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
                  "usage: %s <points.{vaqp|csv}> <polygon.csv> "
-                 "[voronoi|traditional|grid-sweep|brute|auto|all] [--ids]\n"
+                 "[voronoi|traditional|brute|auto|all] [--ids]\n"
                  "       [--backend=memory|mmap] "
                  "[--cache-pages=N] [--page-size=B]\n"
                  "  auto: the planner picks traditional or voronoi per query "
@@ -167,9 +167,8 @@ int main(int argc, char** argv) {
     }
   }
   // A usage error exits before any input is read or any database built.
-  if (method != "voronoi" && method != "traditional" &&
-      method != "grid-sweep" && method != "brute" && method != "auto" &&
-      method != "all") {
+  if (method != "voronoi" && method != "traditional" && method != "brute" &&
+      method != "auto" && method != "all") {
     std::fprintf(stderr, "error: unknown method '%s'\n", method.c_str());
     return 2;
   }
@@ -215,7 +214,6 @@ int main(int argc, char** argv) {
     } kStatic[] = {
         {"voronoi", DynamicMethod::kVoronoi},
         {"traditional", DynamicMethod::kTraditional},
-        {"grid-sweep", DynamicMethod::kGridSweep},
         {"brute", DynamicMethod::kBruteForce},
     };
     for (const auto& m : kStatic) {

@@ -24,7 +24,6 @@ namespace vaq {
 ///  * `VoronoiAreaQuery`     — the paper's incremental candidate generation
 ///                             over the Voronoi/Delaunay graph (Algorithm 1),
 ///                             in both expansion-rule modes;
-///  * `GridSweepAreaQuery`   — raster filter baseline;
 ///  * `BruteForceAreaQuery`  — linear scan, ground truth for tests.
 class AreaQuery {
  public:

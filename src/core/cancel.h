@@ -62,11 +62,6 @@ class CancelToken {
     deadline_ = deadline;
     has_deadline_ = true;
   }
-  void SetDeadlineAfterMs(double ms) {
-    SetDeadline(Clock::now() +
-                std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double, std::milli>(ms)));
-  }
   bool has_deadline() const { return has_deadline_; }
   Clock::time_point deadline() const { return deadline_; }
 

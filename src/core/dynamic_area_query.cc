@@ -71,7 +71,7 @@ void FinishDynamicSnapshotLeg(const DynamicPointDatabase::Snapshot& snap,
   // The brute-force wrapper stays PreparedArea-independent on the delta
   // too (see BruteForceAreaQuery): it is the ground truth the
   // cross-method checks compare against, so a shared PreparedArea bug
-  // must not fail all four dynamic methods identically. Otherwise the
+  // must not fail all three dynamic methods identically. Otherwise the
   // kernel classifies when the context already holds this polygon (a
   // miss's base pass prepared it) or when a grid sized to the survivors
   // costs less than testing them by `Polygon::Contains`, which has the

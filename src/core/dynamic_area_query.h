@@ -8,7 +8,7 @@ namespace vaq {
 
 /// Fixed-method area query over one pinned `DynamicPointDatabase`
 /// version: runs `method`'s base implementation (voronoi / traditional /
-/// grid-sweep / brute-force) over the immutable base, orders its hits by
+/// brute-force) over the immutable base, orders its hits by
 /// stable id (`OrderBasePassByStableId`), then finishes them
 /// (`FinishDynamicSnapshotLeg`): drops tombstoned hits, remaps the rest
 /// to stable ids and appends the delta-refine hits. Results are stable

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/brute_force_area_query.h"
-#include "core/grid_sweep_area_query.h"
 #include "core/method.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
@@ -26,7 +25,7 @@ class PlannedAreaQuery;
 /// Mutable database layer over the immutable Hilbert-clustered
 /// `PointDatabase`, following the classic log-structured pattern:
 ///
-///  * the **base** — a `PointDatabase` plus the four query objects built
+///  * the **base** — a `PointDatabase` plus the three query objects built
 ///    over it — is immutable and rebuilt only by `Compact()`. Its Voronoi
 ///    object runs the exact `kDualEdge` rule, so every planned, served
 ///    and sharded Voronoi answer is complete for any connected area;
@@ -96,7 +95,6 @@ class DynamicPointDatabase {
         : db(std::move(points), o),
           traditional(&db),
           voronoi(&db, {VoronoiAreaQuery::ExpansionRule::kDualEdge}),
-          grid_sweep(&db),
           brute(&db),
           generation(NextGeneration()) {}
     BaseBundle(const BaseBundle&) = delete;
@@ -105,7 +103,6 @@ class DynamicPointDatabase {
     PointDatabase db;
     TraditionalAreaQuery traditional;
     VoronoiAreaQuery voronoi;
-    GridSweepAreaQuery grid_sweep;
     BruteForceAreaQuery brute;
     /// Process-unique id of this base, drawn from a counter at
     /// construction and never reused (a bundle address could be, once
@@ -156,8 +153,6 @@ class DynamicPointDatabase {
           return bundle_->voronoi;
         case DynamicMethod::kTraditional:
           return bundle_->traditional;
-        case DynamicMethod::kGridSweep:
-          return bundle_->grid_sweep;
         case DynamicMethod::kBruteForce:
           break;
       }

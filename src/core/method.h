@@ -6,7 +6,7 @@
 
 namespace vaq {
 
-/// The four area-query strategies the library implements. Used to select
+/// The three area-query strategies the library implements. Used to select
 /// which base implementation the executor (`RunShardedSnapshotQuery`,
 /// `RunDynamicSnapshotQuery`) runs over each pinned view, which method a
 /// caller forces through `PlanHints::force_method`, and which execution
@@ -16,15 +16,21 @@ namespace vaq {
 /// home) because the planner layer needs the enum without pulling in the
 /// whole dynamic-database machinery, and the database headers in turn
 /// reference planner types.
+///
+/// The values are fixed because they travel: a request's force-method
+/// byte and the `1 << method` bits of `QueryStats::plan_method` carry
+/// them. Value 2 is retired (it named a grid-sweep method, since
+/// deleted) and is never reused: the wire rejects it, and
+/// `plan_method`'s bit 2 stays 0.
 enum class DynamicMethod {
-  kVoronoi,
-  kTraditional,
-  kGridSweep,
-  kBruteForce,
+  kVoronoi = 0,
+  kTraditional = 1,
+  kBruteForce = 3,
 };
 
-/// Number of `DynamicMethod` values; bounds the planner's per-method
-/// tables and the `1 << method` bits of `QueryStats::plan_method`.
+/// One past the largest `DynamicMethod` value; bounds the wire's
+/// force-method byte and the `1 << method` bits of
+/// `QueryStats::plan_method`.
 inline constexpr int kNumDynamicMethods = 4;
 
 /// Stable lowercase name of `m` for logs, JSON rows and CLI output.
@@ -34,8 +40,6 @@ constexpr std::string_view MethodName(DynamicMethod m) {
       return "voronoi";
     case DynamicMethod::kTraditional:
       return "traditional";
-    case DynamicMethod::kGridSweep:
-      return "grid-sweep";
     case DynamicMethod::kBruteForce:
       break;
   }

@@ -113,9 +113,8 @@ struct QueryStats {
   static constexpr std::size_t kFieldCount = 23;
 
   /// Candidates that failed refinement — the waste both methods try to
-  /// minimise. For the window-filter and Voronoi methods every result is a
-  /// validated candidate, so this equals candidates - results; grid-sweep
-  /// accepts interior cells wholesale, so it tracks hits separately.
+  /// minimise. Every method counts its results as validated candidates,
+  /// so on one leg this equals candidates - results.
   std::uint64_t RedundantValidations() const {
     return candidates - candidate_hits;
   }

@@ -11,8 +11,7 @@ namespace vaq {
 /// Convex hull of `points` (Andrew's monotone chain, O(n log n)), returned
 /// as a counter-clockwise vertex ring with collinear boundary points
 /// removed. Returns an empty vector when fewer than 3 non-collinear points
-/// exist. Used by tests (hull vertices have unbounded Voronoi cells) and by
-/// the examples.
+/// exist. Used by tests (hull vertices have unbounded Voronoi cells).
 std::vector<Point> ConvexHull(std::vector<Point> points);
 
 /// Convenience wrapper returning the hull as a `Polygon`.

@@ -205,15 +205,6 @@ Expansion<Cap> ExactDiff(double a, double b) {
   return Expansion<Cap>(err, x);
 }
 
-/// Exact product of two doubles as a 2-component expansion.
-template <std::size_t Cap>
-Expansion<Cap> ExactProduct(double a, double b) {
-  double x, err;
-  TwoProduct(a, b, &x, &err);
-  if (err == 0.0) return Expansion<Cap>(x);
-  return Expansion<Cap>(err, x);
-}
-
 }  // namespace vaq
 
 #endif  // VAQ_GEOMETRY_EXACT_ARITHMETIC_H_

@@ -104,34 +104,6 @@ bool Polygon::Intersects(const Segment& s) const {
   return Contains(s.a);
 }
 
-bool Polygon::ContainsBox(const Box& box) const {
-  if (!bounds_.Contains(box)) return false;
-  // All four corners inside...
-  const Point corners[4] = {box.min,
-                            {box.max.x, box.min.y},
-                            box.max,
-                            {box.min.x, box.max.y}};
-  for (const Point& c : corners) {
-    if (!Contains(c)) return false;
-  }
-  // ...and no boundary edge entering the box (a simple polygon's boundary
-  // passing through the box implies part of the box is outside).
-  for (std::size_t i = 0; i < vertices_.size(); ++i) {
-    if (edge_bounds_[i].Intersects(box)) {
-      const Segment e = edge(i);
-      if (box.Contains(e.a) || box.Contains(e.b)) return false;
-      const Segment box_edges[4] = {{corners[0], corners[1]},
-                                    {corners[1], corners[2]},
-                                    {corners[2], corners[3]},
-                                    {corners[3], corners[0]}};
-      for (const Segment& be : box_edges) {
-        if (SegmentsIntersect(e, be)) return false;
-      }
-    }
-  }
-  return true;
-}
-
 bool Polygon::IntersectsBox(const Box& box) const {
   if (!bounds_.Intersects(box)) return false;
   // A polygon vertex inside the box, a box corner inside the polygon, or

@@ -82,13 +82,6 @@ class Polygon {
   /// full containment in the interior).
   bool BoundaryIntersects(const Segment& s) const;
 
-  /// True if the axis-aligned box `box` lies entirely inside the polygon.
-  /// Conservative: boxes touching the polygon boundary may be reported as
-  /// not contained (callers such as the grid-sweep query then fall back to
-  /// per-point validation, which is always safe). A `true` answer is
-  /// always correct.
-  bool ContainsBox(const Box& box) const;
-
   /// True if the box and the polygon share at least one point.
   bool IntersectsBox(const Box& box) const;
 

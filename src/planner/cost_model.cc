@@ -17,7 +17,6 @@ double CostModel::ExpectedCandidates(DynamicMethod m,
       return interior + shell_coeff * std::sqrt(std::max(0.0, interior));
     }
     case DynamicMethod::kTraditional:
-    case DynamicMethod::kGridSweep:
       // Window filter: everything inside the query MBR becomes a
       // candidate for the refine step.
       return n * f.mbr_share;
@@ -33,12 +32,14 @@ double CostModel::IoNsPerLoad(const PlanFeatures& f) const {
 
 double CostModel::EstimateCostNs(DynamicMethod m, const PlanFeatures& f,
                                  double candidates) const {
-  const int i = static_cast<int>(m);
+  const MethodCost& c = m == DynamicMethod::kVoronoi       ? voronoi
+                        : m == DynamicMethod::kTraditional ? traditional
+                                                           : brute;
   // Brute force scans point coordinates without touching geometry
   // storage per candidate in the simulated-IO sense only when the data
   // is in memory; on IO-charged backends every tested point pays a load
   // like any other method's candidate.
-  return fixed_ns[i] + candidates * (cpu_ns[i] + IoNsPerLoad(f));
+  return c.fixed_ns + candidates * (c.cpu_ns + IoNsPerLoad(f));
 }
 
 }  // namespace vaq

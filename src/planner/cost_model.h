@@ -42,21 +42,27 @@ struct PlanFeatures {
 /// crossover — per-candidate CPU favours the traditional filter-refine
 /// path, per-candidate IO favours the Voronoi method's smaller candidate
 /// set. `QueryPlanner` uses it as is: an unforced plan compares only the
-/// Voronoi and traditional rows; the grid-sweep and brute-force rows
-/// price forced plans.
+/// Voronoi and traditional rows; the brute-force row prices forced plans.
 struct CostModel {
-  /// Per-candidate CPU cost (ns), indexed by `DynamicMethod`. Fit note:
-  /// measured per-candidate cost falls with candidate count (bulk accept
-  /// covers more interior as selectivity grows: ~57 -> ~14 ns for
-  /// traditional from 1% to 32% queries); the seed takes the mid-range.
-  /// The slope does not move the crossover: traditional stays cheaper in
-  /// memory and Voronoi under IO from 1% to 32%. Brute force's 3.5 ns is
-  /// about 5x below its measured cost, so scored as an arm it would win
-  /// 32% memory queries it runs ~3.8x slower than the best method.
-  double cpu_ns[kNumDynamicMethods] = {62.0, 30.0, 36.0, 3.5};
-  /// Per-query fixed overhead (ns): index descent / flood seeding /
-  /// prepared-grid build amortisation.
-  double fixed_ns[kNumDynamicMethods] = {12000.0, 6000.0, 8000.0, 1500.0};
+  /// One method's coefficients.
+  struct MethodCost {
+    /// Per-candidate CPU cost (ns).
+    double cpu_ns;
+    /// Per-query fixed overhead (ns): index descent / flood seeding /
+    /// prepared-grid build amortisation.
+    double fixed_ns;
+  };
+  /// Fit note: measured per-candidate cost falls with candidate count
+  /// (bulk accept covers more interior as selectivity grows: ~57 -> ~14
+  /// ns for traditional from 1% to 32% queries); the seed takes the
+  /// mid-range. The slope does not move the crossover: traditional stays
+  /// cheaper in memory and Voronoi under IO from 1% to 32%. Brute force's
+  /// 3.5 ns is about 5x below its measured cost, so scored as an arm it
+  /// would win 32% memory queries it runs ~3.8x slower than the best
+  /// method.
+  MethodCost voronoi{62.0, 12000.0};
+  MethodCost traditional{30.0, 6000.0};
+  MethodCost brute{3.5, 1500.0};
   /// Voronoi boundary shell: visited-but-rejected points scale with the
   /// result perimeter, ~ shell_coeff * sqrt(results) on uniform data
   /// (measured ~4.7 across the baseline rows).

@@ -13,10 +13,10 @@ namespace vaq {
 /// `kVoronoi` and `kTraditional`, with the static `CostModel` and takes
 /// the cheaper one: per-candidate IO favours the Voronoi method's smaller
 /// candidate set, per-candidate CPU the traditional filter-refine path.
-/// Grid sweep and brute force run only when forced (CLI, tests, Table
-/// benches). Nothing is learned from executions: a model that only the
-/// chosen arm could correct locked onto losers, and the seed already
-/// lands on the right side of the crossover in every measured cell.
+/// Brute force runs only when forced (CLI, tests, Table benches).
+/// Nothing is learned from executions: a model that only the chosen arm
+/// could correct locked onto losers, and the seed already lands on the
+/// right side of the crossover in every measured cell.
 ///
 /// Holds only the seed `CostModel`, so concurrent `Plan` calls need no
 /// lock.

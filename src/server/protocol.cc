@@ -194,12 +194,18 @@ WireQueryRequest DecodeQueryRequest(std::span<const std::uint8_t> payload) {
   WireQueryRequest req;
   const std::uint8_t method = r.GetInt<std::uint8_t>("method");
   if (method != 0xFF) {
-    if (method >= kNumDynamicMethods) {
-      throw ProtocolError(ProtocolError::Kind::kMalformedPayload,
-                          "forced method " + std::to_string(method) +
-                              " is not a DynamicMethod");
+    const auto forced = static_cast<DynamicMethod>(method);
+    switch (forced) {
+      case DynamicMethod::kVoronoi:
+      case DynamicMethod::kTraditional:
+      case DynamicMethod::kBruteForce:
+        req.force_method = forced;
+        break;
+      default:  // Out of range, or the retired slot 2.
+        throw ProtocolError(ProtocolError::Kind::kMalformedPayload,
+                            "forced method " + std::to_string(method) +
+                                " is not a DynamicMethod");
     }
-    req.force_method = static_cast<DynamicMethod>(method);
   }
   const std::uint8_t hints = r.GetInt<std::uint8_t>("hints");
   if ((hints & ~0x03) != 0) {

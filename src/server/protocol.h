@@ -135,7 +135,8 @@ void AppendFrame(std::vector<std::uint8_t>& out, Opcode opcode,
 
 /// `kQuery` payload:
 ///   offset  size  field
-///        0     1  forced method: DynamicMethod value, or 0xFF = planner
+///        0     1  forced method: DynamicMethod value (0, 1 or 3; 2 is
+///                 retired and rejected), or 0xFF = planner
 ///        1     1  hint flags: bit0 use_cache, bit1 allow_scatter
 ///        2     2  reserved (0)
 ///        4     8  deadline_ms as IEEE-754 double (0 = none)

@@ -17,7 +17,7 @@ class QueryEngine;
 
 /// Spatially partitioned database: K shards, each a full
 /// `DynamicPointDatabase` (immutable Hilbert-clustered base + delta buffer
-/// + tombstones + the four query objects), carved by **Hilbert-range
+/// + tombstones + the three query objects), carved by **Hilbert-range
 /// cuts**. Construction orders the input along the Hilbert curve over its
 /// bounding box — the same relabelling every `PointDatabase` applies
 /// internally — and cuts the curve into K contiguous key ranges of

@@ -10,7 +10,7 @@ namespace vaq {
 /// The dynamic-update experiment: an interleaved stream of inserts,
 /// deletes and area queries against a `DynamicPointDatabase`, the first
 /// genuinely online workload of the library (every prior experiment
-/// queries a frozen database). Each query runs all four dynamic methods
+/// queries a frozen database). Each query runs all three dynamic methods
 /// and cross-checks that they agree; optionally, every `verify_every`-th
 /// operation rebuilds an immutable `PointDatabase` from the current live
 /// set and compares each method's result sets against brute force on the

@@ -16,7 +16,6 @@
 
 #include "core/brute_force_area_query.h"
 #include "core/dynamic_point_database.h"
-#include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
@@ -134,7 +133,6 @@ TEST(AreaQueryStarPolygonTest, PentagramMethodsMatchBruteForce) {
   dual_edge.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
   EXPECT_EQ(VoronoiAreaQuery(&db, dual_edge).Run(pentagram, nullptr),
             truth);
-  EXPECT_EQ(GridSweepAreaQuery(&db).Run(pentagram, nullptr), truth);
 }
 
 TEST(AreaQueryStarPolygonTest, ThinSpikeStarExactPaths) {
@@ -148,7 +146,6 @@ TEST(AreaQueryStarPolygonTest, ThinSpikeStarExactPaths) {
   const auto truth = BruteForceAreaQuery(&db).Run(star, nullptr);
   EXPECT_EQ(truth.size(), 21u);
   EXPECT_EQ(TraditionalAreaQuery(&db).Run(star, nullptr), truth);
-  EXPECT_EQ(GridSweepAreaQuery(&db).Run(star, nullptr), truth);
   VoronoiAreaQuery::Options dual_edge;
   dual_edge.expansion = VoronoiAreaQuery::ExpansionRule::kDualEdge;
   EXPECT_EQ(VoronoiAreaQuery(&db, dual_edge).Run(star, nullptr), truth);
@@ -164,7 +161,7 @@ TEST(AreaQueryStarPolygonTest, ThinSpikeStarExactPaths) {
   EXPECT_EQ(dynamic.Query(star, ctx, planned), truth_ids) << "planned";
   for (const DynamicMethod m :
        {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-        DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
+        DynamicMethod::kBruteForce}) {
     PlanHints forced = planned;
     forced.force_method = m;
     EXPECT_EQ(dynamic.Query(star, ctx, forced), truth_ids)

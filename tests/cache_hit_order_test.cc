@@ -123,7 +123,7 @@ TEST(CacheHitOrderTest, HitsStayAscendingAcrossBaseAndDeltaErases) {
     EXPECT_EQ(hit, db.Query(area, ctx, uncached)) << when;
     for (const DynamicMethod method :
          {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-          DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
+          DynamicMethod::kBruteForce}) {
       const std::vector<PointId> fixed =
           RunDynamicSnapshotQuery(*db.snapshot(), method, area, ctx);
       EXPECT_TRUE(StrictlyAscending(fixed)) << when;

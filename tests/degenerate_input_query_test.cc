@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force_area_query.h"
-#include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
@@ -87,8 +86,7 @@ void ExpectMethodsMatchBruteForce(const std::string& family,
     const VoronoiAreaQuery voronoi(
         db, {VoronoiAreaQuery::ExpansionRule::kDualEdge});
     const TraditionalAreaQuery traditional(db);
-    const GridSweepAreaQuery grid(db);
-    const AreaQuery* methods[] = {&voronoi, &traditional, &grid};
+    const AreaQuery* methods[] = {&voronoi, &traditional};
     QueryContext ctx;
     for (const Area& area : Areas(points, crossing)) {
       const std::vector<PointId> truth = brute.Run(area.polygon, ctx);

@@ -47,7 +47,7 @@ TEST(DynamicChurnPropertyTest, ChurnStreamMatchesRebuildEverywhere) {
 }
 
 TEST(DynamicChurnPropertyTest, ExplicitCompactionBoundariesAreSeamless) {
-  // Hand-rolled variant pinning the exact moments: compare all four
+  // Hand-rolled variant pinning the exact moments: compare all three
   // methods against the merged-set rebuild immediately before and
   // immediately after every explicit Compact().
   Rng rng(777);
@@ -57,7 +57,7 @@ TEST(DynamicChurnPropertyTest, ExplicitCompactionBoundariesAreSeamless) {
                           options);
   constexpr DynamicMethod kMethods[] = {
       DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+      DynamicMethod::kBruteForce};
   PolygonSpec spec;
   spec.query_size_fraction = 0.08;
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -34,7 +35,7 @@ TEST(DynamicConcurrencyTest, EngineQueriesConcurrentWithMutations) {
 
   constexpr DynamicMethod kMethods[] = {
       DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+      DynamicMethod::kBruteForce};
   QueryEngine engine({.num_threads = 4});
   const int planned = engine.RegisterMethod(db.PlannedQuery());
 
@@ -71,7 +72,7 @@ TEST(DynamicConcurrencyTest, EngineQueriesConcurrentWithMutations) {
   for (int i = 0; i < 200; ++i) {
     const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
     SubmitOptions opts;
-    opts.hints.force_method = kMethods[i % 4];
+    opts.hints.force_method = kMethods[i % std::size(kMethods)];
     futures.push_back(engine.Submit(area, planned, opts));
   }
   for (auto& f : futures) {
@@ -90,7 +91,7 @@ TEST(DynamicConcurrencyTest, EngineQueriesConcurrentWithMutations) {
   stop.store(true);
   for (std::thread& t : writers) t.join();
 
-  // Quiesced: all four methods agree with each other again.
+  // Quiesced: all three methods agree with each other again.
   QueryContext ctx;
   const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
   const auto snap = db.snapshot();

@@ -21,7 +21,7 @@ constexpr Box kUnit = Box{{0.0, 0.0}, {1.0, 1.0}};
 
 const DynamicMethod kAllMethods[] = {
     DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-    DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+    DynamicMethod::kBruteForce};
 
 /// Ground truth over the dynamic database's own live set: brute force on
 /// the snapshot, in stable ids.
@@ -344,7 +344,7 @@ TEST(DynamicPointDatabaseTest, StatsKeepCandidateInvariant) {
               ctx.stats.candidate_hits + ctx.stats.visited_rejected)
         << "method: " << MethodName(method);
     // Tombstoned hits are validated candidates but not results; every
-    // result is either a validated hit or a bulk accept (grid-sweep).
+    // result is either a validated hit or a bulk accept.
     EXPECT_GE(ctx.stats.candidate_hits + ctx.stats.bulk_accepted,
               ctx.stats.results);
   }

@@ -50,8 +50,7 @@ TEST(EnginePlannerRoutingTest, RunBatchRoutesEveryQueryThroughThePlanner) {
   for (const QueryResult& r : first) {
     EXPECT_EQ(std::popcount(r.stats.plan_method), 1)
         << "engine batch traffic bypassed the planner (ROADMAP 4c)";
-    EXPECT_EQ(r.stats.plan_method & (MethodBit(DynamicMethod::kGridSweep) |
-                                     MethodBit(DynamicMethod::kBruteForce)),
+    EXPECT_EQ(r.stats.plan_method & MethodBit(DynamicMethod::kBruteForce),
               0u);
     EXPECT_EQ(r.stats.result_cache_misses, 1u);
     method_union |= r.stats.plan_method;
@@ -101,11 +100,11 @@ TEST(EnginePlannerRoutingTest, SubmitHintsReachThePlan) {
   // A forced method travels through SubmitOptions::hints onto the worker
   // context: the plan records kForced and executes exactly that method.
   SubmitOptions opts;
-  opts.hints.force_method = DynamicMethod::kGridSweep;
+  opts.hints.force_method = DynamicMethod::kBruteForce;
   opts.hints.use_cache = false;
   QueryResult forced = engine.Submit(area, planned, opts).get();
   EXPECT_TRUE(forced.stats.plan_reason & plan_reason::kForced);
-  EXPECT_EQ(forced.stats.plan_method, MethodBit(DynamicMethod::kGridSweep));
+  EXPECT_EQ(forced.stats.plan_method, MethodBit(DynamicMethod::kBruteForce));
   EXPECT_EQ(forced.stats.result_cache_hits + forced.stats.result_cache_misses,
             0u)
       << "use_cache=false must bypass the cache entirely";
@@ -117,10 +116,10 @@ TEST(EnginePlannerRoutingTest, SubmitHintsReachThePlan) {
   EXPECT_EQ(again.ids, forced.ids);
 
   // Hints are per-submission, not sticky: a hint-less Submit plans
-  // automatically (no kForced, never grid sweep) and uses the cache.
+  // automatically (no kForced, never brute force) and uses the cache.
   QueryResult plain = engine.Submit(area, planned).get();
   EXPECT_FALSE(plain.stats.plan_reason & plan_reason::kForced);
-  EXPECT_NE(plain.stats.plan_method, MethodBit(DynamicMethod::kGridSweep));
+  EXPECT_NE(plain.stats.plan_method, MethodBit(DynamicMethod::kBruteForce));
   EXPECT_EQ(plain.stats.result_cache_misses, 1u);
   EXPECT_EQ(plain.ids, forced.ids);
 }

@@ -348,7 +348,7 @@ TEST(PlannerCacheChurnTest, PatchedHitsMatchFreshRuns) {
   QueryEngine engine({.num_threads = 2});
   const DynamicMethod kMethods[] = {
       DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+      DynamicMethod::kBruteForce};
   struct Config {
     std::size_t shards;
     QueryEngine* scatter;

@@ -56,25 +56,23 @@ TEST(QueryPlannerTest, SeedModelPicksVoronoiUnderIo) {
 }
 
 TEST(QueryPlannerTest, ForcedMethodShortCircuitsTheModel) {
+  // Brute force, never an unforced arm, still runs when forced, in
+  // either regime.
   PlanHints hints;
-  hints.force_method = DynamicMethod::kGridSweep;
-  const QueryPlanner planner;
-  const QueryPlan plan = planner.Plan(IoFeatures(), hints);
-  EXPECT_EQ(plan.method, DynamicMethod::kGridSweep);
-  EXPECT_TRUE(plan.reason & plan_reason::kForced);
-  // Forcing still yields honest predictions for the forced method.
-  EXPECT_GT(plan.predicted_cost_ns, 0.0);
-  // Brute force, never an unforced arm, still runs when forced.
   hints.force_method = DynamicMethod::kBruteForce;
-  const QueryPlan forced_brute = planner.Plan(MemoryFeatures(), hints);
-  EXPECT_EQ(forced_brute.method, DynamicMethod::kBruteForce);
-  EXPECT_TRUE(forced_brute.reason & plan_reason::kForced);
+  const QueryPlanner planner;
+  for (const PlanFeatures& f : {IoFeatures(), MemoryFeatures()}) {
+    const QueryPlan plan = planner.Plan(f, hints);
+    EXPECT_EQ(plan.method, DynamicMethod::kBruteForce);
+    EXPECT_TRUE(plan.reason & plan_reason::kForced);
+    // Forcing still yields honest predictions for the forced method.
+    EXPECT_GT(plan.predicted_cost_ns, 0.0);
+  }
 }
 
 TEST(QueryPlannerTest, AutoChoosesOnlyTraditionalOrVoronoi) {
   // The unforced plan has two arms, the two sides of the paper's
-  // crossover; no size, selectivity or IO regime reaches grid sweep or
-  // brute force.
+  // crossover; no size, selectivity or IO regime reaches brute force.
   const QueryPlanner planner;
   for (const std::size_t n : {0, 1, 100, 10000, 1000000}) {
     for (const double share : {1e-6, 0.01, 0.3, 1.0}) {
@@ -176,8 +174,6 @@ TEST(CostModelTest, CandidateEstimatesMatchTheClosedForms) {
   EXPECT_DOUBLE_EQ(
       model.ExpectedCandidates(DynamicMethod::kTraditional, f),
       static_cast<double>(f.n) * f.mbr_share);
-  EXPECT_DOUBLE_EQ(model.ExpectedCandidates(DynamicMethod::kGridSweep, f),
-                   static_cast<double>(f.n) * f.mbr_share);
   EXPECT_DOUBLE_EQ(model.ExpectedCandidates(DynamicMethod::kBruteForce, f),
                    static_cast<double>(f.n));
   const double interior = static_cast<double>(f.n) * f.poly_share;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "workload/polygon_generator.h"
+#include "workload/rng.h"
+
 namespace vaq {
 namespace {
 
@@ -148,6 +151,51 @@ TEST(PolygonTest, EdgeAccessorWraps) {
   const Polygon sq = UnitSquare();
   EXPECT_EQ(sq.edge(3).a, Point(0, 1));
   EXPECT_EQ(sq.edge(3).b, Point(0, 0));  // Wraps to vertex 0.
+}
+
+TEST(PolygonBoxTest, IntersectsBoxBasics) {
+  const Polygon l = LShape();
+  EXPECT_TRUE(l.IntersectsBox(Box::FromExtents(0.1, 0.1, 0.2, 0.2)));
+  // Notch box: inside the MBR, outside the polygon.
+  EXPECT_FALSE(l.IntersectsBox(Box::FromExtents(0.6, 0.6, 0.9, 0.9)));
+  // Far away.
+  EXPECT_FALSE(l.IntersectsBox(Box::FromExtents(2, 2, 3, 3)));
+  // Straddling an edge.
+  EXPECT_TRUE(l.IntersectsBox(Box::FromExtents(0.4, 0.4, 0.6, 0.6)));
+  // Polygon entirely inside the box.
+  EXPECT_TRUE(l.IntersectsBox(Box::FromExtents(-1, -1, 2, 2)));
+}
+
+TEST(PolygonBoxTest, RandomizedAgainstSampling) {
+  // Cross-check IntersectsBox against dense point sampling.
+  constexpr Box kUnit = Box{{0.0, 0.0}, {1.0, 1.0}};
+  Rng rng(404);
+  PolygonSpec spec;
+  spec.query_size_fraction = 0.2;
+  for (int trial = 0; trial < 20; ++trial) {
+    const Polygon poly = GenerateQueryPolygon(spec, kUnit, &rng);
+    const double x0 = rng.Uniform(0.0, 0.9);
+    const double y0 = rng.Uniform(0.0, 0.9);
+    const Box box = Box::FromExtents(x0, y0, x0 + rng.Uniform(0.01, 0.1),
+                                     y0 + rng.Uniform(0.01, 0.1));
+    int inside_samples = 0;
+    const int kSamples = 15;
+    for (int sx = 0; sx <= kSamples; ++sx) {
+      for (int sy = 0; sy <= kSamples; ++sy) {
+        const Point p{box.min.x + box.Width() * sx / kSamples,
+                      box.min.y + box.Height() * sy / kSamples};
+        if (poly.Contains(p)) ++inside_samples;
+      }
+    }
+    const int total = (kSamples + 1) * (kSamples + 1);
+    if (!poly.IntersectsBox(box)) {
+      EXPECT_EQ(inside_samples, 0) << "trial " << trial;
+    }
+    if (inside_samples == total) {
+      // Fully sampled-inside boxes must at least intersect.
+      EXPECT_TRUE(poly.IntersectsBox(box)) << "trial " << trial;
+    }
+  }
 }
 
 }  // namespace

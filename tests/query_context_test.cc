@@ -153,7 +153,7 @@ TEST(QueryContextTest, PlannedQueryBuildsItsGridOnce) {
   int finer_than_plan = 0;
   for (const DynamicMethod method :
        {DynamicMethod::kTraditional, DynamicMethod::kVoronoi,
-        DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
+        DynamicMethod::kBruteForce}) {
     PlanHints hints;
     hints.force_method = method;
     hints.use_cache = false;

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force_area_query.h"
-#include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
@@ -48,27 +47,22 @@ TEST_F(QueryEngineTest, ConcurrentBatchesMatchBruteForceGroundTruth) {
   // brute-force scan.
   const VoronoiAreaQuery voronoi(db_.get());
   const TraditionalAreaQuery traditional(db_.get());
-  const GridSweepAreaQuery sweep(db_.get());
   const BruteForceAreaQuery brute(db_.get());
 
   QueryEngine engine({.num_threads = 4, .queue_capacity = 16});
   const int vaq_id = engine.RegisterMethod(&voronoi);
   const int trad_id = engine.RegisterMethod(&traditional);
-  const int sweep_id = engine.RegisterMethod(&sweep);
 
   const std::vector<Polygon> areas = RandomPolygons(64, 0.03, 7);
   const std::vector<QueryResult> vaq_results = engine.RunBatch(areas, vaq_id);
   const std::vector<QueryResult> trad_results =
       engine.RunBatch(areas, trad_id);
-  const std::vector<QueryResult> sweep_results =
-      engine.RunBatch(areas, sweep_id);
 
   ASSERT_EQ(vaq_results.size(), areas.size());
   for (std::size_t i = 0; i < areas.size(); ++i) {
     const std::vector<PointId> truth = brute.Run(areas[i]);
     EXPECT_EQ(vaq_results[i].ids, truth) << "voronoi, polygon " << i;
     EXPECT_EQ(trad_results[i].ids, truth) << "traditional, polygon " << i;
-    EXPECT_EQ(sweep_results[i].ids, truth) << "grid-sweep, polygon " << i;
   }
 }
 

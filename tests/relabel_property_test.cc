@@ -1,7 +1,7 @@
 // Property tests for the Hilbert-clustered storage layer: relabelling the
 // points at construction must be invisible to every query method. The same
 // point set presented in different input orders must produce the same
-// *coordinate sets* from all four methods (internal ids differ only by the
+// *coordinate sets* from all three methods (internal ids differ only by the
 // permutation), and the original↔internal id mappings must round-trip.
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/brute_force_area_query.h"
-#include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
@@ -83,15 +82,13 @@ TEST(RelabelPropertyTest, ShuffledInputOrdersGiveIdenticalResultSets) {
     const BruteForceAreaQuery brute(&db);
     const TraditionalAreaQuery trad(&db);
     const VoronoiAreaQuery voronoi(&db);
-    const GridSweepAreaQuery sweep(&db);
     for (std::size_t a = 0; a < areas.size(); ++a) {
       const auto truth = brute.Run(areas[a], nullptr);
       EXPECT_EQ(ResultCoords(db, truth), expected[a])
           << "shuffle " << shuffle << " area " << a;
-      // All four methods agree on the id set within this database...
+      // All three methods agree on the id set within this database...
       EXPECT_EQ(trad.Run(areas[a], nullptr), truth);
       EXPECT_EQ(voronoi.Run(areas[a], nullptr), truth);
-      EXPECT_EQ(sweep.Run(areas[a], nullptr), truth);
       // ...and the ids map back to original input positions that hold the
       // same coordinates.
       for (const PointId id : truth) {

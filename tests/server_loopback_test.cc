@@ -11,6 +11,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,7 +112,7 @@ TEST_F(ServerLoopbackTest, HintsTravelTheWire) {
   const std::vector<PointId> expected = Oracle(area);
   for (const DynamicMethod m :
        {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-        DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
+        DynamicMethod::kBruteForce}) {
     WireQueryRequest req;
     req.wkt = ToWkt(area);
     req.force_method = m;
@@ -215,19 +216,29 @@ TEST_F(ServerLoopbackTest, MalformedFramesGetBadRequest) {
   StartServer(200);
 
   {
-    // Well-formed header, hostile payload: typed kBadRequest, connection
+    // Well-formed header, hostile payload (a truncated ERASE, a QUERY
+    // forcing the retired method byte 2): typed kBadRequest, connection
     // stays up.
     QueryClient client(server_->port());
-    std::vector<std::uint8_t> frame;
-    AppendFrame(frame, Opcode::kErase, std::vector<std::uint8_t>(3));
-    const std::vector<std::uint8_t> response = client.RoundTripRaw(frame);
-    const FrameHeader fh =
-        DecodeFrameHeader({response.data(), kFrameHeaderBytes});
-    ASSERT_EQ(fh.opcode, Opcode::kError);
-    const WireError e = DecodeErrorPayload(
-        {response.data() + kFrameHeaderBytes, fh.payload_len});
-    EXPECT_EQ(e.code, WireErrorCode::kBadRequest);
-    EXPECT_TRUE(client.Ping());
+    WireQueryRequest retired;
+    retired.wkt = "POLYGON ((0.1 0.1, 0.9 0.1, 0.5 0.9, 0.1 0.1))";
+    std::vector<std::uint8_t> retired_payload = EncodeQueryRequest(retired);
+    retired_payload[0] = 2;
+    const std::pair<Opcode, std::vector<std::uint8_t>> hostile[] = {
+        {Opcode::kErase, std::vector<std::uint8_t>(3)},
+        {Opcode::kQuery, retired_payload}};
+    for (const auto& [opcode, payload] : hostile) {
+      std::vector<std::uint8_t> frame;
+      AppendFrame(frame, opcode, payload);
+      const std::vector<std::uint8_t> response = client.RoundTripRaw(frame);
+      const FrameHeader fh =
+          DecodeFrameHeader({response.data(), kFrameHeaderBytes});
+      ASSERT_EQ(fh.opcode, Opcode::kError);
+      const WireError e = DecodeErrorPayload(
+          {response.data() + kFrameHeaderBytes, fh.payload_len});
+      EXPECT_EQ(e.code, WireErrorCode::kBadRequest);
+      EXPECT_TRUE(client.Ping());
+    }
   }
   {
     // Malformed header (response opcode in a request): one kBadRequest,

@@ -1,8 +1,10 @@
 #include "server/protocol.h"
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -94,7 +96,7 @@ TEST(ProtocolHeaderTest, BoundsPayloadLengthBeforeAllocation) {
 
 TEST(ProtocolPayloadTest, QueryRequestRoundTrips) {
   WireQueryRequest req;
-  req.force_method = DynamicMethod::kGridSweep;
+  req.force_method = DynamicMethod::kBruteForce;
   req.use_cache = false;
   req.allow_scatter = true;
   req.deadline_ms = 125.5;
@@ -102,7 +104,7 @@ TEST(ProtocolPayloadTest, QueryRequestRoundTrips) {
   const auto bytes = EncodeQueryRequest(req);
   const WireQueryRequest back = DecodeQueryRequest(bytes);
   ASSERT_TRUE(back.force_method.has_value());
-  EXPECT_EQ(*back.force_method, DynamicMethod::kGridSweep);
+  EXPECT_EQ(*back.force_method, DynamicMethod::kBruteForce);
   EXPECT_FALSE(back.use_cache);
   EXPECT_TRUE(back.allow_scatter);
   EXPECT_DOUBLE_EQ(back.deadline_ms, 125.5);
@@ -117,12 +119,41 @@ TEST(ProtocolPayloadTest, QueryRequestRoundTrips) {
   EXPECT_EQ(back2.deadline_ms, 0.0);
 }
 
+TEST(ProtocolPayloadTest, QueryRequestMethodBytesAreFixed) {
+  // The force-method byte carries the `DynamicMethod` value itself, so a
+  // client built against an older enum speaks the same bytes.
+  const std::pair<std::optional<DynamicMethod>, std::uint8_t> golden[] = {
+      {DynamicMethod::kVoronoi, 0x00},
+      {DynamicMethod::kTraditional, 0x01},
+      {DynamicMethod::kBruteForce, 0x03},
+      {std::nullopt, 0xFF},
+  };
+  for (const auto& [method, byte] : golden) {
+    WireQueryRequest req;
+    req.force_method = method;
+    req.use_cache = false;
+    req.allow_scatter = false;
+    req.wkt = "POLYGON ((0 0, 1 0, 1 1, 0 0))";
+    const auto bytes = EncodeQueryRequest(req);
+    const std::vector<std::uint8_t> head(bytes.begin(), bytes.begin() + 16);
+    const std::vector<std::uint8_t> expected = {
+        byte, 0x00, 0x00, 0x00, 0, 0, 0, 0, 0, 0, 0, 0,
+        static_cast<std::uint8_t>(req.wkt.size()), 0x00, 0x00, 0x00};
+    EXPECT_EQ(head, expected) << "method byte " << int{byte};
+    EXPECT_EQ(DecodeQueryRequest(bytes).force_method, method);
+  }
+}
+
 TEST(ProtocolPayloadTest, QueryRequestRejectsHostileFields) {
   const auto good = EncodeQueryRequest(
       {std::nullopt, true, true, 0.0, "POLYGON ((0 0, 1 0, 1 1, 0 0))"});
 
   auto bad = good;
   bad[0] = kNumDynamicMethods;  // One past the last method, not 0xFF.
+  EXPECT_THROW(DecodeQueryRequest(bad), ProtocolError);
+
+  bad = good;
+  bad[0] = 2;  // The retired grid-sweep method.
   EXPECT_THROW(DecodeQueryRequest(bad), ProtocolError);
 
   bad = good;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <iterator>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -31,7 +32,7 @@ namespace {
 constexpr Box kUnit = Box{{0.0, 0.0}, {1.0, 1.0}};
 constexpr DynamicMethod kMethods[] = {
     DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-    DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+    DynamicMethod::kBruteForce};
 
 /// Ground truth for the current version: rebuild a monolithic database
 /// from the snapshot's live set and brute-force it, then map internal ids
@@ -157,7 +158,7 @@ TEST(ShardChurnTest, QueriesConcurrentWithMutationsAreSnapshotConsistent) {
   for (int i = 0; i < 120; ++i) {
     const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
     SubmitOptions opts;
-    opts.hints.force_method = kMethods[i % 4];
+    opts.hints.force_method = kMethods[i % std::size(kMethods)];
     futures.push_back(frontend.Submit(area, planned, opts));
   }
   int scattered = 0;
@@ -179,7 +180,7 @@ TEST(ShardChurnTest, QueriesConcurrentWithMutationsAreSnapshotConsistent) {
   for (std::thread& t : writers) t.join();
   EXPECT_GT(scattered, 0) << "no plan fanned its legs out under churn";
 
-  // Quiesced: all four sharded methods agree with the rebuild oracle.
+  // Quiesced: all three sharded methods agree with the rebuild oracle.
   QueryContext ctx;
   const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
   const auto snap = db.snapshot();

@@ -51,7 +51,7 @@ TEST(ShardConstructionTest, MoreShardsThanPointsWorks) {
       {-1.0, -1.0}, {2.0, -1.0}, {2.0, 2.0}, {-1.0, 2.0}});
   for (const DynamicMethod method :
        {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-        DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
+        DynamicMethod::kBruteForce}) {
     const std::vector<PointId> got =
         RunShardedSnapshotQuery(*sharded.snapshot(), method, everything, ctx);
     EXPECT_EQ(got, (std::vector<PointId>{0, 1, 2, 3, 4}))

@@ -1,5 +1,5 @@
 // The sharding PR's verification harness: every sharded answer must be
-// bit-identical to the unsharded oracle — the same four methods run on one
+// bit-identical to the unsharded oracle — the same three methods run on one
 // monolithic `PointDatabase` over the same input — across randomized
 // datasets, polygon areas and shard counts. Sharding introduces a class of
 // correctness hazards the single-database tests cannot see (boundary
@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <iterator>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -20,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force_area_query.h"
-#include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
@@ -110,13 +110,12 @@ TEST(ShardDifferentialTest, MatchesUnshardedOracleAcrossShardCounts) {
     const PointDatabase oracle(points);
     const TraditionalAreaQuery oracle_traditional(&oracle);
     const VoronoiAreaQuery oracle_voronoi(&oracle);
-    const GridSweepAreaQuery oracle_grid(&oracle);
     const BruteForceAreaQuery oracle_brute(&oracle);
     const AreaQuery* oracle_methods[] = {&oracle_voronoi, &oracle_traditional,
-                                         &oracle_grid, &oracle_brute};
+                                         &oracle_brute};
     const DynamicMethod methods[] = {
         DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-        DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+        DynamicMethod::kBruteForce};
 
     for (const std::size_t k : kShardCounts) {
       const ShardedDatabase sharded(points, ShardOptions(k));
@@ -124,7 +123,7 @@ TEST(ShardDifferentialTest, MatchesUnshardedOracleAcrossShardCounts) {
         PolygonSpec spec;
         spec.query_size_fraction = query_size;
         const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
-        for (std::size_t m = 0; m < 4; ++m) {
+        for (std::size_t m = 0; m < std::size(methods); ++m) {
           const std::vector<PointId> truth =
               OracleRun(oracle, *oracle_methods[m], area, ctx);
           const std::vector<PointId> got = RunShardedSnapshotQuery(
@@ -160,7 +159,7 @@ TEST(ShardDifferentialTest, ScatterEngineMatchesInlineExecution) {
         OracleRun(oracle, oracle_brute, area, ctx);
     for (const DynamicMethod method :
          {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-          DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
+          DynamicMethod::kBruteForce}) {
       const auto snap = sharded.snapshot();
       const std::vector<PointId> inline_ids =
           RunShardedSnapshotQuery(*snap, method, area, ctx);
@@ -306,7 +305,7 @@ TEST(ShardDifferentialTest, ConcaveAreaSpanningShardsStaysComplete) {
     const ShardedDatabase sharded(points, ShardOptions(k));
     for (const DynamicMethod method :
          {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-          DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
+          DynamicMethod::kBruteForce}) {
       EXPECT_EQ(
           RunShardedSnapshotQuery(*sharded.snapshot(), method, u_shape, ctx),
           truth)
@@ -353,7 +352,7 @@ TEST(ShardDifferentialTest, PlannedQueryMatchesOracleInlineAndScattered) {
   QueryEngine scatter({.num_threads = 2});
   const std::optional<DynamicMethod> forced[] = {
       std::nullopt, DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+      DynamicMethod::kBruteForce};
 
   QueryContext ctx;
   for (const std::size_t k : {std::size_t{1}, std::size_t{4}}) {

@@ -15,13 +15,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/brute_force_area_query.h"
-#include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
@@ -97,14 +97,12 @@ TEST(FaultSoakTest, EveryMethodIsExactOrTypedUnderRandomFaults) {
 
     const TraditionalAreaQuery oracle_trad(&oracle), paged_trad(&paged);
     const VoronoiAreaQuery oracle_vaq(&oracle), paged_vaq(&paged);
-    const GridSweepAreaQuery oracle_grid(&oracle), paged_grid(&paged);
     const BruteForceAreaQuery oracle_brute(&oracle), paged_brute(&paged);
     const struct {
       const AreaQuery* oracle_q;
       const AreaQuery* paged_q;
     } pairs[] = {{&oracle_vaq, &paged_vaq},
                  {&oracle_trad, &paged_trad},
-                 {&oracle_grid, &paged_grid},
                  {&oracle_brute, &paged_brute}};
 
     QueryContext ctx;
@@ -165,12 +163,13 @@ TEST(FaultSoakTest, ShardedQueriesAreExactOrTyped) {
 
     const DynamicMethod methods[] = {
         DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-        DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
-    const DynamicMethod method =
-        methods[static_cast<std::size_t>(seed) % 4];
+        DynamicMethod::kBruteForce};
+    const std::size_t cycle = static_cast<std::size_t>(seed);
+    const DynamicMethod method = methods[cycle % std::size(methods)];
     // Half the seeds (every method among them) fan their legs out, so
     // failures also cross the scatter engine's futures.
-    QueryEngine* engine = (seed / 4) % 2 == 1 ? &scatter : nullptr;
+    QueryEngine* engine =
+        (cycle / std::size(methods)) % 2 == 1 ? &scatter : nullptr;
     const BruteForceAreaQuery oracle_brute(&oracle);
 
     QueryContext ctx;

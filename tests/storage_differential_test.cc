@@ -1,6 +1,6 @@
 // The out-of-core PR's acceptance property: a database served from the
 // mmap page file behind a deliberately tiny LRU cache must answer every
-// query bit-identically to the in-memory backend — across all four
+// query bit-identically to the in-memory backend — across all three
 // methods and both miss modes, through the sharded scatter-gather path,
 // and under dynamic churn with compactions — while the page counters obey
 // `page_cache_hits + page_cache_misses == pages_touched` and show the
@@ -16,7 +16,6 @@
 #include "core/brute_force_area_query.h"
 #include "core/dynamic_area_query.h"
 #include "core/dynamic_point_database.h"
-#include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
@@ -69,14 +68,12 @@ TEST(StorageDifferentialTest, AllMethodsMatchInMemoryOracle) {
 
       const TraditionalAreaQuery oracle_trad(&oracle), paged_trad(&paged);
       const VoronoiAreaQuery oracle_vaq(&oracle), paged_vaq(&paged);
-      const GridSweepAreaQuery oracle_grid(&oracle), paged_grid(&paged);
       const BruteForceAreaQuery oracle_brute(&oracle), paged_brute(&paged);
       const struct {
         const AreaQuery* oracle_q;
         const AreaQuery* paged_q;
       } pairs[] = {{&oracle_vaq, &paged_vaq},
                    {&oracle_trad, &paged_trad},
-                   {&oracle_grid, &paged_grid},
                    {&oracle_brute, &paged_brute}};
 
       QueryContext ctx;
@@ -134,7 +131,7 @@ TEST(StorageDifferentialTest, ShardedPagedMatchesInMemoryOracle) {
       std::sort(truth.begin(), truth.end());
       for (const DynamicMethod method :
            {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-            DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
+            DynamicMethod::kBruteForce}) {
         EXPECT_EQ(
             RunShardedSnapshotQuery(*sharded.snapshot(), method, area, ctx),
             truth)
@@ -159,7 +156,7 @@ TEST(StorageDifferentialTest, ChurnOnPagedBackendMatchesRebuild) {
   DynamicPointDatabase db(GenerateUniformPoints(1500, kUnit, &rng), options);
   constexpr DynamicMethod kMethods[] = {
       DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
-      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+      DynamicMethod::kBruteForce};
   PolygonSpec spec;
   spec.query_size_fraction = 0.08;
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force_area_query.h"
-#include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
@@ -55,7 +54,6 @@ TEST(StressTest, QueryBoundaryThroughGridPoints) {
   EXPECT_EQ(truth.size(), 49u);
   EXPECT_EQ(TraditionalAreaQuery(&db).Run(area, nullptr), truth);
   EXPECT_EQ(VoronoiAreaQuery(&db).Run(area, nullptr), truth);
-  EXPECT_EQ(GridSweepAreaQuery(&db).Run(area, nullptr), truth);
 }
 
 TEST(StressTest, LargeScaleEquivalence) {
@@ -63,7 +61,6 @@ TEST(StressTest, LargeScaleEquivalence) {
   PointDatabase db(GenerateUniformPoints(100000, kUnit, &rng));
   const TraditionalAreaQuery trad(&db);
   const VoronoiAreaQuery vaq(&db);
-  const GridSweepAreaQuery sweep(&db);
   Rng qrng(1);
   for (const double qs : {0.01, 0.32}) {
     PolygonSpec spec;
@@ -72,7 +69,6 @@ TEST(StressTest, LargeScaleEquivalence) {
       const Polygon area = GenerateQueryPolygon(spec, kUnit, &qrng);
       const auto t = trad.Run(area, nullptr);
       EXPECT_EQ(vaq.Run(area, nullptr), t);
-      EXPECT_EQ(sweep.Run(area, nullptr), t);
     }
   }
 }

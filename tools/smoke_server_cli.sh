@@ -73,6 +73,8 @@ expect_usage_error "$bin/vaq_client" --port "$port" erase foo
 expect_usage_error "$bin/vaq_client" --port "$port" erase 4294967296
 expect_usage_error "$bin/vaq_client" --port "$port" insert abc 1
 expect_usage_error "$bin/vaq_client" --port 65537 ping
+expect_usage_error "$bin/vaq_client" --port "$port" query \
+  "POLYGON ((0.2 0.2, 0.8 0.2, 0.8 0.8, 0.2 0.2))" --method grid-sweep
 expect_usage_error "$bin/vaq_server" --points 10 --max-deadline-ms abc
 [ "$(live)" = 1000 ] || fail "a rejected operand changed the live count"
 client stats

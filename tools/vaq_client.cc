@@ -9,8 +9,8 @@
 //   vaq_client --port P stats
 //   vaq_client --port P ping
 //
-//   --method M       Force a method: voronoi | traditional | grid-sweep |
-//                    brute (default: the planner chooses).
+//   --method M       Force a method: voronoi | traditional | brute
+//                    (default: the planner chooses).
 //   --no-cache       Bypass the server's result cache for this query.
 //   --deadline-ms D  Per-query deadline (server may cap it).
 //   --ids            Print every result id (default: count + stats only).
@@ -77,7 +77,6 @@ int main(int argc, char** argv) {
       if (m == "voronoi") query.force_method = DynamicMethod::kVoronoi;
       else if (m == "traditional")
         query.force_method = DynamicMethod::kTraditional;
-      else if (m == "grid-sweep") query.force_method = DynamicMethod::kGridSweep;
       else if (m == "brute") query.force_method = DynamicMethod::kBruteForce;
       else return Usage();
     } else if (arg == "--no-cache") {
