@@ -13,57 +13,30 @@ namespace vaq {
 
 namespace {
 
-void ReadExact(int fd, std::uint8_t* out, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, out + got, n - got);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r == 0) throw std::runtime_error("server closed the connection");
-    if (errno == EINTR) continue;
-    throw std::runtime_error(std::string("read failed: ") +
-                             std::strerror(errno));
-  }
-}
-
-void WriteExact(int fd, const std::uint8_t* data, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    // MSG_NOSIGNAL: a server that closed on us surfaces as EPIPE (and a
-    // typed exception), not a process-wide SIGPIPE.
-    const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
-    if (w > 0) {
-      sent += static_cast<std::size_t>(w);
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
-    throw std::runtime_error(std::string("write failed: ") +
-                             std::strerror(errno));
-  }
-}
-
-}  // namespace
-
-QueryClient::QueryClient(std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) {
+int ConnectLoopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
     throw std::system_error(errno, std::generic_category(), "socket");
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     const int err = errno;
-    ::close(fd_);
-    fd_ = -1;
+    ::close(fd);
     throw std::system_error(err, std::generic_category(), "connect");
   }
   const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
 }
+
+}  // namespace
+
+QueryClient::QueryClient(std::uint16_t port)
+    : fd_(ConnectLoopback(port)),
+      reader_(fd_, FrameReader::Accept::kResponses) {}
 
 QueryClient::~QueryClient() {
   if (fd_ >= 0) ::close(fd_);
@@ -71,30 +44,21 @@ QueryClient::~QueryClient() {
 
 void QueryClient::SendFrame(Opcode opcode,
                             std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> frame;
-  AppendFrame(frame, opcode, payload);
-  WriteExact(fd_, frame.data(), frame.size());
+  ResetSendBuffer(out_);
+  AppendFrame(out_, opcode, payload);
+  SendAll(fd_, out_);
 }
 
 QueryClient::Frame QueryClient::ReadFrame() {
-  std::uint8_t header[kFrameHeaderBytes];
-  ReadExact(fd_, header, sizeof(header));
   // The client holds the server to the same framing discipline the
   // server holds clients to (throws ProtocolError on violations).
-  const FrameHeader fh = DecodeFrameHeader({header, sizeof(header)});
-  if (!IsResponseOpcode(static_cast<std::uint8_t>(fh.opcode))) {
-    throw ProtocolError(ProtocolError::Kind::kBadOpcode,
-                        "request opcode in a response frame");
-  }
-  Frame frame{fh.opcode, std::vector<std::uint8_t>(fh.payload_len)};
-  if (fh.payload_len > 0) {
-    ReadExact(fd_, frame.payload.data(), frame.payload.size());
-  }
-  return frame;
+  const std::optional<Frame> frame = reader_.Next();
+  if (!frame) throw std::runtime_error("server closed the connection");
+  return *frame;
 }
 
 QueryClient::Frame QueryClient::Expect(Opcode expected) {
-  Frame frame = ReadFrame();
+  const Frame frame = ReadFrame();
   if (frame.opcode == Opcode::kError) {
     const WireError e = DecodeErrorPayload(frame.payload);
     throw ServerError(e.code, e.detail);
@@ -111,10 +75,9 @@ QueryClient::QueryOutcome QueryClient::Query(const WireQueryRequest& req) {
   SendFrame(Opcode::kQuery, EncodeQueryRequest(req));
   QueryOutcome outcome;
   for (;;) {
-    Frame frame = Expect(Opcode::kQueryDone);
+    const Frame frame = Expect(Opcode::kQueryDone);
     if (frame.opcode == Opcode::kResultIds) {
-      const std::vector<PointId> chunk = DecodeResultIdsPayload(frame.payload);
-      outcome.ids.insert(outcome.ids.end(), chunk.begin(), chunk.end());
+      DecodeResultIdsInto(frame.payload, outcome.ids);
       continue;
     }
     outcome.stats = DecodeQueryStatsPayload(frame.payload);
@@ -163,15 +126,9 @@ bool QueryClient::Ping() {
 
 std::vector<std::uint8_t> QueryClient::RoundTripRaw(
     std::span<const std::uint8_t> bytes) {
-  WriteExact(fd_, bytes.data(), bytes.size());
-  std::vector<std::uint8_t> out(kFrameHeaderBytes);
-  ReadExact(fd_, out.data(), kFrameHeaderBytes);
-  const FrameHeader fh = DecodeFrameHeader({out.data(), kFrameHeaderBytes});
-  out.resize(kFrameHeaderBytes + fh.payload_len);
-  if (fh.payload_len > 0) {
-    ReadExact(fd_, out.data() + kFrameHeaderBytes, fh.payload_len);
-  }
-  return out;
+  SendAll(fd_, bytes);
+  const Frame frame = ReadFrame();
+  return {frame.bytes.begin(), frame.bytes.end()};
 }
 
 }  // namespace vaq

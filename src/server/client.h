@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "geometry/point.h"
+#include "server/frame_io.h"
 #include "server/protocol.h"
 
 namespace vaq {
@@ -73,15 +74,14 @@ class QueryClient {
 
   /// Sends raw bytes as-is and reads one response frame — the hostile-
   /// input path for protocol tests (malformed headers, bad payloads).
-  /// Returns the full response frame (header + payload).
+  /// Returns the full response frame (header + payload). Bytes the server
+  /// sent past that frame stay buffered for the next read.
   std::vector<std::uint8_t> RoundTripRaw(std::span<const std::uint8_t> bytes);
 
  private:
-  /// Reads one well-formed response frame; validates its header.
-  struct Frame {
-    Opcode opcode;
-    std::vector<std::uint8_t> payload;
-  };
+  using Frame = FrameReader::Frame;
+  /// Reads one well-formed response frame; the server closing the
+  /// connection instead is a `std::runtime_error`.
   Frame ReadFrame();
   void SendFrame(Opcode opcode, std::span<const std::uint8_t> payload);
   /// Reads one response frame, throwing `ServerError` on `kError` and on
@@ -89,6 +89,8 @@ class QueryClient {
   Frame Expect(Opcode expected);
 
   int fd_ = -1;
+  FrameReader reader_;
+  std::vector<std::uint8_t> out_;  // Reused send buffer.
 };
 
 }  // namespace vaq

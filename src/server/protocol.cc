@@ -65,13 +65,14 @@ struct PayloadReader {
     return v;
   }
 
-  std::string GetBytes(std::size_t n, const char* field) {
+  std::string_view GetBytes(std::size_t n, const char* field) {
     if (Remaining() < n) {
       throw ProtocolError(ProtocolError::Kind::kTruncatedPayload,
                           std::string("payload ends inside field '") + field +
                               "'");
     }
-    std::string s(reinterpret_cast<const char*>(in.data() + at), n);
+    const std::string_view s(reinterpret_cast<const char*>(in.data() + at),
+                             n);
     at += n;
     return s;
   }
@@ -162,13 +163,26 @@ FrameHeader DecodeFrameHeader(std::span<const std::uint8_t> bytes) {
 void AppendFrame(std::vector<std::uint8_t>& out, Opcode opcode,
                  std::span<const std::uint8_t> payload) {
   out.reserve(out.size() + kFrameHeaderBytes + payload.size());
+  const std::size_t frame_at = BeginFrame(out, opcode);
+  out.insert(out.end(), payload.begin(), payload.end());
+  EndFrame(out, frame_at);
+}
+
+std::size_t BeginFrame(std::vector<std::uint8_t>& out, Opcode opcode) {
+  const std::size_t frame_at = out.size();
   out.insert(out.end(), kFrameMagic, kFrameMagic + sizeof(kFrameMagic));
   out.push_back(kProtocolVersion);
   out.push_back(static_cast<std::uint8_t>(opcode));
   out.push_back(0);  // flags
   out.push_back(0);
-  PutInt<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  PutInt<std::uint32_t>(out, 0);  // Length, written by EndFrame.
+  return frame_at;
+}
+
+void EndFrame(std::vector<std::uint8_t>& out, std::size_t frame_at) {
+  const std::uint32_t len = ByteSwapIfBig(
+      static_cast<std::uint32_t>(out.size() - frame_at - kFrameHeaderBytes));
+  std::memcpy(out.data() + frame_at + 8, &len, sizeof(len));
 }
 
 // --- Requests ----------------------------------------------------------------
@@ -189,9 +203,10 @@ std::vector<std::uint8_t> EncodeQueryRequest(const WireQueryRequest& req) {
   return out;
 }
 
-WireQueryRequest DecodeQueryRequest(std::span<const std::uint8_t> payload) {
+WireQueryRequestView DecodeQueryRequestView(
+    std::span<const std::uint8_t> payload) {
   PayloadReader r{payload};
-  WireQueryRequest req;
+  WireQueryRequestView req;
   const std::uint8_t method = r.GetInt<std::uint8_t>("method");
   if (method != 0xFF) {
     const auto forced = static_cast<DynamicMethod>(method);
@@ -234,6 +249,12 @@ WireQueryRequest DecodeQueryRequest(std::span<const std::uint8_t> payload) {
   return req;
 }
 
+WireQueryRequest DecodeQueryRequest(std::span<const std::uint8_t> payload) {
+  const WireQueryRequestView v = DecodeQueryRequestView(payload);
+  return {v.force_method, v.use_cache, v.allow_scatter, v.deadline_ms,
+          std::string(v.wkt)};
+}
+
 std::vector<std::uint8_t> EncodeInsertRequest(double x, double y) {
   std::vector<std::uint8_t> out;
   PutDouble(out, x);
@@ -270,22 +291,36 @@ PointId DecodeEraseRequest(std::span<const std::uint8_t> payload) {
 
 std::vector<std::uint8_t> EncodeResultIdsPayload(
     std::span<const PointId> ids) {
-  // One allocation for the whole payload; the reserved word stays 0.
-  std::vector<std::uint8_t> out(8 + 8 * ids.size());
+  std::vector<std::uint8_t> out;
+  AppendResultIdsPayload(out, ids);
+  return out;
+}
+
+void AppendResultIdsPayload(std::vector<std::uint8_t>& out,
+                            std::span<const PointId> ids) {
+  // One resize for the whole payload; the reserved word stays 0.
+  const std::size_t at = out.size();
+  out.resize(at + 8 + 8 * ids.size());
   const std::uint32_t count =
       ByteSwapIfBig(static_cast<std::uint32_t>(ids.size()));
-  std::memcpy(out.data(), &count, sizeof(count));
-  std::uint8_t* dst = out.data() + 8;
+  std::memcpy(out.data() + at, &count, sizeof(count));
+  std::uint8_t* dst = out.data() + at + 8;
   for (const PointId id : ids) {
     const std::uint64_t le = ByteSwapIfBig(std::uint64_t{id});
     std::memcpy(dst, &le, sizeof(le));
     dst += sizeof(le);
   }
-  return out;
 }
 
 std::vector<PointId> DecodeResultIdsPayload(
     std::span<const std::uint8_t> payload) {
+  std::vector<PointId> ids;
+  DecodeResultIdsInto(payload, ids);
+  return ids;
+}
+
+void DecodeResultIdsInto(std::span<const std::uint8_t> payload,
+                         std::vector<PointId>& ids) {
   PayloadReader r{payload};
   const std::uint32_t count = r.GetInt<std::uint32_t>("count");
   if (r.GetInt<std::uint32_t>("reserved") != 0) {
@@ -301,7 +336,9 @@ std::vector<PointId> DecodeResultIdsPayload(
   // The length check above covers every id, so the loop reads without
   // per-id bounds checks and ORs the high words together for one range
   // check at the end.
-  std::vector<PointId> ids(count);
+  const std::size_t at = ids.size();
+  ids.resize(at + count);
+  PointId* dst = ids.data() + at;
   const std::uint8_t* src = payload.data() + r.at;
   std::uint64_t high = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -309,13 +346,13 @@ std::vector<PointId> DecodeResultIdsPayload(
     std::memcpy(&le, src + std::size_t{i} * 8, sizeof(le));
     const std::uint64_t id = ByteSwapIfBig(le);
     high |= id >> 32;
-    ids[i] = static_cast<PointId>(id);
+    dst[i] = static_cast<PointId>(id);
   }
   if (high != 0) {
+    ids.resize(at);
     throw ProtocolError(ProtocolError::Kind::kMalformedPayload,
                         "result id exceeds the 32-bit PointId range");
   }
-  return ids;
 }
 
 WireQueryStats SummarizeQueryStats(const QueryStats& stats) {
@@ -335,6 +372,12 @@ WireQueryStats SummarizeQueryStats(const QueryStats& stats) {
 
 std::vector<std::uint8_t> EncodeQueryStatsPayload(const WireQueryStats& s) {
   std::vector<std::uint8_t> out;
+  AppendQueryStatsPayload(out, s);
+  return out;
+}
+
+void AppendQueryStatsPayload(std::vector<std::uint8_t>& out,
+                             const WireQueryStats& s) {
   PutInt<std::uint64_t>(out, s.results);
   PutInt<std::uint64_t>(out, s.candidates);
   PutInt<std::uint64_t>(out, s.geometry_loads);
@@ -345,7 +388,6 @@ std::vector<std::uint8_t> EncodeQueryStatsPayload(const WireQueryStats& s) {
   PutInt<std::uint64_t>(out, s.shards_hit);
   PutInt<std::uint64_t>(out, s.shards_pruned);
   PutDouble(out, s.elapsed_ms);
-  return out;
 }
 
 WireQueryStats DecodeQueryStatsPayload(
@@ -465,7 +507,7 @@ WireError DecodeErrorPayload(std::span<const std::uint8_t> payload) {
     throw ProtocolError(ProtocolError::Kind::kMalformedPayload,
                         "detail_len disagrees with the frame length");
   }
-  e.detail = r.GetBytes(detail_len, "detail");
+  e.detail = std::string(r.GetBytes(detail_len, "detail"));
   r.ExpectDone("error");
   return e;
 }

@@ -131,6 +131,12 @@ FrameHeader DecodeFrameHeader(std::span<const std::uint8_t> bytes);
 void AppendFrame(std::vector<std::uint8_t>& out, Opcode opcode,
                  std::span<const std::uint8_t> payload);
 
+/// Encodes a frame in place: `BeginFrame` appends a header and returns
+/// its offset, the caller appends the payload, and `EndFrame` writes the
+/// payload length into that header.
+std::size_t BeginFrame(std::vector<std::uint8_t>& out, Opcode opcode);
+void EndFrame(std::vector<std::uint8_t>& out, std::size_t frame_at);
+
 // --- Request payloads -----------------------------------------------------
 
 /// `kQuery` payload:
@@ -142,15 +148,22 @@ void AppendFrame(std::vector<std::uint8_t>& out, Opcode opcode,
 ///        4     8  deadline_ms as IEEE-754 double (0 = none)
 ///       12     4  WKT byte length L (must equal payload_len - 16)
 ///       16     L  WKT text (not NUL-terminated)
-struct WireQueryRequest {
+template <typename Text>
+struct BasicWireQueryRequest {
   std::optional<DynamicMethod> force_method;
   bool use_cache = true;
   bool allow_scatter = true;
   double deadline_ms = 0.0;
-  std::string wkt;
+  Text wkt;
 };
+using WireQueryRequest = BasicWireQueryRequest<std::string>;
+/// A decoded request whose `wkt` views the payload bytes: valid only as
+/// long as they are. The server parses the WKT straight from its buffer.
+using WireQueryRequestView = BasicWireQueryRequest<std::string_view>;
 
 std::vector<std::uint8_t> EncodeQueryRequest(const WireQueryRequest& req);
+WireQueryRequestView DecodeQueryRequestView(
+    std::span<const std::uint8_t> payload);
 WireQueryRequest DecodeQueryRequest(std::span<const std::uint8_t> payload);
 
 /// `kInsert` payload: two doubles (x, y). `kErase` payload: one u64 id.
@@ -167,8 +180,13 @@ PointId DecodeEraseRequest(std::span<const std::uint8_t> payload);
 /// a wider id type without a version bump.
 std::vector<std::uint8_t> EncodeResultIdsPayload(
     std::span<const PointId> ids);
+void AppendResultIdsPayload(std::vector<std::uint8_t>& out,
+                            std::span<const PointId> ids);
 std::vector<PointId> DecodeResultIdsPayload(
     std::span<const std::uint8_t> payload);
+/// Appends the payload's ids to `ids`; on a throw `ids` is unchanged.
+void DecodeResultIdsInto(std::span<const std::uint8_t> payload,
+                         std::vector<PointId>& ids);
 
 /// `kQueryDone` summary: the per-query cost counters a client can act on
 /// (result count is the authoritative total — the client cross-checks it
@@ -188,6 +206,8 @@ struct WireQueryStats {
 
 WireQueryStats SummarizeQueryStats(const QueryStats& stats);
 std::vector<std::uint8_t> EncodeQueryStatsPayload(const WireQueryStats& s);
+void AppendQueryStatsPayload(std::vector<std::uint8_t>& out,
+                             const WireQueryStats& s);
 WireQueryStats DecodeQueryStatsPayload(std::span<const std::uint8_t> payload);
 
 /// `kMutated` payload: u8 ok, 7 reserved bytes, u64 value (assigned id

@@ -7,62 +7,29 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <optional>
 #include <system_error>
 #include <utility>
 
 #include "geometry/wkt.h"
 #include "planner/planned_area_query.h"
+#include "server/frame_io.h"
 
 namespace vaq {
 
 namespace {
 
-/// Reads exactly `n` bytes; false on orderly EOF at a frame boundary
-/// (n == 0 read on the first byte), throws on a mid-frame EOF or error.
-/// EINTR retries; everything else is fatal for the connection.
-bool ReadFull(int fd, std::uint8_t* out, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, out + got, n - got);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r == 0) {
-      if (got == 0) return false;  // Clean close between frames.
-      throw std::runtime_error("connection closed mid-frame");
-    }
-    if (errno == EINTR) continue;
-    throw std::runtime_error(std::string("read failed: ") +
-                             std::strerror(errno));
-  }
-  return true;
+void Bump(std::atomic<std::uint64_t>& counter) {
+  counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-void WriteFull(int fd, const std::uint8_t* data, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    // MSG_NOSIGNAL: a peer that vanished mid-response is this
-    // connection's problem (EPIPE, handled by the caller), never a
-    // process-wide SIGPIPE.
-    const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
-    if (w > 0) {
-      sent += static_cast<std::size_t>(w);
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
-    throw std::runtime_error(std::string("write failed: ") +
-                             std::strerror(errno));
-  }
+std::uint64_t Load(const std::atomic<std::uint64_t>& counter) {
+  return counter.load(std::memory_order_relaxed);
 }
 
-std::vector<std::uint8_t> ErrorFrame(WireErrorCode code,
-                                     const std::string& detail) {
-  std::vector<std::uint8_t> out;
+void AppendErrorFrame(std::vector<std::uint8_t>& out, WireErrorCode code,
+                      const std::string& detail) {
   AppendFrame(out, Opcode::kError, EncodeErrorPayload({code, detail}));
-  return out;
 }
 
 }  // namespace
@@ -191,145 +158,122 @@ void QueryServer::AcceptLoop() {
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     Connection* raw = conn.get();
-    {
-      std::lock_guard<std::mutex> clock(counters_mu_);
-      ++counters_.connections_total;
-      ++counters_.connections_active;
-    }
+    Bump(counters_.connections_total);
+    Bump(counters_.connections_active);
     conn->thread = std::thread(&QueryServer::ServeConnection, this, raw);
     conns_.push_back(std::move(conn));
   }
 }
 
 void QueryServer::ServeConnection(Connection* conn) {
-  std::uint8_t header[kFrameHeaderBytes];
-  std::vector<std::uint8_t> payload;
+  FrameReader reader(conn->fd, FrameReader::Accept::kRequests);
+  std::vector<std::uint8_t> out;  // Reused for every response.
   try {
-    while (ReadFull(conn->fd, header, sizeof(header))) {
-      ++conn->requests;
-      {
-        std::lock_guard<std::mutex> lock(counters_mu_);
-        ++counters_.requests_total;
-      }
-      FrameHeader fh;
+    for (;;) {
+      std::optional<FrameReader::Frame> frame;
       try {
-        fh = DecodeFrameHeader({header, sizeof(header)});
-        if (!IsRequestOpcode(static_cast<std::uint8_t>(fh.opcode))) {
-          throw ProtocolError(ProtocolError::Kind::kBadOpcode,
-                              "response opcode in a request frame");
-        }
+        frame = reader.Next();
       } catch (const ProtocolError& e) {
         // A malformed header means framing is lost: answer once, then
         // close — resynchronising an untrusted byte stream is a guess.
         // Bad magic gets no answer at all: the peer is not speaking this
         // protocol, and our error frame would be noise to it.
+        ++conn->requests;
         ++conn->errors;
+        Bump(counters_.requests_total);
         if (e.kind() != ProtocolError::Kind::kBadMagic) {
-          const auto frame = ErrorFrame(WireErrorCode::kBadRequest, e.what());
-          WriteFull(conn->fd, frame.data(), frame.size());
+          AppendErrorFrame(out, WireErrorCode::kBadRequest, e.what());
+          SendAll(conn->fd, out);
         }
         break;
       }
-      // Header validated (length bounded) — the payload allocation is
-      // safe now, and reuses the connection's buffer across requests.
-      payload.resize(fh.payload_len);
-      if (fh.payload_len > 0 &&
-          !ReadFull(conn->fd, payload.data(), payload.size())) {
-        break;  // EOF inside the payload: peer vanished; nothing to say.
-      }
-      const std::vector<std::uint8_t> response =
-          HandleRequest(conn, fh.opcode, payload);
-      WriteFull(conn->fd, response.data(), response.size());
+      if (!frame) break;  // Clean close between frames.
+      ++conn->requests;
+      Bump(counters_.requests_total);
+      HandleRequest(conn, frame->opcode, frame->payload, out);
+      SendAll(conn->fd, out);
+      // Emptied before the next read blocks, so an idle connection does
+      // not hold a large response's buffer.
+      ResetSendBuffer(out);
     }
   } catch (...) {
-    // IO failure (peer reset, shutdown during a blocking read/write):
-    // the connection is over; server-wide state is untouched.
+    // IO failure (peer reset or gone mid-frame, shutdown during a blocking
+    // read/write): the connection is over; server-wide state is untouched.
   }
   ::shutdown(conn->fd, SHUT_RDWR);
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    --counters_.connections_active;
-  }
+  counters_.connections_active.fetch_sub(1, std::memory_order_relaxed);
   conn->done.store(true, std::memory_order_release);
 }
 
-std::vector<std::uint8_t> QueryServer::HandleRequest(
-    Connection* conn, Opcode opcode, std::span<const std::uint8_t> payload) {
+void QueryServer::HandleRequest(Connection* conn, Opcode opcode,
+                                std::span<const std::uint8_t> payload,
+                                std::vector<std::uint8_t>& out) {
   if (stopping_.load(std::memory_order_relaxed)) {
     ++conn->errors;
-    return ErrorFrame(WireErrorCode::kShuttingDown,
-                      "server is shutting down");
+    AppendErrorFrame(out, WireErrorCode::kShuttingDown,
+                     "server is shutting down");
+    return;
   }
   try {
     switch (opcode) {
       case Opcode::kQuery:
-        return HandleQuery(payload);
+        HandleQuery(payload, out);
+        return;
       case Opcode::kInsert: {
         double x = 0.0, y = 0.0;
         DecodeInsertRequest(payload, &x, &y);
         const std::optional<PointId> id = db_->Insert({x, y});
-        std::lock_guard<std::mutex> lock(counters_mu_);
-        ++counters_.mutations_total;
-        std::vector<std::uint8_t> out;
+        Bump(counters_.mutations_total);
         AppendFrame(out, Opcode::kMutated,
                     EncodeMutationPayload(
                         {id.has_value(), id.has_value() ? *id : 0u}));
-        return out;
+        return;
       }
       case Opcode::kErase: {
         const PointId id = DecodeEraseRequest(payload);
         const bool ok = db_->Erase(id);
-        std::lock_guard<std::mutex> lock(counters_mu_);
-        ++counters_.mutations_total;
-        std::vector<std::uint8_t> out;
+        Bump(counters_.mutations_total);
         AppendFrame(out, Opcode::kMutated, EncodeMutationPayload({ok, 0}));
-        return out;
+        return;
       }
       case Opcode::kCompact: {
         // Rebuilds outside the database's reader lock; queries keep
         // running on their pinned snapshots meanwhile.
         db_->Compact();
-        std::lock_guard<std::mutex> lock(counters_mu_);
-        ++counters_.mutations_total;
-        ++counters_.compacts_completed;
-        std::vector<std::uint8_t> out;
+        Bump(counters_.mutations_total);
+        Bump(counters_.compacts_completed);
         AppendFrame(out, Opcode::kMutated, EncodeMutationPayload({true, 0}));
-        return out;
+        return;
       }
       case Opcode::kStats: {
         const EngineStats es = engine_.Stats();
+        const Counters c = counters();
         WireServerStats s;
         s.queries_completed = es.queries_completed;
         s.throughput_qps = es.throughput_qps;
         s.latency_p50_ms = es.latency_p50_ms;
         s.latency_p95_ms = es.latency_p95_ms;
         s.latency_p99_ms = es.latency_p99_ms;
-        {
-          std::lock_guard<std::mutex> lock(counters_mu_);
-          s.connections_total = counters_.connections_total;
-          s.connections_active = counters_.connections_active;
-          s.requests_total = counters_.requests_total;
-          s.queries_ok = counters_.queries_ok;
-          s.queries_shed = counters_.queries_shed;
-          s.queries_rejected = counters_.queries_rejected;
-          s.queries_aborted = counters_.queries_aborted;
-          s.mutations_total = counters_.mutations_total;
-          s.compacts_completed = counters_.compacts_completed;
-        }
+        s.connections_total = c.connections_total;
+        s.connections_active = c.connections_active;
+        s.requests_total = c.requests_total;
+        s.queries_ok = c.queries_ok;
+        s.queries_shed = c.queries_shed;
+        s.queries_rejected = c.queries_rejected;
+        s.queries_aborted = c.queries_aborted;
+        s.mutations_total = c.mutations_total;
+        s.compacts_completed = c.compacts_completed;
         const ResultCache& cache = db_->PlannedQuery()->cache();
         s.result_cache_hits = cache.hits();
         s.result_cache_misses = cache.misses();
         s.client_requests = conn->requests;
         s.client_errors = conn->errors;
-        std::vector<std::uint8_t> out;
         AppendFrame(out, Opcode::kStatsReply, EncodeServerStatsPayload(s));
-        return out;
+        return;
       }
-      case Opcode::kPing: {
-        std::vector<std::uint8_t> out;
+      case Opcode::kPing:
         AppendFrame(out, Opcode::kPong, payload);
-        return out;
-      }
+        return;
       default:
         break;
     }
@@ -337,24 +281,25 @@ std::vector<std::uint8_t> QueryServer::HandleRequest(
                         "unhandled request opcode");
   } catch (const ProtocolError& e) {
     ++conn->errors;
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.queries_rejected;
-    return ErrorFrame(WireErrorCode::kBadRequest, e.what());
+    Bump(counters_.queries_rejected);
+    out.clear();
+    AppendErrorFrame(out, WireErrorCode::kBadRequest, e.what());
   }
 }
 
-std::vector<std::uint8_t> QueryServer::HandleQuery(
-    std::span<const std::uint8_t> payload) {
-  // Throws ProtocolError up to HandleRequest's kBadRequest mapping.
-  const WireQueryRequest req = DecodeQueryRequest(payload);
+void QueryServer::HandleQuery(std::span<const std::uint8_t> payload,
+                              std::vector<std::uint8_t>& out) {
+  // Throws ProtocolError up to HandleRequest's kBadRequest mapping. The
+  // WKT is parsed where it lies, in the connection's receive buffer.
+  const WireQueryRequestView req = DecodeQueryRequestView(payload);
 
   Polygon area;
   try {
     area = ParseWktPolygon(req.wkt, options_.max_wkt_vertices);
   } catch (const WktParseError& e) {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.queries_rejected;
-    return ErrorFrame(WireErrorCode::kBadWkt, e.what());
+    Bump(counters_.queries_rejected);
+    AppendErrorFrame(out, WireErrorCode::kBadWkt, e.what());
+    return;
   }
 
   SubmitOptions opts;
@@ -374,47 +319,57 @@ std::vector<std::uint8_t> QueryServer::HandleQuery(
   try {
     result = engine_.Run(std::move(area), method_, std::move(opts));
   } catch (const EngineOverloadedError& e) {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.queries_shed;
-    return ErrorFrame(WireErrorCode::kRetryLater, e.what());
+    Bump(counters_.queries_shed);
+    AppendErrorFrame(out, WireErrorCode::kRetryLater, e.what());
+    return;
   } catch (const QueryAbortedError& e) {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.queries_aborted;
-    return ErrorFrame(e.reason() == QueryAbortedError::Reason::kDeadline
-                          ? WireErrorCode::kDeadline
-                          : WireErrorCode::kCancelled,
-                      e.what());
+    Bump(counters_.queries_aborted);
+    AppendErrorFrame(out,
+                     e.reason() == QueryAbortedError::Reason::kDeadline
+                         ? WireErrorCode::kDeadline
+                         : WireErrorCode::kCancelled,
+                     e.what());
+    return;
   } catch (const EngineStoppedError& e) {
-    return ErrorFrame(WireErrorCode::kShuttingDown, e.what());
+    AppendErrorFrame(out, WireErrorCode::kShuttingDown, e.what());
+    return;
   } catch (const std::exception& e) {
-    return ErrorFrame(WireErrorCode::kInternal, e.what());
+    AppendErrorFrame(out, WireErrorCode::kInternal, e.what());
+    return;
   }
 
-  // Stream the ids in fixed-size frames, then the terminal stats frame.
-  // One reservation covers every id frame; the stats frame is small.
+  // Stream the ids in fixed-size frames, then the terminal stats frame,
+  // each encoded in place. One reservation covers the whole response.
   const std::span<const PointId> ids(result.ids);
   const std::size_t id_frames = (ids.size() + kIdsPerFrame - 1) / kIdsPerFrame;
-  std::vector<std::uint8_t> out;
   out.reserve(ids.size() * 8 + id_frames * (kFrameHeaderBytes + 8) +
-              kFrameHeaderBytes + 256);
+              kFrameHeaderBytes + 80);
   for (std::size_t at = 0; at < ids.size(); at += kIdsPerFrame) {
-    AppendFrame(out, Opcode::kResultIds,
-                EncodeResultIdsPayload(
-                    ids.subspan(at, std::min(kIdsPerFrame, ids.size() - at))));
+    const std::size_t frame_at = BeginFrame(out, Opcode::kResultIds);
+    AppendResultIdsPayload(
+        out, ids.subspan(at, std::min(kIdsPerFrame, ids.size() - at)));
+    EndFrame(out, frame_at);
   }
   WireQueryStats stats = SummarizeQueryStats(result.stats);
   stats.results = result.ids.size();
-  AppendFrame(out, Opcode::kQueryDone, EncodeQueryStatsPayload(stats));
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.queries_ok;
-  }
-  return out;
+  const std::size_t done_at = BeginFrame(out, Opcode::kQueryDone);
+  AppendQueryStatsPayload(out, stats);
+  EndFrame(out, done_at);
+  Bump(counters_.queries_ok);
 }
 
 QueryServer::Counters QueryServer::counters() const {
-  std::lock_guard<std::mutex> lock(counters_mu_);
-  return counters_;
+  Counters c;
+  c.connections_total = Load(counters_.connections_total);
+  c.connections_active = Load(counters_.connections_active);
+  c.requests_total = Load(counters_.requests_total);
+  c.queries_ok = Load(counters_.queries_ok);
+  c.queries_shed = Load(counters_.queries_shed);
+  c.queries_rejected = Load(counters_.queries_rejected);
+  c.queries_aborted = Load(counters_.queries_aborted);
+  c.mutations_total = Load(counters_.mutations_total);
+  c.compacts_completed = Load(counters_.compacts_completed);
+  return c;
 }
 
 }  // namespace vaq

@@ -120,13 +120,29 @@ class QueryServer {
  private:
   struct Connection;
 
+  /// `Counters` as relaxed atomics: every connection thread bumps them
+  /// without a lock, and `counters()` reads each field once.
+  struct AtomicCounters {
+    std::atomic<std::uint64_t> connections_total{0};
+    std::atomic<std::uint64_t> connections_active{0};
+    std::atomic<std::uint64_t> requests_total{0};
+    std::atomic<std::uint64_t> queries_ok{0};
+    std::atomic<std::uint64_t> queries_shed{0};
+    std::atomic<std::uint64_t> queries_rejected{0};
+    std::atomic<std::uint64_t> queries_aborted{0};
+    std::atomic<std::uint64_t> mutations_total{0};
+    std::atomic<std::uint64_t> compacts_completed{0};
+  };
+
   void AcceptLoop();
   void ServeConnection(Connection* conn);
-  /// Handles one decoded request frame; returns the response bytes
-  /// (one or more frames, the last terminal).
-  std::vector<std::uint8_t> HandleRequest(
-      Connection* conn, Opcode opcode, std::span<const std::uint8_t> payload);
-  std::vector<std::uint8_t> HandleQuery(std::span<const std::uint8_t> payload);
+  /// Handles one decoded request frame: appends the response (one or more
+  /// frames, the last terminal) to the empty `out`.
+  void HandleRequest(Connection* conn, Opcode opcode,
+                     std::span<const std::uint8_t> payload,
+                     std::vector<std::uint8_t>& out);
+  void HandleQuery(std::span<const std::uint8_t> payload,
+                   std::vector<std::uint8_t>& out);
 
   DynamicPointDatabase* db_;
   Options options_;
@@ -146,8 +162,7 @@ class QueryServer {
   std::mutex conns_mu_;
   std::vector<std::unique_ptr<Connection>> conns_;
 
-  mutable std::mutex counters_mu_;
-  Counters counters_;
+  AtomicCounters counters_;
 };
 
 }  // namespace vaq

@@ -7,8 +7,14 @@
 // The heavy concurrent version (32+ clients, churn, drains) is the
 // separate `vaq_server_soak` binary.
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,6 +26,7 @@
 #include "geometry/wkt.h"
 #include "pinned_inputs.h"
 #include "server/client.h"
+#include "server/frame_io.h"
 #include "server/query_server.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
@@ -304,8 +311,8 @@ TEST_F(ServerLoopbackTest, OverloadShedsWithRetryLater) {
   // One slot, one waiter allowed, and slow-ish queries from background
   // connections: a foreground burst must observe at least one typed
   // kRetryLater — admission control as backpressure, never a hang or a
-  // silent drop. Each shed response is itself the retry protocol: the
-  // test retries and must eventually succeed. Every query bypasses the
+  // silent drop. Each shed response is itself the retry protocol: once
+  // the load stops, the retry must succeed. Every query bypasses the
   // result cache so it really is slow: a cached repeat holds the slot
   // for a few microseconds, and whether the burst ever finds the slot
   // busy and a waiter queued is then up to the scheduler.
@@ -336,21 +343,22 @@ TEST_F(ServerLoopbackTest, OverloadShedsWithRetryLater) {
 
   QueryClient client(server_->port());
   bool shed = false;
-  bool succeeded = false;
-  for (int attempt = 0; attempt < 400 && !(shed && succeeded); ++attempt) {
+  for (int attempt = 0; attempt < 400 && !shed; ++attempt) {
     try {
       client.Query(slow);
-      succeeded = true;
     } catch (const ServerError& e) {
       ASSERT_EQ(e.code(), WireErrorCode::kRetryLater)
           << "overload must surface as kRetryLater, nothing else";
       shed = true;
     }
   }
+  // Retry only after the load is joined: while it runs, whether a retry
+  // finds the slot free is up to the scheduler.
   stop.store(true);
   for (std::thread& t : load) t.join();
   EXPECT_TRUE(shed) << "the burst never hit admission control";
-  EXPECT_TRUE(succeeded) << "retrying after a shed must eventually succeed";
+  const QueryClient::QueryOutcome retry = client.Query(slow);
+  EXPECT_EQ(retry.ids, Oracle(ParseWktPolygon(wkt)));
   EXPECT_GT(server_->counters().queries_shed, 0u);
 }
 
@@ -384,6 +392,163 @@ TEST_F(ServerLoopbackTest, StopWithIdleConnectionsDoesNotHang) {
   EXPECT_TRUE(a.Ping());
   server_->Stop();  // Joins both connection threads blocked in read().
   EXPECT_THROW(a.Ping(), std::runtime_error);
+}
+
+// --- Buffered framing over a live connection -------------------------------
+// The server and the client read through `FrameReader`; these cases drive
+// a raw socket so the byte stream's segmentation is the test's choice.
+
+class ServerFramingTest : public ServerLoopbackTest {
+ protected:
+  /// A raw loopback connection to the server (closed by the destructor).
+  struct RawConnection {
+    explicit RawConnection(std::uint16_t port) : fd(Connect(port)) {}
+    ~RawConnection() { ::close(fd); }
+    RawConnection(const RawConnection&) = delete;
+    RawConnection& operator=(const RawConnection&) = delete;
+
+    static int Connect(std::uint16_t port) {
+      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      addr.sin_port = htons(port);
+      EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                          sizeof(addr)),
+                0);
+      const int one = 1;  // Every send is its own segment.
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      return fd;
+    }
+
+    int fd;
+    FrameReader reader{fd, FrameReader::Accept::kResponses};
+  };
+
+  static std::vector<std::uint8_t> QueryFrame(const Polygon& area) {
+    WireQueryRequest req;
+    req.wkt = ToWkt(area);
+    req.use_cache = false;
+    std::vector<std::uint8_t> frame;
+    AppendFrame(frame, Opcode::kQuery, EncodeQueryRequest(req));
+    return frame;
+  }
+
+  /// Reads one QUERY response: id frames, then the terminal summary.
+  static std::vector<PointId> ReadQueryResponse(FrameReader& reader) {
+    std::vector<PointId> ids;
+    for (;;) {
+      const std::optional<FrameReader::Frame> frame = reader.Next();
+      if (!frame) {
+        ADD_FAILURE() << "server closed mid-response";
+        return ids;
+      }
+      if (frame->opcode == Opcode::kResultIds) {
+        DecodeResultIdsInto(frame->payload, ids);
+        continue;
+      }
+      EXPECT_EQ(frame->opcode, Opcode::kQueryDone);
+      EXPECT_EQ(DecodeQueryStatsPayload(frame->payload).results, ids.size());
+      return ids;
+    }
+  }
+};
+
+TEST_F(ServerFramingTest, PipelinedQueriesInOneSendAreAnsweredInOrder) {
+  StartServer(3000);
+  const std::vector<Polygon> areas = FixedAreas(11, 2, 0.1);
+  std::vector<std::uint8_t> both = QueryFrame(areas[0]);
+  const std::vector<std::uint8_t> second = QueryFrame(areas[1]);
+  both.insert(both.end(), second.begin(), second.end());
+
+  RawConnection conn(server_->port());
+  SendAll(conn.fd, both);
+  EXPECT_EQ(ReadQueryResponse(conn.reader), Oracle(areas[0]));
+  EXPECT_EQ(ReadQueryResponse(conn.reader), Oracle(areas[1]));
+  EXPECT_EQ(server_->counters().queries_ok, 2u);
+}
+
+TEST_F(ServerFramingTest, RequestSentOneBytePerSendIsAnsweredNormally) {
+  StartServer(2000);
+  const Polygon area = FixedAreas(12, 1, 0.1)[0];
+  const std::vector<std::uint8_t> frame = QueryFrame(area);
+  RawConnection conn(server_->port());
+  for (const std::uint8_t byte : frame) SendAll(conn.fd, {&byte, 1});
+  EXPECT_EQ(ReadQueryResponse(conn.reader), Oracle(area));
+}
+
+TEST_F(ServerFramingTest, EofInsideAFrameClosesWithoutAnAnswer) {
+  StartServer(200);
+  std::vector<std::uint8_t> ping;
+  AppendFrame(ping, Opcode::kPing, std::vector<std::uint8_t>(64, 7));
+  for (const std::size_t cut : {std::size_t{5}, kFrameHeaderBytes + 10}) {
+    RawConnection conn(server_->port());
+    SendAll(conn.fd, {ping.data(), cut});
+    ::shutdown(conn.fd, SHUT_WR);
+    EXPECT_FALSE(conn.reader.Next().has_value())
+        << "a frame cut at byte " << cut << " must get no answer";
+  }
+  QueryClient client(server_->port());
+  EXPECT_TRUE(client.Ping()) << "other connections are unaffected";
+}
+
+TEST_F(ServerFramingTest, BadMagicAfterAGoodFrameInOneSegment) {
+  StartServer(200);
+  std::vector<std::uint8_t> bytes;
+  AppendFrame(bytes, Opcode::kPing, std::vector<std::uint8_t>{1, 2, 3, 4});
+  const std::string junk = "GET / HTTP/1.1\r\n";
+  bytes.insert(bytes.end(), junk.begin(), junk.end());
+
+  RawConnection conn(server_->port());
+  SendAll(conn.fd, bytes);
+  const std::optional<FrameReader::Frame> pong = conn.reader.Next();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->opcode, Opcode::kPong);
+  EXPECT_FALSE(conn.reader.Next().has_value())
+      << "bad magic closes the connection without an answer";
+}
+
+TEST_F(ServerFramingTest, RoundTripRawThenQueryKeepsTheLeftoverBytes) {
+  // A raw QUERY's response is an id frame and a summary frame in one
+  // send. `RoundTripRaw` returns the first; the second must stay buffered
+  // for the next read, and the connection must stay in step after it.
+  StartServer(2000);
+  const Polygon area = FixedAreas(13, 1, 0.05)[0];
+  const std::vector<PointId> expected = Oracle(area);
+  ASSERT_GT(expected.size(), 0u);
+  ASSERT_LE(expected.size(), kIdsPerFrame);
+
+  QueryClient client(server_->port());
+  const std::vector<std::uint8_t> ids_frame =
+      client.RoundTripRaw(QueryFrame(area));
+  ASSERT_EQ(DecodeFrameHeader(ids_frame).opcode, Opcode::kResultIds);
+  EXPECT_EQ(DecodeResultIdsPayload(
+                std::span(ids_frame).subspan(kFrameHeaderBytes)),
+            expected);
+
+  const std::vector<std::uint8_t> done_frame = client.RoundTripRaw({});
+  ASSERT_EQ(DecodeFrameHeader(done_frame).opcode, Opcode::kQueryDone);
+  EXPECT_EQ(DecodeQueryStatsPayload(
+                std::span(done_frame).subspan(kFrameHeaderBytes))
+                .results,
+            expected.size());
+
+  EXPECT_EQ(client.Query(ToWkt(area)).ids, expected);
+  EXPECT_TRUE(client.Ping());
+}
+
+TEST_F(ServerFramingTest, ResponseLargerThanTheDefaultBufferDecodes) {
+  // ~19k ids: the response is ~150 KiB, past both the default buffer and
+  // the shrink bound. A small query after it still answers exactly.
+  StartServer(20000);
+  const Polygon big{{{0.02, 0.02}, {0.98, 0.02}, {0.98, 0.98}, {0.02, 0.98}}};
+  QueryClient client(server_->port());
+  const QueryClient::QueryOutcome outcome = client.Query(ToWkt(big));
+  EXPECT_GT(outcome.ids.size() * 8, kFrameBufferShrinkBytes);
+  EXPECT_EQ(outcome.ids, Oracle(big));
+
+  const Polygon small = FixedAreas(14, 1, 0.01)[0];
+  EXPECT_EQ(client.Query(ToWkt(small)).ids, Oracle(small));
 }
 
 }  // namespace

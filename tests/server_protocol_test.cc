@@ -258,6 +258,55 @@ TEST(ProtocolPayloadTest, ResultIdsRejectAHighWordAnywhere) {
   }
 }
 
+TEST(ProtocolPayloadTest, ResultIdsDecodeIntoAppendsAndRollsBack) {
+  std::vector<PointId> ids = {42};
+  DecodeResultIdsInto(EncodeResultIdsPayload(std::vector<PointId>{1, 2, 3}),
+                      ids);
+  EXPECT_EQ(ids, (std::vector<PointId>{42, 1, 2, 3}));
+
+  auto bad = EncodeResultIdsPayload(std::vector<PointId>{5, 6});
+  bad[8 + 8 + 4] = 0x01;  // The second id's high word.
+  EXPECT_THROW(DecodeResultIdsInto(bad, ids), ProtocolError);
+  EXPECT_EQ(ids, (std::vector<PointId>{42, 1, 2, 3}))
+      << "a rejected payload must leave the ids as they were";
+}
+
+TEST(ProtocolPayloadTest, InPlaceFramesMatchAppendFrame) {
+  const std::vector<PointId> ids = {1, 0x01020304u, 0xFFFFFFFFu};
+  WireQueryStats stats;
+  stats.results = ids.size();
+  stats.candidates = 9;
+  stats.elapsed_ms = 0.25;
+
+  std::vector<std::uint8_t> expected;
+  AppendFrame(expected, Opcode::kResultIds, EncodeResultIdsPayload(ids));
+  AppendFrame(expected, Opcode::kQueryDone, EncodeQueryStatsPayload(stats));
+
+  std::vector<std::uint8_t> in_place;
+  const std::size_t ids_at = BeginFrame(in_place, Opcode::kResultIds);
+  AppendResultIdsPayload(in_place, ids);
+  EndFrame(in_place, ids_at);
+  const std::size_t done_at = BeginFrame(in_place, Opcode::kQueryDone);
+  AppendQueryStatsPayload(in_place, stats);
+  EndFrame(in_place, done_at);
+  EXPECT_EQ(in_place, expected);
+}
+
+TEST(ProtocolPayloadTest, QueryRequestViewPointsIntoThePayload) {
+  WireQueryRequest req;
+  req.wkt = "POLYGON ((0 0, 1 0, 0 1, 0 0))";
+  req.deadline_ms = 3.0;
+  req.force_method = DynamicMethod::kVoronoi;
+  const std::vector<std::uint8_t> payload = EncodeQueryRequest(req);
+  const WireQueryRequestView view = DecodeQueryRequestView(payload);
+  EXPECT_EQ(view.wkt, req.wkt);
+  EXPECT_EQ(reinterpret_cast<const std::uint8_t*>(view.wkt.data()),
+            payload.data() + 16)
+      << "the view must not copy the WKT";
+  EXPECT_EQ(view.force_method, req.force_method);
+  EXPECT_EQ(view.deadline_ms, req.deadline_ms);
+}
+
 TEST(ProtocolPayloadTest, StatsAndErrorAndMutationPayloadsRoundTrip) {
   WireQueryStats qs;
   qs.results = 42;
